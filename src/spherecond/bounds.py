@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import logsumexp
 
-from .geometry import _log_O
+from .geometry import _log_O, _log_binom
 
 
 @dataclass(frozen=True)
@@ -38,11 +38,6 @@ class BoundParams:
             raise ValueError("t must be >= 1 (the bound is vacuous below)")
         if self.eps is not None and not 0.0 < self.eps <= 1.0:
             raise ValueError("eps must lie in (0, 1]")
-
-
-def _log_binom(n: int, k) -> np.ndarray:
-    k = np.asarray(k, dtype=float)
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 
 def _tail_core(p: int, d: int, ratio: float) -> float:

@@ -47,14 +47,11 @@ from .geometry import (
 )
 from .sampling import RngStream, sample_uniform_cap
 from .varieties import (
-    _BLOCK,
-    CurveVariety,
     DeterminantVariety,
-    McEstimate,
     SubsphereVariety,
     clopper_pearson,
     load_curve,
-    subsphere_tube_cap_ratio_exact,
+    run_blocks,
     tube_cap_counts,
     verify_kinematic,
     verify_weyl_tube_bound,
@@ -185,15 +182,6 @@ def _cond_block_star(args):
     return _cond_block(*args)
 
 
-def _blocks(samples: int):
-    start, idx = 0, 0
-    while start < samples:
-        count = min(_BLOCK, samples - start)
-        yield idx, count
-        start += count
-        idx += 1
-
-
 def _resolve_variety(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "subsphere":
@@ -234,15 +222,8 @@ def cmd_estimate(args) -> int:
             p, degree, shape = _estimate_problem_shape(args)
             center = _resolve_center(args.center, p, args.seed)
             cap = Cap(center=center, sigma=args.sigma)
-            blocks = [(cap, shape, args.seed, idx, count)
-                      for idx, count in _blocks(args.samples)]
-            if args.workers > 1:
-                from concurrent.futures import ProcessPoolExecutor
-                with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                    parts = list(pool.map(_cond_block_star, blocks))
-            else:
-                parts = [_cond_block(*b) for b in blocks]
-            smins = np.concatenate(parts)
+            smins = np.concatenate(run_blocks(_cond_block_star, (cap, shape, args.seed),
+                                              args.samples, args.workers))
             if args.which == "tail":
                 t_grid = _parse_grid(args.t_grid)
                 rows = []
@@ -316,7 +297,7 @@ def _report(rows: list[tuple[str, bool]]) -> int:
 def _verify_jintegrals(args) -> int:
     rows = []
     alphas = np.linspace(0.1, np.pi / 2, 20)
-    worst = 0.0
+    worst = worst_rel = 0.0
     ineq_ok = True
     eq_ok = True
     for p in range(1, 21):
@@ -325,6 +306,7 @@ def _verify_jintegrals(args) -> int:
                 exact = j_integral(p, k, float(a))
                 quadv = j_integral_quad(p, k, float(a))
                 worst = max(worst, abs(exact - quadv))
+                worst_rel = max(worst_rel, abs(exact - quadv) / abs(quadv))
                 eps = math.sin(a)
                 if k < p:
                     ineq_ok &= exact <= eps**k / k + 1e-12
@@ -334,7 +316,8 @@ def _verify_jintegrals(args) -> int:
         equality = j_integral(p, p, np.pi / 2)
         target = sphere_volume(p) / (2 * sphere_volume(p - 1))
         eq_ok &= abs(equality - target) <= 1e-12 * target
-    rows.append((f"quadrature vs recurrence (max abs err {worst:.2e})", worst <= 1e-10))
+    rows.append((f"quadrature vs closed form (max abs err {worst:.2e}, "
+                 f"max rel err {worst_rel:.2e})", worst <= 1e-10))
     rows.append(("moment-integral inequalities on grid", ineq_ok))
     rows.append(("exact equality at alpha = pi/2", eq_ok))
     return _report(rows)

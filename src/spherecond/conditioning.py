@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .geometry import SpherePoint
 from .sampling import RngStream
@@ -94,6 +93,8 @@ def discriminant_distance_2x2(a: np.ndarray, grid: int = 10_000) -> float:
         val = a[0, 1] * c * c - a[1, 0] * s * s + (a[1, 1] - a[0, 0]) * s * c
         return val * val
 
+    from scipy.optimize import minimize_scalar  # slow to import; needed only here
+
     thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
     vals = nil_overlap_sq(thetas)
     j = int(np.argmax(vals))
@@ -146,6 +147,8 @@ def real_eigen_condition_lower(a: np.ndarray, restarts: int = 8, iters: int = 20
         constraint = lambda v: (v[0] - v[3]) ** 2 + 4.0 * v[1] * v[2]
     else:
         constraint = lambda v: _charpoly_discriminant(v.reshape(n, n))
+
+    from scipy.optimize import minimize  # slow to import; needed only here
 
     x0s = [ahat.ravel()]
     x0s += [ahat.ravel() + 0.1 * gen.standard_normal(n * n) for _ in range(restarts - 1)]

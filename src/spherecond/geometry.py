@@ -1,7 +1,8 @@
 """Exact spherical geometry on the unit sphere S^p.
 
 Volumes of spheres, geodesic balls and tubes around great subspheres,
-the trigonometric moment integrals that generate them, the constants of
+the trigonometric moment integrals that generate them (in closed form
+through the regularized incomplete beta function), the constants of
 the principal kinematic formula, and the two sphere distances (angular
 and projective).
 """
@@ -11,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import betainc, betaln, gammaln
 
 
 @dataclass(frozen=True)
@@ -72,32 +72,26 @@ def _check_jpk_args(p: int, k: int):
 
 
 def j_integral(p: int, k: int, alpha) -> float | np.ndarray:
-    """J_{p,k}(alpha) = int_0^alpha sin^{k-1} cos^{p-k}, by closed-form recurrence.
+    """J_{p,k}(alpha) = int_0^alpha sin^{k-1} cos^{p-k}, in closed form.
 
-    Accepts scalar or array alpha in [0, pi/2]; arrays are evaluated
-    elementwise (used by the cap sampler's inverse CDF).
+    Substituting x = sin^2 r gives J_{p,k}(alpha) = 1/2 B(a, b) I_{sin^2 alpha}(a, b)
+    with a = k/2, b = (p-k+1)/2 and I the regularized incomplete beta
+    function. Where I exceeds 1/2 it is taken as 1 - I_{cos^2 alpha}(b, a),
+    so it stays accurate in relative terms near alpha = pi/2, where
+    sin^2 alpha rounds to 1. Accepts scalar or array alpha in [0, pi/2];
+    arrays are evaluated elementwise.
     """
     _check_jpk_args(p, k)
     a = np.asarray(alpha, dtype=float)
     if np.any(a < -1e-15) or np.any(a > np.pi / 2 + 1e-12):
         raise ValueError("alpha must lie in [0, pi/2]")
-    out = _sin_cos_moment(k - 1, p - k, np.clip(a, 0.0, np.pi / 2))
+    a = np.clip(a, 0.0, np.pi / 2)
+    s2, c2 = np.sin(a) ** 2, np.cos(a) ** 2
+    ka, kb = 0.5 * k, 0.5 * (p - k + 1)
+    rest = betainc(kb, ka, c2)
+    ratio = np.where(rest < 0.5, 1.0 - rest, betainc(ka, kb, s2))
+    out = 0.5 * np.exp(betaln(ka, kb)) * ratio
     return float(out) if np.isscalar(alpha) else out
-
-
-def _sin_cos_moment(m: int, n: int, a: np.ndarray) -> np.ndarray:
-    """int_0^a sin^m cos^n via the integration-by-parts recurrence on m."""
-    s, c = np.sin(a), np.cos(a)
-    if m >= 2:
-        return (-(s ** (m - 1)) * c ** (n + 1) + (m - 1) * _sin_cos_moment(m - 2, n, a)) / (m + n)
-    if m == 1:
-        return (1.0 - c ** (n + 1)) / (n + 1)
-    # m == 0: recurse on the cosine power
-    if n >= 2:
-        return (s * c ** (n - 1) + (n - 1) * _sin_cos_moment(0, n - 2, a)) / n
-    if n == 1:
-        return s
-    return a.copy()
 
 
 def j_integral_quad(p: int, k: int, alpha: float) -> float:
@@ -105,6 +99,8 @@ def j_integral_quad(p: int, k: int, alpha: float) -> float:
     _check_jpk_args(p, k)
     if not 0.0 <= alpha <= np.pi / 2 + 1e-12:
         raise ValueError("alpha must lie in [0, pi/2]")
+    from scipy.integrate import quad  # slow to import; only verification needs it
+
     val, _ = quad(
         lambda r: np.sin(r) ** (k - 1) * np.cos(r) ** (p - k),
         0.0, alpha, epsabs=1e-12, epsrel=1e-12, limit=200,
@@ -142,7 +138,8 @@ def _log_O(p: int) -> float:
     return np.log(2.0) + 0.5 * (p + 1) * np.log(np.pi) - gammaln(0.5 * (p + 1))
 
 
-def _log_binom(n: int, k: int) -> float:
+def _log_binom(n: int, k):
+    k = np.asarray(k, dtype=float)
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
 
 

@@ -7,8 +7,10 @@ that parallel workers can partition a sample budget deterministically.
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import betainc, betaincinv
 
-from .geometry import Cap, SpherePoint, j_integral
+# j_integral stays bound here: benchmark/tracing.py patches sampling.j_integral.
+from .geometry import Cap, SpherePoint, j_integral  # noqa: F401
 
 
 class RngStream:
@@ -63,31 +65,57 @@ def sample_uniform_sphere(p: int, rng: RngStream, size: int | None = None):
     return g
 
 
-def _cap_radii(p: int, alpha: float, u: np.ndarray) -> np.ndarray:
-    """Invert the radial CDF J_{p,p}(rho)/J_{p,p}(alpha) by bisection."""
-    target = u * j_integral(p, p, alpha)
-    lo = np.zeros_like(u)
-    hi = np.full_like(u, alpha)
-    # 60 halvings push the bracket far below the 1e-12 residual tolerance
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = j_integral(p, p, mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+def _cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n angular radii of uniform points on a cap of angular radius alpha in S^p.
+
+    The radius rho has density proportional to sin^{p-1} on [0, alpha], so
+    sin^2(rho/2) ~ Beta(p/2, p/2) truncated at x0 = sin^2(alpha/2); one
+    inverse regularized incomplete beta call maps uniforms onto it. When
+    the truncated mass I_{x0}(p/2, p/2) is below the smallest normal double
+    (tiny caps in high dimension), radii come from `_small_cap_radii`.
+    """
+    h = 0.5 * p
+    x0 = np.sin(0.5 * alpha) ** 2
+    mass = betainc(h, h, x0)
+    if mass < np.finfo(float).tiny:
+        return _small_cap_radii(p, alpha, gen, n)
+    x = betaincinv(h, h, gen.random(n) * mass)
+    return 2.0 * np.arcsin(np.sqrt(np.minimum(x, x0)))
+
+
+def _small_cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
+    """Exact rejection sampler for the radial density sin^{p-1} on [0, alpha].
+
+    log sin is concave, so sin^{p-1} rho <= sin^{p-1} alpha * exp(lam (rho - alpha))
+    with lam = (p-1) cot alpha. Proposals come from that exponential
+    envelope on [0, alpha] by inversion and are accepted with the ratio of
+    the density to the envelope; about 1/((p-1) cos^2 alpha) of them are
+    rejected.
+    """
+    if p == 1:  # constant density, where the envelope degenerates (lam = 0)
+        return alpha * gen.random(n)
+    lam = (p - 1) / np.tan(alpha)
+    span = -np.expm1(-lam * alpha)
+    out = np.empty(0)
+    while out.size < n:
+        m = n - out.size
+        rho = alpha + np.log1p(-span * gen.random(m)) / lam
+        log_ratio = (p - 1) * np.log(np.sin(rho) / np.sin(alpha)) - lam * (rho - alpha)
+        out = np.concatenate([out, rho[np.log(gen.random(m)) < log_ratio]])
+    return out
 
 
 def sample_uniform_cap(cap: Cap, rng: RngStream, size: int | None = None):
     """Uniform point(s) on the cap around cap.center of projective radius sigma.
 
     Radius from the density proportional to sin^{p-1} on [0, arcsin sigma]
-    (inverse CDF), direction uniform on the tangent sphere, combined via
+    (`_cap_radii`), direction uniform on the tangent sphere, combined via
     the spherical exponential map.
     """
     p = cap.center.p
     n = 1 if size is None else size
     gen = rng.generator
-    rho = _cap_radii(p, cap.alpha, gen.random(n))
+    rho = _cap_radii(p, cap.alpha, gen, n)
     a = cap.center.coords
     # tangent directions: Gaussian vectors with the component along a removed
     u = np.empty((n, p + 1))

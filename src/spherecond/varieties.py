@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .geometry import (
     Cap,
@@ -55,11 +55,11 @@ def clopper_pearson(successes: float, trials: int, level: float = 0.99):
     if successes <= 0.0:
         lo = 0.0
     else:
-        lo = float(beta_dist.ppf(a / 2, successes, trials - successes + 1))
+        lo = float(betaincinv(successes, trials - successes + 1, a / 2))
     if successes >= trials:
         hi = 1.0
     else:
-        hi = float(beta_dist.ppf(1 - a / 2, successes + 1, trials - successes))
+        hi = float(betaincinv(successes + 1, trials - successes, 1 - a / 2))
     return lo, hi
 
 
@@ -230,8 +230,8 @@ class CurveVariety(Variety):
                 best = best + step[:, None] * t
                 best /= np.linalg.norm(best, axis=1, keepdims=True)
                 best = self._project(best, steps=3)
-            cosang = np.clip(np.abs(np.sum(best * chunk, axis=1)), -1.0, 1.0)
-            out[start:start + 4096] = np.sin(np.arccos(cosang))
+            # |best x z| = sin of the angle, accurate also next to the curve
+            out[start:start + 4096] = np.linalg.norm(np.cross(best, chunk), axis=1)
         return out
 
 
@@ -268,6 +268,20 @@ def distance_to_variety(x: SpherePoint, variety: Variety) -> float:
 _BLOCK = 8192  # fixed block size keeps results independent of worker count
 
 
+def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
+    """kernel((*args, index, count)) for each block of at most _BLOCK samples.
+
+    Results come back in block order; blocks, and so results, do not depend
+    on the worker count.
+    """
+    blocks = [(*args, idx, min(_BLOCK, samples - start))
+              for idx, start in enumerate(range(0, samples, _BLOCK))]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(kernel, blocks))
+    return [kernel(b) for b in blocks]
+
+
 def _tube_block(args):
     variety, cap, eps_grid, seed, index, count = args
     rng = RngStream(seed, index + 1)
@@ -279,19 +293,7 @@ def _tube_block(args):
 def tube_cap_counts(variety: Variety, cap: Cap, eps_grid, samples: int,
                     seed: int, workers: int = 1) -> np.ndarray:
     """Per-threshold membership counts, reproducible for any worker count."""
-    blocks = []
-    start = 0
-    idx = 0
-    while start < samples:
-        count = min(_BLOCK, samples - start)
-        blocks.append((variety, cap, tuple(eps_grid), seed, idx, count))
-        start += count
-        idx += 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_tube_block, blocks))
-    else:
-        parts = [_tube_block(b) for b in blocks]
+    parts = run_blocks(_tube_block, (variety, cap, tuple(eps_grid), seed), samples, workers)
     return np.sum(parts, axis=0)
 
 
@@ -321,13 +323,6 @@ def geodesic_sphere_mu(p: int, alpha: float, i: int) -> float:
         raise ValueError("need p >= 2, alpha in (0, pi/2], 0 <= i <= p-1")
     return float(np.exp(_log_binom(p - 1, i)) * sphere_volume(p - 1)
                  * np.sin(alpha) ** (p - i - 1) * np.cos(alpha) ** i)
-
-
-def geodesic_sphere_curvature(p: int, alpha: float, i: int) -> float:
-    """Pointwise i-th curvature C(p-1,i) cot^i(alpha) of the geodesic sphere."""
-    if p < 2 or not 0.0 < alpha <= np.pi / 2 or not 0 <= i <= p - 1:
-        raise ValueError("need p >= 2, alpha in (0, pi/2], 0 <= i <= p-1")
-    return float(np.exp(_log_binom(p - 1, i)) * (1.0 / np.tan(alpha)) ** i)
 
 
 def _extended_ball_volume(p: int, theta: float) -> float:
@@ -392,20 +387,7 @@ def verify_kinematic(p: int, i: int, alpha: float, samples: int,
         raise ValueError("alpha must lie in (0, pi/2]")
     lhs = geodesic_sphere_mu(p, alpha, i)
     analytic = kinematic_rhs_analytic(p, i, alpha)
-
-    blocks = []
-    start = 0
-    idx = 0
-    while start < samples:
-        count = min(_BLOCK, samples - start)
-        blocks.append((p, i, alpha, rng.master_seed, idx, count))
-        start += count
-        idx += 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_kinematic_block, blocks))
-    else:
-        parts = [_kinematic_block(b) for b in blocks]
+    parts = run_blocks(_kinematic_block, (p, i, alpha, rng.master_seed), samples, workers)
     total = float(np.sum(parts))
     scale = kinematic_constant(p, i) * sphere_volume(i)
     mean = total / samples

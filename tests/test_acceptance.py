@@ -73,7 +73,7 @@ def test_01_j_integral_consistency():
     assert worst <= 1e-10
     elapsed = time.time() - t0
     assert elapsed < 5.0
-    report("J-integral quadrature vs recurrence",
+    report("J-integral quadrature vs closed form",
            f"max abs err {worst:.2e}, {elapsed:.1f}s")
 
 

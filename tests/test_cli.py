@@ -158,6 +158,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "jintegrals")
         assert code == 0
         assert "overall: pass" in out
+        assert "quadrature vs closed form" in out and "max rel err" in out
 
     def test_kinematic_single_case(self, capsys):
         code, out, _ = run(capsys, "verify", "kinematic", "--p", "3", "--i", "1",

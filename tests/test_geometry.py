@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,7 +63,7 @@ class TestJIntegral:
         alpha=st.floats(1e-3, math.pi / 2),
     )
     @settings(max_examples=60, deadline=None)
-    def test_recurrence_matches_quadrature(self, p, k_frac, alpha):
+    def test_closed_form_matches_quadrature(self, p, k_frac, alpha):
         k = 1 + round(k_frac * (p - 1))
         assert abs(j_integral(p, k, alpha) - j_integral_quad(p, k, alpha)) <= 1e-10
 
@@ -85,6 +86,67 @@ class TestJIntegral:
             j_integral(3, 4, 0.5)
         with pytest.raises(ValueError):
             j_integral(3, 2, 2.0)
+
+
+# Independent reference: 1/2 B_x(k/2, (p-k+1)/2) at x = sin^2 alpha, evaluated by
+# mpmath at 40 digits. 30 digits are not enough next to alpha = pi/2, where
+# 1 - sin^2 alpha keeps only the digits beyond the 18th.
+REF_DPS = 40
+# J below the smallest normal double cannot be represented to 1e-12 relative.
+NORMAL_FLOOR = 1e-300
+REF_PS = [1, 2, 3, 5, 8, 13, 24, 40, 63, 100, 150, 200]
+REF_ALPHAS = np.concatenate([np.geomspace(1e-4, math.pi / 2, 13),
+                             [math.pi / 4, math.pi / 2 - 1e-6, math.pi / 2 - 1e-10]])
+
+
+def j_reference(p, k, alpha):
+    with mpmath.workdps(REF_DPS):
+        x = mpmath.sin(mpmath.mpf(alpha)) ** 2
+        return 0.5 * mpmath.betainc(mpmath.mpf(k) / 2, mpmath.mpf(p - k + 1) / 2, 0, x)
+
+
+def sphere_volume_reference(p):
+    with mpmath.workdps(REF_DPS):
+        return 2 * mpmath.pi ** (mpmath.mpf(p + 1) / 2) / mpmath.gamma(mpmath.mpf(p + 1) / 2)
+
+
+def assert_relative(value, ref, rel=1e-12):
+    if ref < NORMAL_FLOOR:
+        assert 0.0 <= value <= NORMAL_FLOOR
+    else:
+        assert abs(value - float(ref)) <= rel * float(ref)
+
+
+class TestJIntegralReference:
+    @pytest.mark.parametrize("p", REF_PS)
+    def test_relative_error_against_mpmath(self, p):
+        for k in sorted({1, 2, (p + 1) // 2, p - 1, p} & set(range(1, p + 1))):
+            for alpha in REF_ALPHAS:
+                assert_relative(j_integral(p, k, float(alpha)), j_reference(p, k, alpha))
+
+    @given(p=st.integers(1, 200), k_frac=st.floats(0.0, 1.0),
+           log_alpha=st.floats(math.log(1e-4), math.log(math.pi / 2)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_points_against_mpmath(self, p, k_frac, log_alpha):
+        k = 1 + round(k_frac * (p - 1))
+        alpha = min(math.exp(log_alpha), math.pi / 2)
+        assert_relative(j_integral(p, k, alpha), j_reference(p, k, alpha))
+
+    def test_array_matches_scalar(self):
+        vals = j_integral(24, 7, REF_ALPHAS)
+        assert vals.shape == REF_ALPHAS.shape
+        assert np.array_equal(vals, [j_integral(24, 7, float(a)) for a in REF_ALPHAS])
+
+    @pytest.mark.parametrize("p", [2, 8, 24, 63, 200])
+    @pytest.mark.parametrize("sigma", [1.0, 0.25, 0.01, 1e-3])
+    def test_ball_and_tube_volumes(self, p, sigma):
+        alpha = math.asin(sigma)
+        ref = sphere_volume_reference(p - 1) * j_reference(p, p, alpha)
+        assert_relative(ball_volume(p, alpha), ref)
+        for k in (1, p // 2, p):
+            ref = (sphere_volume_reference(p - k) * sphere_volume_reference(k - 1)
+                   * j_reference(p, k, alpha))
+            assert_relative(subsphere_tube_volume(p, k, sigma), ref)
 
 
 class TestBallVolume:

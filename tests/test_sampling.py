@@ -1,18 +1,48 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import betainc, hyp2f1
 
 from spherecond import Cap, RngStream, SpherePoint, sample_rotation, sample_uniform_cap, sample_uniform_sphere
 from spherecond.geometry import j_integral
-from spherecond.sampling import _cap_radii
+from spherecond.sampling import _cap_radii, _small_cap_radii
+from spherecond.varieties import SubsphereVariety, tube_cap_counts
 
 
 def north(p):
     v = np.zeros(p + 1)
     v[0] = 1.0
     return SpherePoint(v)
+
+
+def radial_cdf(p, x, x0):
+    """CDF of sin^2(rho/2) for uniform points on the cap with sin^2(alpha/2) = x0.
+
+    The law is Beta(p/2, p/2) truncated at x0. Its CDF is evaluated through
+    I_x(a, a) = x^a (1-x)^a F(2a, 1; a+1; x) / (a B(a, a)) (DLMF 8.17.8), so
+    the constant cancels and nothing underflows for tiny caps in high
+    dimension, where I_x0 itself is below the smallest double.
+    """
+    a = p / 2
+
+    def unnormalized(y):
+        return (y / x0) ** a * ((1 - y) / (1 - x0)) ** a * hyp2f1(2 * a, 1, a + 1, y)
+
+    return np.clip(unnormalized(x) / unnormalized(x0), 0.0, 1.0)
+
+
+def radial_cdf_mpmath(p, x, x0):
+    with mpmath.workdps(30):
+        a = mpmath.mpf(p) / 2
+        return float(mpmath.betainc(a, a, 0, x) / mpmath.betainc(a, a, 0, x0))
+
+
+def half_angle_sq(points, p):
+    # sin^2(rho/2) = |z - a|^2 / 4 for the north-pole center a, free of arccos round-off
+    return np.sum((points - north(p).coords) ** 2, axis=1) / 4.0
 
 
 class TestRngStream:
@@ -110,12 +140,66 @@ class TestCapSampling:
         assert ks_side.pvalue > 0.01
 
     def test_inverse_cdf_residual(self):
-        p, alpha = 5, 1.1
-        u = np.linspace(1e-6, 1 - 1e-6, 500)
-        rho = _cap_radii(p, alpha, u)
-        total = j_integral(p, p, alpha)
-        resid = np.abs(j_integral(p, p, rho) - u * total)
-        assert np.max(resid) <= 1e-12 * total
+        # radii map the stream's uniforms u onto the truncated Beta(p/2, p/2) CDF
+        n = 2000
+        for p, alpha in [(5, 1.1), (24, math.asin(0.25)), (3, math.pi / 2)]:
+            u = RngStream(8).generator.random(n)
+            rho = _cap_radii(p, alpha, RngStream(8).generator, n)
+            assert np.all((rho >= 0.0) & (rho <= alpha))
+            mass = betainc(p / 2, p / 2, math.sin(alpha / 2) ** 2)
+            resid = np.abs(betainc(p / 2, p / 2, np.sin(rho / 2) ** 2) - u * mass)
+            assert np.max(resid) <= 1e-12 * mass
+
+    @pytest.mark.parametrize("p, sigma", [(15, 0.05), (63, 0.01), (200, 0.01), (24, 0.25), (2, 1.0)])
+    def test_radial_law_ks(self, p, sigma):
+        cap = Cap(north(p), sigma)
+        x0 = math.sin(cap.alpha / 2) ** 2
+        pts = sample_uniform_cap(cap, RngStream(12), size=20_000)
+        x = half_angle_sq(pts, p)
+        assert np.all(x <= x0 * (1 + 1e-12))
+        assert stats.kstest(radial_cdf(p, x, x0), "uniform").pvalue > 1e-4
+
+    @pytest.mark.parametrize("p, sigma", [(15, 0.05), (63, 0.01), (200, 0.01)])
+    def test_reference_cdf_matches_mpmath(self, p, sigma):
+        x0 = math.sin(math.asin(sigma) / 2) ** 2
+        for x in x0 * np.array([1e-3, 0.3, 0.8, 0.97, 0.999]):
+            assert radial_cdf(p, x, x0) == pytest.approx(radial_cdf_mpmath(p, x, x0), rel=1e-10)
+
+    def test_tiny_cap_takes_rejection_fallback(self):
+        # the truncated beta mass at p=200, sigma=0.01 is below the smallest double
+        p, alpha = 200, math.asin(0.01)
+        assert betainc(p / 2, p / 2, math.sin(alpha / 2) ** 2) < np.finfo(float).tiny
+        rho = _cap_radii(p, alpha, RngStream(13).generator, 1000)
+        fallback = _small_cap_radii(p, alpha, RngStream(13).generator, 1000)
+        assert np.array_equal(rho, fallback)
+
+    @pytest.mark.parametrize("p", [1, 2, 50])
+    def test_vanishing_cap(self, p):
+        # sin^2(alpha/2) underflows to 0; rho/alpha then follows Beta(p, 1)
+        alpha, n = 1e-200, 4000
+        rho = _cap_radii(p, alpha, RngStream(16).generator, n)
+        assert np.all((rho >= 0.0) & (rho <= alpha))
+        mean, var = p / (p + 1), p / ((p + 1) ** 2 * (p + 2))
+        assert abs(np.mean(rho / alpha) - mean) <= 5 * math.sqrt(var / n)
+
+    @pytest.mark.parametrize("p, sigma", [(5, 0.9), (24, 0.25), (63, 0.5)])
+    def test_rejection_sampler_law(self, p, sigma):
+        # the fallback is exact wherever it runs, also on caps the inverse serves
+        alpha = math.asin(sigma)
+        rho = _small_cap_radii(p, alpha, RngStream(14).generator, 20_000)
+        assert np.all((rho >= 0.0) & (rho <= alpha))
+        x = np.sin(rho / 2) ** 2
+        assert stats.kstest(radial_cdf(p, x, math.sin(alpha / 2) ** 2), "uniform").pvalue > 1e-4
+
+    def test_fallback_counts_identical_across_workers(self):
+        # rejection draws a variable number of uniforms; blocks keep workers out of it
+        cap = Cap(north(200), 0.01)
+        variety = SubsphereVariety(200, 100)
+        grid = [0.0068, 0.0071, 0.0074]
+        c1 = tube_cap_counts(variety, cap, grid, 20_000, seed=15, workers=1)
+        c2 = tube_cap_counts(variety, cap, grid, 20_000, seed=15, workers=2)
+        assert np.array_equal(c1, c2)
+        assert 0 < c1[0] < c1[-1] < 20_000
 
     def test_rotation_invariance_of_center(self):
         # sampling around a rotated center equals rotating samples statistically

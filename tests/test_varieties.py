@@ -122,6 +122,21 @@ class TestCurveVariety:
         assert np.all(d >= exact - 1e-9)
         assert np.max(d - exact) < 5e-6
 
+    def test_no_round_off_below_exact_next_to_curve(self):
+        # the oracle must not under-report distances of points hugging the curve,
+        # where sin(arccos(c)) resolves only ~1.5e-8
+        curve = CurveVariety([((2, 0, 0), 1.0), ((0, 2, 0), -1.0)], degree=2)
+        gen = np.random.default_rng(3)
+        on = gen.standard_normal((4000, 3))
+        on[:, 1] = np.where(gen.random(4000) < 0.5, 1.0, -1.0) * on[:, 0]
+        on /= np.linalg.norm(on, axis=1, keepdims=True)
+        offset = 10.0 ** gen.uniform(-11, -5, 4000) * np.where(gen.random(4000) < 0.5, 1.0, -1.0)
+        near = on + offset[:, None] * np.array([1.0, 0.0, 0.0])
+        pts = np.vstack([near, sample_uniform_sphere(2, RngStream(2), size=4000)])
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        exact = np.minimum(np.abs(pts[:, 0] - pts[:, 1]), np.abs(pts[:, 0] + pts[:, 1])) / math.sqrt(2)
+        assert np.all(curve.distances(pts) >= exact - 1e-12)
+
     def test_json_roundtrip(self):
         doc = {"p": 2, "degree": 2,
                "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
