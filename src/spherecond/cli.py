@@ -202,7 +202,7 @@ def _write_outputs(args, header: list[str], rows: list[list], params: dict,
         for row in rows:
             fh.write(",".join(_fmt17(v) for v in row) + "\n")
     manifest = {
-        "command_line": " ".join(sys.argv),
+        "command_line": " ".join(["spherecond", *args.argv]),
         "parameters": params,
         "master_seed": args.seed,
         "worker_count": args.workers,
@@ -271,7 +271,7 @@ def cmd_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "which") and v is not None}
+              if k not in ("func", "which", "argv") and v is not None}
     _write_outputs(args, header, rows, params, args.samples, t0)
     if violation:
         print("bound violation detected (dominated=false rows present)", file=sys.stderr)
@@ -300,19 +300,19 @@ def _verify_jintegrals(args) -> int:
     worst = worst_rel = 0.0
     ineq_ok = True
     eq_ok = True
+    eps = np.sin(alphas)
     for p in range(1, 21):
         for k in range(1, p + 1):
-            for a in alphas:
-                exact = j_integral(p, k, float(a))
-                quadv = j_integral_quad(p, k, float(a))
-                worst = max(worst, abs(exact - quadv))
-                worst_rel = max(worst_rel, abs(exact - quadv) / abs(quadv))
-                eps = math.sin(a)
-                if k < p:
-                    ineq_ok &= exact <= eps**k / k + 1e-12
-                else:
-                    upper = sphere_volume(p) / (2 * sphere_volume(p - 1)) * eps**p
-                    ineq_ok &= eps**p / p - 1e-12 <= exact <= upper + 1e-12
+            exact = j_integral(p, k, alphas)
+            quadv = np.array([j_integral_quad(p, k, float(a)) for a in alphas])
+            err = np.abs(exact - quadv)
+            worst = max(worst, float(np.max(err)))
+            worst_rel = max(worst_rel, float(np.max(err / np.abs(quadv))))
+            if k < p:
+                ineq_ok &= bool(np.all(exact <= eps**k / k + 1e-12))
+            else:
+                upper = sphere_volume(p) / (2 * sphere_volume(p - 1)) * eps**p
+                ineq_ok &= bool(np.all((eps**p / p - 1e-12 <= exact) & (exact <= upper + 1e-12)))
         equality = j_integral(p, p, np.pi / 2)
         target = sphere_volume(p) / (2 * sphere_volume(p - 1))
         eq_ok &= abs(equality - target) <= 1e-12 * target
@@ -526,7 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded in manifests as the command actually run
     return args.func(args)
 
 

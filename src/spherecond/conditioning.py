@@ -75,36 +75,27 @@ def eigenvalue_condition(a: np.ndarray, lam: float) -> float:
 # distance to the set of matrices with a real multiple eigenvalue
 
 
-def discriminant_distance_2x2(a: np.ndarray, grid: int = 10_000) -> float:
-    """Brute-force distance from a 2x2 matrix to {(b11-b22)^2 + 4 b12 b21 = 0}.
+def discriminant_distance_2x2(a: np.ndarray) -> float:
+    """Exact Frobenius distance from a 2x2 matrix to {(b11-b22)^2 + 4 b12 b21 = 0}.
 
-    Matrices with a repeated real eigenvalue are exactly lam*I + r*u v^T
-    with v orthogonal to u. For each direction u(theta) the best (lam, r)
-    is an orthogonal projection, so the distance reduces to a 1-D search
-    over theta: dense grid plus local polish.
+    Matrices with a repeated real eigenvalue are exactly lam*I + r*u v^T with
+    v orthogonal to u. With u = (cos t, sin t) the overlap <A, u v^T> is
+    R cos(2t - phi) + (a12 - a21)/2, and ||A||^2 - tr(A)^2/2 = 2 (R^2 + D^2), so
+
+        dist^2 = 2 (R^2 + D^2) - (R + D)^2,   dist = |R - D| = |disc| / (4 (R + D)),
+
+    where R = hypot((a12 + a21)/2, (a11 - a22)/2), D = |a12 - a21|/2 and
+    disc = (a11 - a22)^2 + 4 a12 a21 = 4 (R^2 - D^2). The last form does not
+    cancel next to the quadric.
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-
-    def nil_overlap_sq(theta):
-        c, s = np.cos(theta), np.sin(theta)
-        # <A, u v^T> with u = (c, s), v = (-s, c)
-        val = a[0, 1] * c * c - a[1, 0] * s * s + (a[1, 1] - a[0, 0]) * s * c
-        return val * val
-
-    from scipy.optimize import minimize_scalar  # slow to import; needed only here
-
-    thetas = np.linspace(0.0, np.pi, grid, endpoint=False)
-    vals = nil_overlap_sq(thetas)
-    j = int(np.argmax(vals))
-    h = np.pi / grid
-    res = minimize_scalar(lambda t: -nil_overlap_sq(t),
-                          bracket=(thetas[j] - h, thetas[j], thetas[j] + h),
-                          method="brent", options={"xtol": 1e-14})
-    best = max(vals[j], -res.fun)
-    dist_sq = np.linalg.norm(a) ** 2 - np.trace(a) ** 2 / 2.0 - best
-    return float(np.sqrt(max(dist_sq, 0.0)))
+    (a11, a12), (a21, a22) = a
+    r_plus_d = math.hypot((a12 + a21) / 2, (a11 - a22) / 2) + abs(a12 - a21) / 2
+    if r_plus_d == 0.0:  # A = lam*I lies on the quadric
+        return 0.0
+    return float(abs((a11 - a22) ** 2 + 4.0 * a12 * a21) / (4.0 * r_plus_d))
 
 
 def _charpoly_discriminant(b: np.ndarray) -> float:

@@ -8,6 +8,7 @@ mesh with Newton refinement (upper bound on the true distance).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -177,37 +178,32 @@ class CurveVariety(Variety):
         return pts
 
     def _build_mesh(self) -> np.ndarray:
-        # scan meridians for sign changes of f, bisect, then Newton-polish
+        # scan meridians for sign changes of f, bisect all brackets at once, Newton-polish
         n_phi = max(8, int(math.sqrt(self.mesh_size) * 4))
         n_theta = max(16, self.mesh_size // n_phi * 4)
         phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
         thetas = np.linspace(0.0, np.pi, n_theta)
-        pts = []
-        for phi in phis:
-            ring = np.column_stack([
-                np.sin(thetas) * np.cos(phi),
-                np.sin(thetas) * np.sin(phi),
-                np.cos(thetas),
-            ])
-            vals = self._eval(ring)
-            sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-            for j in sign_change:
-                lo, hi = thetas[j], thetas[j + 1]
-                flo = vals[j]
-                for _ in range(40):
-                    mid = 0.5 * (lo + hi)
-                    pm = np.array([[np.sin(mid) * np.cos(phi),
-                                    np.sin(mid) * np.sin(phi), np.cos(mid)]])
-                    fm = self._eval(pm)[0]
-                    if flo * fm <= 0:
-                        hi = mid
-                    else:
-                        lo, flo = mid, fm
-                pts.append([np.sin(lo) * np.cos(phi), np.sin(lo) * np.sin(phi), np.cos(lo)])
-            pts.extend(ring[np.abs(vals) < 1e-14].tolist())
-        if not pts:
-            return np.empty((0, 3))
-        mesh = self._project(np.asarray(pts))
+
+        def on_meridian(phi, theta):
+            return np.stack([np.sin(theta) * np.cos(phi),
+                             np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+
+        rings = on_meridian(*np.meshgrid(phis, thetas, indexing="ij"))
+        vals = self._eval(rings.reshape(-1, 3)).reshape(n_phi, n_theta)
+        ring_of, j = np.nonzero(np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0)
+        phi, lo, hi, flo = phis[ring_of], thetas[j], thetas[j + 1], vals[ring_of, j]
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            fm = self._eval(on_meridian(phi, mid))
+            left = flo * fm <= 0
+            hi = np.where(left, mid, hi)
+            lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
+        zero_ring, zero_j = np.nonzero(np.abs(vals) < 1e-14)
+        # meridian by meridian, bisected points before exact zeros of the scan:
+        # the truncation to mesh_size below keeps a prefix of this order
+        order = np.argsort(np.concatenate([ring_of, zero_ring]), kind="stable")
+        pts = np.concatenate([on_meridian(phi, lo), rings[zero_ring, zero_j]])[order]
+        mesh = self._project(pts)
         keep = np.abs(self._eval(mesh)) < 1e-9
         return mesh[keep][: self.mesh_size]
 
@@ -325,19 +321,29 @@ def geodesic_sphere_mu(p: int, alpha: float, i: int) -> float:
                  * np.sin(alpha) ** (p - i - 1) * np.cos(alpha) ** i)
 
 
-def _extended_ball_volume(p: int, theta: float) -> float:
-    """Volume of B_R(q, theta) for theta in (0, pi], via complement symmetry."""
-    if theta <= np.pi / 2:
-        return sphere_volume(p - 1) * j_integral(p, p, theta)
-    return sphere_volume(p) - sphere_volume(p - 1) * j_integral(p, p, np.pi - theta)
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    from numpy.polynomial.legendre import leggauss  # not loaded by `import numpy`
+
+    return leggauss(32)
 
 
 def band_volume(p: int, alpha: float, beta: float) -> float:
-    """Exact volume of the radius-beta normal tube around the geodesic sphere:
-    the band between angular radii alpha-beta and alpha+beta."""
+    """Volume of the radius-beta normal tube around the geodesic sphere: the band
+    between angular radii alpha-beta and alpha+beta, O_{p-1} int sin^{p-1} r dr.
+
+    Composite 32-point Gauss-Legendre on panels short enough, (p-1) * width <= 16,
+    that sin^{p-1} is resolved to round-off. The nodes alpha + beta*x keep thin
+    bands accurate in relative terms, where a difference of two ball volumes
+    cancels.
+    """
     if p < 2 or not 0.0 < beta < alpha or alpha + beta > np.pi:
         raise ValueError("need p >= 2, 0 < beta < alpha, alpha + beta <= pi")
-    return _extended_ball_volume(p, alpha + beta) - _extended_ball_volume(p, alpha - beta)
+    x, w = _gauss_legendre()
+    panels = 1 + int((p - 1) * beta // 8.0)
+    mids = (2.0 * np.arange(panels) + 1.0) / panels - 1.0
+    r = alpha + beta * (mids[:, None] + x / panels)
+    return float(sphere_volume(p - 1) * beta / panels * np.sum(w * np.sin(r) ** (p - 1)))
 
 
 def verify_weyl_tube_bound(p: int, alpha: float, beta: float):

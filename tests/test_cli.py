@@ -81,6 +81,15 @@ class TestEstimateCommand:
         assert manifest["wall_time_seconds"] >= 0.0
         assert manifest["artifact_version"]
 
+    def test_manifest_records_argv_given_to_main(self, tmp_path, capsys):
+        argv = ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2",
+                "--samples", "2000", "--seed", "5", "--out", str(tmp_path / "cl")]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        manifest = json.loads((tmp_path / "cl.manifest.json").read_text())
+        assert manifest["command_line"] == " ".join(["spherecond", *argv])
+        assert "argv" not in manifest["parameters"]
+
     def test_worker_count_invariance(self, tmp_path, capsys):
         a, b = tmp_path / "w1", tmp_path / "w4"
         run(capsys, "estimate", "tail", "--problem", "matrix-inversion", "--n", "2",

@@ -106,6 +106,20 @@ class TestDiscriminantDistance:
             assert got <= ref + 1e-12
             assert got == pytest.approx(ref, rel=1e-6, abs=1e-10)
 
+    @pytest.mark.parametrize("t", [1e-4, 1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("lam,r,theta", [(0.3, 1.0, 0.4), (-1.2, 0.5, 2.0), (0.0, 2.0, 1.0)])
+    def test_near_quadric(self, lam, r, theta, t):
+        # B = lam*I + r u v^T with v orthogonal to u lies on the quadric
+        # g = (b11 - b22)^2 + 4 b12 b21 = 0; stepping t along grad g / |grad g|
+        # puts A at distance t. Rounding A's entries moves that distance by
+        # ~1e-16, so 1e-6 relative is the resolution at t = 1e-10.
+        u = np.array([math.cos(theta), math.sin(theta)])
+        b = lam * np.eye(2) + r * np.outer(u, [-u[1], u[0]])
+        grad = np.array([[2 * (b[0, 0] - b[1, 1]), 4 * b[1, 0]],
+                         [4 * b[0, 1], -2 * (b[0, 0] - b[1, 1])]])
+        a = b + t * grad / np.linalg.norm(grad)
+        assert discriminant_distance_2x2(a) == pytest.approx(t, rel=1e-6, abs=0.0)
+
     def test_wilkinson_inequality(self):
         # kappa(A, lam) <= sqrt(2) ||A||_F / dist for every real simple eigenvalue
         gen = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -36,6 +37,24 @@ def north(p):
 
 
 GREAT_CIRCLE = CurveVariety([((0, 0, 1), 1.0)], degree=1)
+# the two curves of the benchmark's tube workload: x^2 - y^2 and (x^2 - y^2)(x^2 - z^2)
+CONIC = ([((2, 0, 0), 1.0), ((0, 2, 0), -1.0)], 2)
+QUARTIC = ([((4, 0, 0), 1.0), ((2, 0, 2), -1.0), ((2, 2, 0), -1.0), ((0, 2, 2), 1.0)], 4)
+
+
+def band_volume_mpmath(p, alpha, beta):
+    """O_{p-1} int_{alpha-beta}^{alpha+beta} sin^{p-1}, via incomplete beta at 50 digits."""
+    with mpmath.workdps(50):
+        def ball(x):  # int_0^x sin^{p-1} for x <= pi
+            if x > mpmath.pi / 2:
+                return 2 * ball(mpmath.pi / 2) - ball(mpmath.pi - x)
+            return mpmath.betainc(mpmath.mpf(p) / 2, 0.5, 0, mpmath.sin(x) ** 2) / 2
+
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        if a > mpmath.pi / 2:  # reflect, so the difference keeps its digits near pi
+            a = mpmath.pi - a
+        area = 2 * mpmath.pi ** (mpmath.mpf(p) / 2) / mpmath.gamma(mpmath.mpf(p) / 2)
+        return float(area * (ball(a + b) - ball(a - b)))
 
 
 class TestClopperPearson:
@@ -136,6 +155,42 @@ class TestCurveVariety:
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         exact = np.minimum(np.abs(pts[:, 0] - pts[:, 1]), np.abs(pts[:, 0] + pts[:, 1])) / math.sqrt(2)
         assert np.all(curve.distances(pts) >= exact - 1e-12)
+
+    @pytest.mark.parametrize("curve,size", [(CONIC, 760), (QUARTIC, 1258)])
+    def test_mesh_on_curve(self, curve, size):
+        c = CurveVariety(*curve)
+        mesh = c._mesh
+        assert mesh.shape == (size, 3)
+        assert np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0)) < 1e-15
+        assert np.max(np.abs(c._eval(mesh))) < 1e-9
+
+    def test_quartic_mesh_on_its_great_circles(self):
+        m = CurveVariety(*QUARTIC)._mesh
+        x, y, z = m.T
+        d = np.min(np.abs([x - y, x + y, x - z, x + z]), axis=0) / math.sqrt(2)
+        assert np.max(d) < 1e-12
+
+    def test_quartic_tube_hits_pinned(self):
+        # pinned: reworking the mesh build must leave the mesh, and so these counts, unchanged
+        counts = tube_cap_counts(CurveVariety(*QUARTIC), Cap(north(2), 1.0),
+                                 [0.02, 0.05, 0.1], samples=20_000, seed=11)
+        assert counts.tolist() == [1593, 3845, 7135]
+
+    def test_mesh_build_is_batched(self, monkeypatch):
+        # one evaluation per scan, bisection step and Newton step, not per bracket
+        curve = CurveVariety(*QUARTIC)
+        calls = 0
+        evaluate = curve._eval
+
+        def counting(pts):
+            nonlocal calls
+            calls += 1
+            return evaluate(pts)
+
+        monkeypatch.setattr(curve, "_eval", counting)
+        mesh = curve._build_mesh()
+        assert np.array_equal(mesh, curve._mesh)
+        assert calls <= 64
 
     def test_json_roundtrip(self):
         doc = {"p": 2, "degree": 2,
@@ -242,8 +297,16 @@ class TestGeodesicSphereIdentities:
             2 * math.pi * (math.cos(a - b) - math.cos(a + b)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("p", [2, 3, 24, 63])
+    @pytest.mark.parametrize("alpha", [0.3, 1.2, 2.0])
+    @pytest.mark.parametrize("beta", [1e-12, 1e-8, 1e-4, "alpha/2"])
+    def test_band_volume_against_mpmath(self, p, alpha, beta):
+        beta = alpha / 2 if beta == "alpha/2" else beta
+        assert band_volume(p, alpha, beta) == pytest.approx(
+            band_volume_mpmath(p, alpha, beta), rel=1e-12, abs=0.0)
+
     def test_band_crossing_equator(self):
-        a, b = 1.5, 0.3  # a + b > pi/2 exercises the complement branch
+        a, b = 1.5, 0.3  # a + b > pi/2: the band crosses the equator
         vol = band_volume(3, a, b)
         assert 0 < vol < sphere_volume(3)
 
