@@ -35,7 +35,6 @@ from .conditioning import (
     discriminant_distance_2x2,
     eigenvalue_condition,
     frobenius_condition,
-    moore_penrose_condition,
     mu_norm,
     mu_norm_real_lower,
     multiple_zero_witness,

@@ -34,9 +34,9 @@ from .conditioning import (
     eigenvalue_condition,
     frobenius_condition,
     multiple_zero_witness,
-    weyl_norm,
-    PolySystem,
-    WeylPolynomial,
+    random_system_with_zero,
+    # weyl_norm stays bound here: benchmark/tracing.py patches cli.weyl_norm.
+    weyl_norm,  # noqa: F401
 )
 from .geometry import (
     Cap,
@@ -159,27 +159,40 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
     return SpherePoint.from_vector(v)
 
 
-def _estimate_problem_shape(args) -> tuple[int, int, tuple[int, int]]:
-    """(p, degree, matrix shape) for the sampled condition-number problem."""
-    if args.problem == "matrix-inversion":
-        n = args.n
-        return n * n - 1, n, (n, n)
-    if args.problem == "moore-penrose":
-        return args.l * args.m - 1, args.m, (args.l, args.m)
-    raise ValueError("estimate supports --problem matrix-inversion or moore-penrose")
+def _estimate_problem(args) -> tuple[ProblemDescriptor, tuple[int, int]]:
+    """The sampled condition-number problem, dimensions checked, and its matrix shape."""
+    if args.problem not in ("matrix-inversion", "moore-penrose"):
+        raise ValueError("estimate supports --problem matrix-inversion or moore-penrose")
+    problem = _problem_from_flags(args)
+    if problem.kind == "matrix-inversion":
+        return problem, (problem.n, problem.n)
+    return problem, (problem.l, problem.m)
 
 
-def _cond_block(cap: Cap, shape: tuple[int, int], seed: int, index: int,
-                count: int) -> np.ndarray:
+def _cond_block(args) -> np.ndarray:
     """Smallest singular values of `count` cap samples reshaped to matrices."""
+    cap, shape, seed, index, count = args
     rng = RngStream(seed, index + 1)
     pts = sample_uniform_cap(cap, rng, size=count)
     mats = pts.reshape(count, *shape)
     return np.linalg.svd(mats, compute_uv=False)[:, -1]
 
 
-def _cond_block_star(args):
-    return _cond_block(*args)
+def _smallest_singular_values(args, shape: tuple[int, int]) -> np.ndarray:
+    """sigma_min of `args.samples` cap samples on S^{lm-1}, read as l x m matrices."""
+    p = shape[0] * shape[1] - 1
+    cap = Cap(center=_resolve_center(args.center, p, args.seed), sigma=args.sigma)
+    return np.concatenate(run_blocks(_cond_block, (cap, shape, args.seed),
+                                     args.samples, args.workers))
+
+
+def _dominance_rows(grid, hits, bounds, samples: int) -> list[list]:
+    """One row [x, empirical, ci_low, ci_high, bound, dominated] per grid value."""
+    rows = []
+    for x, h, bound in zip(grid, hits, bounds):
+        lo, hi = clopper_pearson(int(h), samples)
+        rows.append([x, int(h) / samples, lo, hi, bound, lo <= bound])
+    return rows
 
 
 def _resolve_variety(spec: str):
@@ -217,59 +230,43 @@ def _write_outputs(args, header: list[str], rows: list[list], params: dict,
 
 def cmd_estimate(args) -> int:
     t0 = time.time()
+    columns = ["ci_low", "ci_high", "bound", "dominated"]
     try:
-        if args.which in ("tail", "logmean"):
-            p, degree, shape = _estimate_problem_shape(args)
-            center = _resolve_center(args.center, p, args.seed)
-            cap = Cap(center=center, sigma=args.sigma)
-            smins = np.concatenate(run_blocks(_cond_block_star, (cap, shape, args.seed),
-                                              args.samples, args.workers))
-            if args.which == "tail":
-                t_grid = _parse_grid(args.t_grid)
-                rows = []
-                violation = False
-                for t in t_grid:
-                    hits = int((smins <= 1.0 / t).sum())
-                    lo, hi = clopper_pearson(hits, args.samples)
-                    bound = tail_bound(BoundParams(p=p, d=degree, sigma=args.sigma, t=t))
-                    dom = lo <= bound
-                    violation |= not dom
-                    rows.append([t, hits / args.samples, lo, hi, bound, dom])
-                header = ["t", "empirical", "ci_low", "ci_high", "bound", "dominated"]
-            else:
-                lk = -np.log(np.maximum(smins, 1e-300))
-                mean = float(np.sum(lk)) / args.samples
-                sd = math.sqrt(max(float(np.sum((lk - mean) ** 2)) / (args.samples - 1), 0.0))
-                half = 2.5758293035489004 * sd / math.sqrt(args.samples)
-                problem = _problem_from_flags(args)
-                bound = application_bound(problem, args.sigma, mode="expectation")
-                dom = mean - half <= bound
-                violation = not dom
-                rows = [[mean, mean - half, mean + half, bound, dom]]
-                header = ["empirical_mean_ln", "ci_low", "ci_high", "bound", "dominated"]
-        elif args.which == "tube":
+        min_samples = 2 if args.which == "logmean" else 1  # logmean's sd divides by samples - 1
+        if args.samples < min_samples:
+            raise ValueError(f"estimate {args.which} needs --samples >= {min_samples}")
+        # each branch evaluates its bounds before sampling, so a bad grid fails at once
+        if args.which == "tube":
             variety = _resolve_variety(args.variety)
-            p = variety.p
-            center = _resolve_center(args.center, p, args.seed)
-            cap = Cap(center=center, sigma=args.sigma)
-            eps_grid = _parse_grid(args.eps_grid)
-            counts = tube_cap_counts(variety, cap, eps_grid, args.samples,
-                                     args.seed, args.workers)
-            rows = []
-            violation = False
-            for eps, hits in zip(eps_grid, counts):
-                lo, hi = clopper_pearson(int(hits), args.samples)
-                bound = tube_ratio_bound(BoundParams(p=p, d=variety.degree,
-                                                     sigma=args.sigma, eps=eps))
-                dom = lo <= bound
-                violation |= not dom
-                rows.append([eps, int(hits) / args.samples, lo, hi, bound, dom])
-            header = ["eps", "empirical_ratio", "ci_low", "ci_high", "bound", "dominated"]
+            grid = _parse_grid(args.eps_grid)
+            bounds = [tube_ratio_bound(BoundParams(p=variety.p, d=variety.degree,
+                                                   sigma=args.sigma, eps=eps)) for eps in grid]
+            cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
+            hits = tube_cap_counts(variety, cap, grid, args.samples, args.seed, args.workers)
+            rows = _dominance_rows(grid, hits, bounds, args.samples)
+            header = ["eps", "empirical_ratio", *columns]
+        elif args.which == "tail":
+            problem, shape = _estimate_problem(args)
+            p, degree = problem.ambient_dim_and_degree()
+            grid = _parse_grid(args.t_grid)
+            bounds = [tail_bound(BoundParams(p=p, d=degree, sigma=args.sigma, t=t)) for t in grid]
+            smins = _smallest_singular_values(args, shape)
+            hits = [(smins <= 1.0 / t).sum() for t in grid]
+            rows = _dominance_rows(grid, hits, bounds, args.samples)
+            header = ["t", "empirical", *columns]
         else:
-            raise ValueError(f"unknown estimate subcommand {args.which}")
+            problem, shape = _estimate_problem(args)
+            bound = application_bound(problem, args.sigma, mode="expectation")
+            lk = -np.log(np.maximum(_smallest_singular_values(args, shape), 1e-300))
+            mean = float(np.sum(lk)) / args.samples
+            sd = math.sqrt(max(float(np.sum((lk - mean) ** 2)) / (args.samples - 1), 0.0))
+            half = 2.5758293035489004 * sd / math.sqrt(args.samples)
+            rows = [[mean, mean - half, mean + half, bound, mean - half <= bound]]
+            header = ["empirical_mean_ln", *columns]
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    violation = not all(row[-1] for row in rows)
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "which", "argv") and v is not None}
     _write_outputs(args, header, rows, params, args.samples, t0)
@@ -409,37 +406,6 @@ def _verify_wilkinson(args) -> int:
             ok &= eigenvalue_condition(a, float(lam)) <= bound + 1e-6
         checked += 1
     return _report([(f"eigenvalue condition vs distance oracle ({checked} matrices)", ok)])
-
-
-def random_system_with_zero(n: int, d: int, gen) -> tuple[PolySystem, SpherePoint]:
-    """Random unit-norm system with a planted zero on S^n."""
-    zeta = SpherePoint.from_vector(gen.standard_normal(n + 1))
-    polys = []
-    for _ in range(n):
-        from itertools import combinations_with_replacement
-        coeffs = {}
-        for combo in combinations_with_replacement(range(n + 1), d):
-            alpha = [0] * (n + 1)
-            for v in combo:
-                alpha[v] += 1
-            coeffs[tuple(alpha)] = float(gen.standard_normal())
-        f = WeylPolynomial(n=n, degree=d, coefficients=coeffs)
-        # subtract f(zeta) * <zeta, X>^d, which takes value 1 at zeta
-        val = f(zeta.coords)
-        from .conditioning import _linear_form_power_times
-        corr = _linear_form_power_times(zeta.coords, zeta.coords, d)
-        merged = dict(f.coefficients)
-        for alpha, c in corr.coefficients.items():
-            merged[alpha] = merged.get(alpha, 0.0) - val * c
-        polys.append(WeylPolynomial(n=n, degree=d, coefficients=merged))
-    system = PolySystem(tuple(polys))
-    norm = weyl_norm(system)
-    scaled = tuple(
-        WeylPolynomial(n=f.n, degree=f.degree,
-                       coefficients={a: c / norm for a, c in f.coefficients.items()})
-        for f in system.polys
-    )
-    return PolySystem(scaled), zeta
 
 
 def _verify_cntr(args) -> int:

@@ -22,32 +22,24 @@ from .sampling import RngStream
 # matrix condition numbers
 
 
-def frobenius_condition(a: np.ndarray) -> float:
-    """kappa_F(A) = ||A||_F / sigma_min(A); inf for singular A."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        raise ValueError("zero matrix has no condition number")
-    smin = np.linalg.svd(a, compute_uv=False)[-1]
-    if smin <= 1e-14 * fro:
-        return math.inf
-    return float(fro / smin)
+def frobenius_condition(a: np.ndarray):
+    """kappa_F(A) = ||A||_F / sigma_min(A) for l x m A with l >= m; inf for singular A.
 
-
-def moore_penrose_condition(a: np.ndarray) -> float:
-    """kappa_F of pseudo-inversion for a tall l x m matrix: ||A||_F / sigma_m."""
+    Square A: matrix inversion; tall A: Moore-Penrose. A stack (..., l, m) gives an array.
+    """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] < a.shape[-1]:
         raise ValueError("need l >= m; transpose wide matrices first")
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    if not fro.all():
         raise ValueError("zero matrix has no condition number")
-    smin = np.linalg.svd(a, compute_uv=False)[-1]
-    if smin <= 1e-14 * fro:
-        return math.inf
-    return float(fro / smin)
+    smin = np.linalg.svd(a, compute_uv=False)[..., -1]
+    if a.ndim == 2:
+        return math.inf if smin <= 1e-14 * fro else float(fro / smin)
+    kappa = np.full(fro.shape, math.inf)
+    finite = smin > 1e-14 * fro
+    kappa[finite] = fro[finite] / smin[finite]
+    return kappa
 
 
 def eigenvalue_condition(a: np.ndarray, lam: float) -> float:
@@ -205,16 +197,31 @@ class WeylPolynomial:
                 clean[alpha] = float(c)
         object.__setattr__(self, "coefficients", clean)
 
-    def __call__(self, x: np.ndarray) -> float:
+    def _coordinates(self, x):
+        """Python floats for one point (n+1,), column views for rows (N, n+1)."""
         x = np.asarray(x, dtype=float)
-        total = 0.0
+        if x.shape == (self.n + 1,):
+            return x.tolist(), 0.0
+        if x.ndim == 2 and x.shape[1] == self.n + 1:
+            return [x[:, i] for i in range(self.n + 1)], np.zeros(x.shape[0])
+        raise ValueError(f"expected shape ({self.n + 1},) or (N, {self.n + 1}), got {x.shape}")
+
+    def __call__(self, x: np.ndarray):
+        """f at one point (a float) or at each row of an (N, n+1) array; terms are summed
+        in coefficient order as ((c x0^a0) x1^a1) ..., which the curve mesh relies on."""
+        cols, total = self._coordinates(x)
         for alpha, c in self.coefficients.items():
-            total += c * math.prod(x[i] ** e for i, e in enumerate(alpha) if e)
+            term = c
+            for xi, e in zip(cols, alpha):
+                if e:
+                    term = term * xi ** e
+            total = total + term
         return total
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        g = np.zeros(self.n + 1)
+        """Gradient at one point, shape (n+1,), or at each row, shape (N, n+1)."""
+        cols, zero = self._coordinates(x)
+        g = [zero] * (self.n + 1)
         for alpha, c in self.coefficients.items():
             for i, e in enumerate(alpha):
                 if e == 0:
@@ -223,9 +230,9 @@ class WeylPolynomial:
                 for j, ej in enumerate(alpha):
                     pw = ej - 1 if j == i else ej
                     if pw:
-                        term *= x[j] ** pw
-                g[i] += term
-        return g
+                        term = term * cols[j] ** pw
+                g[i] = g[i] + term
+        return np.array(g) if isinstance(zero, float) else np.stack(g, axis=1)
 
 
 @dataclass(frozen=True)
@@ -333,24 +340,52 @@ def mu_norm_real_lower(f: PolySystem, zeros) -> float:
     return max(mu_norm(f, z) for z in zeros)
 
 
-def _linear_form_power_times(direction: np.ndarray, zeta: np.ndarray,
-                             degree: int) -> WeylPolynomial:
-    """The polynomial <w, X> <zeta, X>^{degree-1} expanded on monomials."""
-    n = zeta.size - 1
-    poly = {tuple(int(i == j) for j in range(n + 1)): direction[i]
-            for i in range(n + 1) if direction[i] != 0.0}
-    for _ in range(degree - 1):
+def _expand(forms, n: int) -> dict:
+    """Coefficients of prod_k <v_k, X> in n+1 variables, keyed by multi-index in
+    the order of combinations_with_replacement over the variables."""
+    poly = {(0,) * (n + 1): 1.0}
+    for v in forms:
         nxt: dict = {}
         for alpha, c in poly.items():
             for i in range(n + 1):
-                if zeta[i] == 0.0:
-                    continue
-                beta = list(alpha)
-                beta[i] += 1
-                beta = tuple(beta)
-                nxt[beta] = nxt.get(beta, 0.0) + c * zeta[i]
+                if v[i] != 0.0:
+                    beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+                    nxt[beta] = nxt.get(beta, 0.0) + c * v[i]
         poly = nxt
-    return WeylPolynomial(n=n, degree=degree, coefficients=poly)
+    return poly
+
+
+def _minus(f: WeylPolynomial, g: dict, s: float = 1.0) -> WeylPolynomial:
+    """f - s*g, where g is a coefficient dict of the same degree."""
+    merged = dict(f.coefficients)
+    for alpha, c in g.items():
+        merged[alpha] = merged.get(alpha, 0.0) - s * c
+    return WeylPolynomial(n=f.n, degree=f.degree, coefficients=merged)
+
+
+def _unit_norm(polys) -> PolySystem:
+    """The system of `polys` divided by its Weyl norm."""
+    norm = weyl_norm(PolySystem(tuple(polys)))
+    if norm == 0.0:
+        raise ValueError("zero system cannot be normalized")
+    return PolySystem(tuple(
+        WeylPolynomial(n=f.n, degree=f.degree,
+                       coefficients={a: c / norm for a, c in f.coefficients.items()})
+        for f in polys))
+
+
+def random_system_with_zero(n: int, d: int, gen) -> tuple[PolySystem, SpherePoint]:
+    """Random unit-norm system with a planted zero on S^n: standard normal
+    coefficients f, minus f(zeta) <zeta, X>^d, which is f(zeta) at zeta."""
+    zeta = SpherePoint.from_vector(gen.standard_normal(n + 1))
+    basis = _expand([np.ones(n + 1)] * d, n)
+    power = _expand([zeta.coords] * d, n)
+    polys = []
+    for _ in range(n):
+        f = WeylPolynomial(n=n, degree=d,
+                           coefficients={alpha: float(gen.standard_normal()) for alpha in basis})
+        polys.append(_minus(f, power, f(zeta.coords)))
+    return _unit_norm(polys), zeta
 
 
 def multiple_zero_witness(f: PolySystem, zeta: SpherePoint) -> PolySystem:
@@ -365,25 +400,9 @@ def multiple_zero_witness(f: PolySystem, zeta: SpherePoint) -> PolySystem:
     w = _tangent_basis(zeta.coords) @ vt[-1]
     polys = []
     for i, fi in enumerate(f.polys):
-        coeff = s[-1] * u[i, -1]
-        if coeff == 0.0:
-            polys.append(fi)
-            continue
-        corr = _linear_form_power_times(coeff * w, zeta.coords, fi.degree)
-        merged = dict(fi.coefficients)
-        for alpha, c in corr.coefficients.items():
-            merged[alpha] = merged.get(alpha, 0.0) - c
-        polys.append(WeylPolynomial(n=fi.n, degree=fi.degree, coefficients=merged))
-    g = PolySystem(tuple(polys))
-    norm = weyl_norm(g)
-    if norm == 0.0:
-        raise ValueError("degenerate witness (zero system)")
-    scaled = tuple(
-        WeylPolynomial(n=fi.n, degree=fi.degree,
-                       coefficients={a: c / norm for a, c in fi.coefficients.items()})
-        for fi in g.polys
-    )
-    return PolySystem(scaled)
+        corr = _expand([s[-1] * u[i, -1] * w] + [zeta.coords] * (fi.degree - 1), f.n)
+        polys.append(_minus(fi, corr))
+    return _unit_norm(polys)
 
 
 def cntr_witness_check(f: PolySystem, zeta: SpherePoint, g: PolySystem) -> bool:
@@ -405,33 +424,3 @@ def cntr_witness_check(f: PolySystem, zeta: SpherePoint, g: PolySystem) -> bool:
     if math.isinf(mu):
         return True
     return mu * dist >= 1.0 - 1e-6
-
-
-def rotate_polynomial(f: WeylPolynomial, g: np.ndarray) -> WeylPolynomial:
-    """Exact monomial expansion of x -> f(g^T x). Test-only path; small d, n."""
-    n = f.n
-    if g.shape != (n + 1, n + 1):
-        raise ValueError("rotation size mismatch")
-    total: dict = {}
-    for alpha, c in f.coefficients.items():
-        # expand prod_i (sum_j g[j, i] x_j)^{alpha_i}
-        expansion = {tuple([0] * (n + 1)): c}
-        for i, e in enumerate(alpha):
-            for _ in range(e):
-                nxt: dict = {}
-                for beta, cb in expansion.items():
-                    for j in range(n + 1):
-                        if g[j, i] == 0.0:
-                            continue
-                        gamma = list(beta)
-                        gamma[j] += 1
-                        gamma = tuple(gamma)
-                        nxt[gamma] = nxt.get(gamma, 0.0) + cb * g[j, i]
-                expansion = nxt
-        for beta, cb in expansion.items():
-            total[beta] = total.get(beta, 0.0) + cb
-    return WeylPolynomial(n=n, degree=f.degree, coefficients=total)
-
-
-def rotate_system(f: PolySystem, g: np.ndarray) -> PolySystem:
-    return PolySystem(tuple(rotate_polynomial(fi, g) for fi in f.polys))

@@ -17,6 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from scipy.special import betaincinv
 
+from .conditioning import WeylPolynomial
 from .geometry import (
     Cap,
     SpherePoint,
@@ -114,7 +115,7 @@ class DeterminantVariety(Variety):
 
 
 class CurveVariety(Variety):
-    """Zero set on S^2 of one homogeneous polynomial in three variables.
+    """Zero set on S^2 of the homogeneous polynomial `poly` in three variables.
 
     Distance via a precomputed mesh of on-curve points plus two rounds of
     tangential sliding and Newton reprojection. The reported distance is
@@ -128,12 +129,11 @@ class CurveVariety(Variety):
         self.distance_kind = "mesh-newton"
         self.mesh_size = mesh_size
         self.newton_steps = newton_steps
-        self.monomials = []
-        for alpha, c in monomials:
+        coefficients: dict = {}
+        for alpha, c in monomials:  # repeated exponent triples add up
             alpha = tuple(int(e) for e in alpha)
-            if len(alpha) != 3 or sum(alpha) != self.degree:
-                raise ValueError(f"bad exponent triple {alpha}")
-            self.monomials.append((alpha, float(c)))
+            coefficients[alpha] = coefficients.get(alpha, 0.0) + float(c)
+        self.poly = WeylPolynomial(n=2, degree=self.degree, coefficients=coefficients)
         self._mesh = self._build_mesh()
         if self._mesh.size == 0:
             raise ValueError("curve has no real points on S^2 at mesh resolution")
@@ -145,31 +145,14 @@ class CurveVariety(Variety):
         monos = [(m["alpha"], m["coeff"]) for m in doc["monomials"]]
         return cls(monos, degree=doc["degree"], **kw)
 
-    def _eval(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.zeros(pts.shape[0])
-        for (a0, a1, a2), c in self.monomials:
-            vals += c * pts[:, 0] ** a0 * pts[:, 1] ** a1 * pts[:, 2] ** a2
-        return vals
-
-    def _grad(self, pts: np.ndarray) -> np.ndarray:
-        g = np.zeros_like(pts)
-        for (a0, a1, a2), c in self.monomials:
-            if a0:
-                g[:, 0] += c * a0 * pts[:, 0] ** (a0 - 1) * pts[:, 1] ** a1 * pts[:, 2] ** a2
-            if a1:
-                g[:, 1] += c * a1 * pts[:, 0] ** a0 * pts[:, 1] ** (a1 - 1) * pts[:, 2] ** a2
-            if a2:
-                g[:, 2] += c * a2 * pts[:, 0] ** a0 * pts[:, 1] ** a1 * pts[:, 2] ** (a2 - 1)
-        return g
-
     def _tangential_grad(self, pts: np.ndarray) -> np.ndarray:
-        g = self._grad(pts)
+        g = self.poly.gradient(pts)
         return g - pts * np.sum(g * pts, axis=1, keepdims=True)
 
     def _project(self, pts: np.ndarray, steps: int = 8) -> np.ndarray:
         """Newton steps moving points onto the curve along the surface gradient."""
         for _ in range(steps):
-            f = self._eval(pts)
+            f = self.poly(pts)
             g = self._tangential_grad(pts)
             gn = np.sum(g * g, axis=1)
             gn = np.where(gn < 1e-30, 1.0, gn)
@@ -189,12 +172,12 @@ class CurveVariety(Variety):
                              np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
 
         rings = on_meridian(*np.meshgrid(phis, thetas, indexing="ij"))
-        vals = self._eval(rings.reshape(-1, 3)).reshape(n_phi, n_theta)
+        vals = self.poly(rings.reshape(-1, 3)).reshape(n_phi, n_theta)
         ring_of, j = np.nonzero(np.sign(vals[:, :-1]) * np.sign(vals[:, 1:]) < 0)
         phi, lo, hi, flo = phis[ring_of], thetas[j], thetas[j + 1], vals[ring_of, j]
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            fm = self._eval(on_meridian(phi, mid))
+            fm = self.poly(on_meridian(phi, mid))
             left = flo * fm <= 0
             hi = np.where(left, mid, hi)
             lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
@@ -204,7 +187,7 @@ class CurveVariety(Variety):
         order = np.argsort(np.concatenate([ring_of, zero_ring]), kind="stable")
         pts = np.concatenate([on_meridian(phi, lo), rings[zero_ring, zero_j]])[order]
         mesh = self._project(pts)
-        keep = np.abs(self._eval(mesh)) < 1e-9
+        keep = np.abs(self.poly(mesh)) < 1e-9
         return mesh[keep][: self.mesh_size]
 
     def distances(self, points: np.ndarray) -> np.ndarray:

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spherecond
+from spherecond import cli
 from spherecond.cli import main
 
 
@@ -137,6 +143,41 @@ class TestEstimateCommand:
         for line in (tmp_path / "ctube.csv").read_text().splitlines()[1:]:
             assert line.split(",")[5] == "true"
 
+    def test_tube_curve_worker_count_invariance(self, tmp_path, capsys):
+        # the curve's polynomial travels to the workers by pickle
+        doc = {"p": 2, "degree": 4,
+               "monomials": [{"alpha": [4, 0, 0], "coeff": 1.0}, {"alpha": [2, 0, 2], "coeff": -1.0},
+                             {"alpha": [2, 2, 0], "coeff": -1.0}, {"alpha": [0, 2, 2], "coeff": 1.0}]}
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps(doc))
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "estimate", "tube", "--variety", f"curve:{path}",
+                             "--sigma", "0.5", "--samples", "20000", "--seed", "8",
+                             "--workers", workers, "--out", str(tmp_path / f"q{workers}"))
+            assert code == 0
+        assert (tmp_path / "q1.csv").read_bytes() == (tmp_path / "q2.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["logmean", "--problem", "matrix-inversion", "--n", "2", "--samples", "1"],
+        ["tube", "--variety", "determinant:2", "--samples", "0"],
+        ["tail", "--problem", "matrix-inversion"],
+        ["tail", "--problem", "matrix-inversion", "--n", "2", "--samples", "0"],
+        ["tail", "--problem", "matrix-inversion", "--n", "2", "--samples", "-3"],
+        ["tail", "--problem", "matrix-inversion", "--n", "2", "--t-grid", "0.5"],
+        ["tube", "--variety", "determinant:2", "--eps-grid", "0"],
+    ])
+    def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("input is checked before sampling")
+
+        monkeypatch.setattr(cli, "run_blocks", no_sampling)
+        monkeypatch.setattr(cli, "tube_cap_counts", no_sampling)
+        out = tmp_path / "bad"
+        code, _, err = run(capsys, "estimate", *argv, "--out", str(out))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not (tmp_path / "bad.csv").exists()
+
     def test_center_file_with_warning(self, tmp_path, capsys):
         center = tmp_path / "center.json"
         center.write_text(json.dumps([2.0, 0.0, 0.0, 0.0]))  # norm 2 -> warning
@@ -206,3 +247,13 @@ class TestOutputFormat:
         # round-trips exactly through float
         assert float(bound) == float(f"{float(bound):.17g}")
         assert len(bound.replace(".", "").replace("-", "").lstrip("0")) >= 10
+
+
+def test_import_loads_no_slow_scipy_module():
+    # `import spherecond.cli` is the start-up cost of every command
+    slow = ["scipy.optimize", "scipy.integrate", "scipy.stats", "scipy.spatial"]
+    code = f"import sys, spherecond.cli; print([m for m in {slow!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(spherecond.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -12,7 +12,6 @@ from spherecond import (
     discriminant_distance_2x2,
     eigenvalue_condition,
     frobenius_condition,
-    moore_penrose_condition,
     mu_norm,
     mu_norm_real_lower,
     multiple_zero_witness,
@@ -22,8 +21,8 @@ from spherecond import (
     weyl_inner,
     weyl_norm,
 )
-from spherecond.cli import random_system_with_zero
-from spherecond.conditioning import rotate_system
+from spherecond.conditioning import _expand, random_system_with_zero
+from weyl_rotation import rotate_system
 
 
 class TestMatrixCondition:
@@ -44,11 +43,28 @@ class TestMatrixCondition:
 
     def test_moore_penrose_tall(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        assert moore_penrose_condition(a) == pytest.approx(math.sqrt(5.0))
+        assert frobenius_condition(a) == pytest.approx(math.sqrt(5.0))
 
     def test_moore_penrose_rejects_wide(self):
         with pytest.raises(ValueError):
-            moore_penrose_condition(np.ones((2, 3)))
+            frobenius_condition(np.ones((2, 3)))
+
+    def test_stack_equals_per_matrix(self):
+        gen = np.random.default_rng(4)
+        for shape in [(3, 3), (4, 2)]:
+            mats = gen.standard_normal((2, 5, *shape))
+            mats[1, 2, :, -1] = mats[1, 2, :, 0]  # rank-deficient: inf
+            kappas = frobenius_condition(mats)
+            assert kappas.shape == (2, 5)
+            expected = [[frobenius_condition(m) for m in row] for row in mats]
+            assert kappas.tolist() == expected
+            assert kappas[1, 2] == math.inf
+
+    def test_stack_rejects_a_zero_matrix(self):
+        mats = np.ones((3, 2, 2))
+        mats[1] = 0.0
+        with pytest.raises(ValueError):
+            frobenius_condition(mats)
 
 
 class TestEigenvalueCondition:
@@ -165,6 +181,69 @@ def e0(n):
     v = np.zeros(n + 1)
     v[0] = 1.0
     return SpherePoint(v)
+
+
+def random_poly(n, d, gen):
+    basis = _expand([np.ones(n + 1)] * d, n)
+    return WeylPolynomial(n=n, degree=d,
+                          coefficients={a: float(gen.standard_normal()) for a in basis})
+
+
+class TestWeylPolynomial:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_equal_per_row(self, n, d):
+        gen = np.random.default_rng(10 * n + d)
+        f = random_poly(n, d, gen)
+        x = gen.standard_normal((40, n + 1))
+        vals, grads = f(x), f.gradient(x)
+        assert vals.shape == (40,) and grads.shape == (40, n + 1)
+        # rows do not interact: any split into blocks gives the same bits
+        for i in range(40):
+            assert vals[i] == f(x[i:i + 1])[0]
+            assert np.array_equal(grads[i], f.gradient(x[i:i + 1])[0])
+        # one point is evaluated on Python floats; libm's pow and numpy's
+        # vectorised pow (AVX-512 builds) may differ in the last bit, so the
+        # bound is a few ulps of each term, summed by the |coefficient| polynomial
+        g = WeylPolynomial(n=n, degree=d,
+                           coefficients={a: abs(c) for a, c in f.coefficients.items()})
+        for i in range(40):
+            assert abs(f(x[i]) - vals[i]) <= 1e-13 * g(np.abs(x[i]))
+            assert np.all(np.abs(f.gradient(x[i]) - grads[i]) <= 1e-13 * g.gradient(np.abs(x[i])))
+        assert isinstance(f(x[0]), float) and f.gradient(x[0]).shape == (n + 1,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_matches_central_differences(self, n):
+        gen = np.random.default_rng(30 + n)
+        f = random_poly(n, 4, gen)
+        x = gen.standard_normal((20, n + 1))
+        h = 1e-5
+        fd = np.stack([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(n + 1)], axis=1)
+        assert np.allclose(f.gradient(x), fd, rtol=1e-6, atol=1e-6)
+
+    def test_rejects_wrong_shape(self):
+        f = WeylPolynomial(n=1, degree=2, coefficients={(1, 1): 1.0})
+        for x in (np.ones(3), np.ones((4, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError):
+                f(x)
+
+    def test_expand_is_the_product_of_forms(self):
+        gen = np.random.default_rng(3)
+        forms = gen.standard_normal((3, 3))
+        f = WeylPolynomial(n=2, degree=3, coefficients=_expand(forms, 2))
+        x = gen.standard_normal((10, 3))
+        assert np.allclose(f(x), np.prod(x @ forms.T, axis=1), rtol=1e-12, atol=0)
+
+    def test_expand_orders_monomials_as_combinations(self):
+        # random_system_with_zero draws one coefficient per key, in this order
+        from itertools import combinations_with_replacement
+
+        for n in (1, 2, 3):
+            for d in (1, 2, 3, 4):
+                expected = []
+                for combo in combinations_with_replacement(range(n + 1), d):
+                    expected.append(tuple(combo.count(i) for i in range(n + 1)))
+                assert list(_expand([np.ones(n + 1)] * d, n)) == expected
 
 
 class TestWeylInner:

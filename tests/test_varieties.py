@@ -13,6 +13,7 @@ from spherecond import (
     SpherePoint,
     SubsphereVariety,
     UnionVariety,
+    WeylPolynomial,
     band_volume,
     clopper_pearson,
     distance_to_variety,
@@ -162,7 +163,7 @@ class TestCurveVariety:
         mesh = c._mesh
         assert mesh.shape == (size, 3)
         assert np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0)) < 1e-15
-        assert np.max(np.abs(c._eval(mesh))) < 1e-9
+        assert np.max(np.abs(c.poly(mesh))) < 1e-9
 
     def test_quartic_mesh_on_its_great_circles(self):
         m = CurveVariety(*QUARTIC)._mesh
@@ -180,17 +181,22 @@ class TestCurveVariety:
         # one evaluation per scan, bisection step and Newton step, not per bracket
         curve = CurveVariety(*QUARTIC)
         calls = 0
-        evaluate = curve._eval
+        evaluate = WeylPolynomial.__call__
 
-        def counting(pts):
+        def counting(poly, pts):
             nonlocal calls
             calls += 1
-            return evaluate(pts)
+            return evaluate(poly, pts)
 
-        monkeypatch.setattr(curve, "_eval", counting)
+        monkeypatch.setattr(WeylPolynomial, "__call__", counting)
         mesh = curve._build_mesh()
         assert np.array_equal(mesh, curve._mesh)
         assert calls <= 64
+
+    def test_repeated_exponents_add_up(self):
+        split = CurveVariety([((2, 0, 0), 0.25), ((0, 2, 0), -1.0), ((2, 0, 0), 0.75)], degree=2)
+        assert split.poly.coefficients == {(2, 0, 0): 1.0, (0, 2, 0): -1.0}
+        assert np.array_equal(split._mesh, CurveVariety(*CONIC)._mesh)
 
     def test_json_roundtrip(self):
         doc = {"p": 2, "degree": 2,
