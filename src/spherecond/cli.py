@@ -45,10 +45,12 @@ from .geometry import (
     j_integral_quad,
     sphere_volume,
 )
-from .sampling import RngStream, sample_uniform_cap
+# sample_uniform_cap stays bound here: benchmark/tracing.py patches cli.sample_uniform_cap.
+from .sampling import RngStream, sample_uniform_cap  # noqa: F401
 from .varieties import (
     DeterminantVariety,
     SubsphereVariety,
+    _cap_block,
     clopper_pearson,
     load_curve,
     run_blocks,
@@ -159,40 +161,20 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
     return SpherePoint.from_vector(v)
 
 
-def _estimate_problem(args) -> tuple[ProblemDescriptor, tuple[int, int]]:
-    """The sampled condition-number problem, dimensions checked, and its matrix shape."""
+def _estimate_problem(args) -> tuple[ProblemDescriptor, DeterminantVariety]:
+    """The sampled problem and its ill-posed set: unit matrices have C = 1/sigma_min = 1/dist."""
     if args.problem not in ("matrix-inversion", "moore-penrose"):
         raise ValueError("estimate supports --problem matrix-inversion or moore-penrose")
     problem = _problem_from_flags(args)
     if problem.kind == "matrix-inversion":
-        return problem, (problem.n, problem.n)
-    return problem, (problem.l, problem.m)
+        return problem, DeterminantVariety(problem.n)
+    return problem, DeterminantVariety(problem.l, problem.m)
 
 
-def _cond_block(args) -> np.ndarray:
-    """Smallest singular values of `count` cap samples reshaped to matrices."""
-    cap, shape, seed, index, count = args
-    rng = RngStream(seed, index + 1)
-    pts = sample_uniform_cap(cap, rng, size=count)
-    mats = pts.reshape(count, *shape)
-    return np.linalg.svd(mats, compute_uv=False)[:, -1]
-
-
-def _smallest_singular_values(args, shape: tuple[int, int]) -> np.ndarray:
-    """sigma_min of `args.samples` cap samples on S^{lm-1}, read as l x m matrices."""
-    p = shape[0] * shape[1] - 1
-    cap = Cap(center=_resolve_center(args.center, p, args.seed), sigma=args.sigma)
-    return np.concatenate(run_blocks(_cond_block, (cap, shape, args.seed),
-                                     args.samples, args.workers))
-
-
-def _dominance_rows(grid, hits, bounds, samples: int) -> list[list]:
-    """One row [x, empirical, ci_low, ci_high, bound, dominated] per grid value."""
-    rows = []
-    for x, h, bound in zip(grid, hits, bounds):
-        lo, hi = clopper_pearson(int(h), samples)
-        rows.append([x, int(h) / samples, lo, hi, bound, lo <= bound])
-    return rows
+def _log_moments(d: np.ndarray) -> np.ndarray:
+    """(sum lk, sum lk^2) of lk = ln C = -ln sigma_min over one block."""
+    lk = -np.log(np.maximum(d, 1e-300))
+    return np.array([np.sum(lk), np.sum(lk * lk)])
 
 
 def _resolve_variety(spec: str):
@@ -238,31 +220,35 @@ def cmd_estimate(args) -> int:
         # each branch evaluates its bounds before sampling, so a bad grid fails at once
         if args.which == "tube":
             variety = _resolve_variety(args.variety)
-            grid = _parse_grid(args.eps_grid)
+            grid = eps_grid = _parse_grid(args.eps_grid)
             bounds = [tube_ratio_bound(BoundParams(p=variety.p, d=variety.degree,
                                                    sigma=args.sigma, eps=eps)) for eps in grid]
-            cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
-            hits = tube_cap_counts(variety, cap, grid, args.samples, args.seed, args.workers)
-            rows = _dominance_rows(grid, hits, bounds, args.samples)
             header = ["eps", "empirical_ratio", *columns]
         elif args.which == "tail":
-            problem, shape = _estimate_problem(args)
-            p, degree = problem.ambient_dim_and_degree()
+            problem, variety = _estimate_problem(args)
             grid = _parse_grid(args.t_grid)
-            bounds = [tail_bound(BoundParams(p=p, d=degree, sigma=args.sigma, t=t)) for t in grid]
-            smins = _smallest_singular_values(args, shape)
-            hits = [(smins <= 1.0 / t).sum() for t in grid]
-            rows = _dominance_rows(grid, hits, bounds, args.samples)
+            eps_grid = [1.0 / t for t in grid]  # P{C >= t} is the tube ratio at eps = 1/t
+            bounds = [tail_bound(BoundParams(p=variety.p, d=variety.degree,
+                                             sigma=args.sigma, t=t)) for t in grid]
             header = ["t", "empirical", *columns]
         else:
-            problem, shape = _estimate_problem(args)
+            problem, variety = _estimate_problem(args)
             bound = application_bound(problem, args.sigma, mode="expectation")
-            lk = -np.log(np.maximum(_smallest_singular_values(args, shape), 1e-300))
-            mean = float(np.sum(lk)) / args.samples
-            sd = math.sqrt(max(float(np.sum((lk - mean) ** 2)) / (args.samples - 1), 0.0))
-            half = 2.5758293035489004 * sd / math.sqrt(args.samples)
-            rows = [[mean, mean - half, mean + half, bound, mean - half <= bound]]
             header = ["empirical_mean_ln", *columns]
+        cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
+        if args.which == "logmean":
+            total, total_sq = run_blocks(_cap_block, (variety, cap, _log_moments, args.seed),
+                                         args.samples, args.workers)
+            mean = float(total) / args.samples
+            var = (float(total_sq) - mean * float(total)) / (args.samples - 1)
+            half = 2.5758293035489004 * math.sqrt(max(var, 0.0)) / math.sqrt(args.samples)
+            rows = [[mean, mean - half, mean + half, bound, mean - half <= bound]]
+        else:
+            hits = tube_cap_counts(variety, cap, eps_grid, args.samples, args.seed, args.workers)
+            rows = []
+            for x, h, bound in zip(grid, hits, bounds):
+                lo, hi = clopper_pearson(int(h), args.samples)
+                rows.append([x, int(h) / args.samples, lo, hi, bound, lo <= bound])
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -495,6 +481,9 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv  # recorded in manifests as the command actually run
+    if getattr(args, "workers", 1) < 1:  # estimate and verify, before any sampling
+        print("error: --workers must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
     return args.func(args)
 
 

@@ -29,11 +29,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
         self.generator = np.random.Generator(np.random.Philox(seq))
 
-    def child(self, index: int) -> "RngStream":
-        """Independent stream derived from the same master seed."""
-        # flat derivation: child k of stream s gets index s * 2**20 + k + 1
-        return RngStream(self.master_seed, self.stream_index * (1 << 20) + index + 1)
-
 
 class Rotation:
     """An orthogonal matrix acting on R^{p+1}."""

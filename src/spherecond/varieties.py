@@ -1,8 +1,8 @@
 """Variety distance oracles, Monte Carlo tube estimates, and exact checks.
 
 Varieties are symmetric subsets of S^p with an attached projective
-distance evaluator: great subspheres (exact), singular matrices via the
-smallest singular value (exact), and plane curves on S^2 via a dense
+distance evaluator: great subspheres (exact), rank-deficient matrices via
+the smallest singular value (exact), and plane curves on S^2 via a dense
 mesh with Newton refinement (upper bound on the true distance).
 """
 
@@ -99,19 +99,26 @@ class SubsphereVariety(Variety):
 
 
 class DeterminantVariety(Variety):
-    """Singular n x n matrices on S^{n^2-1}; distance is the smallest singular value."""
+    """Rank-deficient n x m matrices (n >= m; square if m is None) on S^{nm-1}, cut out
+    by the m x m minors; distance is the smallest singular value (Eckart-Young)."""
 
-    def __init__(self, n: int):
-        if n < 2:
-            raise ValueError("n must be >= 2")
-        self.n = n
-        self.p = n * n - 1
-        self.degree = n
+    def __init__(self, n: int, m: int | None = None):
+        m = n if m is None else m
+        if not n >= m >= 1 or n * m < 2:
+            raise ValueError("need n >= m >= 1 and n * m >= 2")
+        self.n, self.m = n, m
+        self.p = n * m - 1
+        self.degree = m
         self.distance_kind = "exact"
 
     def distances(self, points: np.ndarray) -> np.ndarray:
-        mats = points.reshape(-1, self.n, self.n)
+        mats = points.reshape(-1, self.n, self.m)
         return np.linalg.svd(mats, compute_uv=False)[:, -1]
+
+
+# scan grid size and mesh cap (the mesh keeps fewer: 760 points for x^2 - y^2)
+_MESH_SIZE = 4096
+_NEWTON_STEPS = 2
 
 
 class CurveVariety(Variety):
@@ -122,13 +129,10 @@ class CurveVariety(Variety):
     an upper bound of the true distance.
     """
 
-    def __init__(self, monomials, degree: int, mesh_size: int = 4096,
-                 newton_steps: int = 2):
+    def __init__(self, monomials, degree: int):
         self.p = 2
         self.degree = int(degree)
         self.distance_kind = "mesh-newton"
-        self.mesh_size = mesh_size
-        self.newton_steps = newton_steps
         coefficients: dict = {}
         for alpha, c in monomials:  # repeated exponent triples add up
             alpha = tuple(int(e) for e in alpha)
@@ -139,11 +143,15 @@ class CurveVariety(Variety):
             raise ValueError("curve has no real points on S^2 at mesh resolution")
 
     @classmethod
-    def from_json(cls, doc: dict, **kw) -> "CurveVariety":
-        if doc.get("p", 2) != 2:
-            raise ValueError("curve varieties live on S^2")
-        monos = [(m["alpha"], m["coeff"]) for m in doc["monomials"]]
-        return cls(monos, degree=doc["degree"], **kw)
+    def from_json(cls, doc) -> "CurveVariety":
+        if not isinstance(doc, dict) or doc.get("p", 2) != 2:
+            raise ValueError("curve JSON must be an object for a curve on S^2 (p = 2)")
+        try:
+            monos = [(m["alpha"], m["coeff"]) for m in doc["monomials"]]
+            degree = doc["degree"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"curve JSON needs degree, monomials, alpha, coeff: {exc!r}") from None
+        return cls(monos, degree=degree)
 
     def _tangential_grad(self, pts: np.ndarray) -> np.ndarray:
         g = self.poly.gradient(pts)
@@ -162,8 +170,8 @@ class CurveVariety(Variety):
 
     def _build_mesh(self) -> np.ndarray:
         # scan meridians for sign changes of f, bisect all brackets at once, Newton-polish
-        n_phi = max(8, int(math.sqrt(self.mesh_size) * 4))
-        n_theta = max(16, self.mesh_size // n_phi * 4)
+        n_phi = max(8, int(math.sqrt(_MESH_SIZE) * 4))
+        n_theta = max(16, _MESH_SIZE // n_phi * 4)
         phis = np.linspace(0.0, 2 * np.pi, n_phi, endpoint=False)
         thetas = np.linspace(0.0, np.pi, n_theta)
 
@@ -183,12 +191,12 @@ class CurveVariety(Variety):
             lo, flo = np.where(left, lo, mid), np.where(left, flo, fm)
         zero_ring, zero_j = np.nonzero(np.abs(vals) < 1e-14)
         # meridian by meridian, bisected points before exact zeros of the scan:
-        # the truncation to mesh_size below keeps a prefix of this order
+        # the truncation to _MESH_SIZE below keeps a prefix of this order
         order = np.argsort(np.concatenate([ring_of, zero_ring]), kind="stable")
         pts = np.concatenate([on_meridian(phi, lo), rings[zero_ring, zero_j]])[order]
         mesh = self._project(pts)
         keep = np.abs(self.poly(mesh)) < 1e-9
-        return mesh[keep][: self.mesh_size]
+        return mesh[keep][:_MESH_SIZE]
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         out = np.empty(points.shape[0])
@@ -199,7 +207,7 @@ class CurveVariety(Variety):
             # align hemispheres so the refinement target is the nearer antipode
             flip = np.sum(best * chunk, axis=1) < 0
             best[flip] *= -1.0
-            for _ in range(self.newton_steps):
+            for _ in range(_NEWTON_STEPS):
                 # slide along the curve tangent toward the query point
                 g = self._tangential_grad(best)
                 gn = np.linalg.norm(g, axis=1, keepdims=True)
@@ -247,33 +255,40 @@ def distance_to_variety(x: SpherePoint, variety: Variety) -> float:
 _BLOCK = 8192  # fixed block size keeps results independent of worker count
 
 
-def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
-    """kernel((*args, index, count)) for each block of at most _BLOCK samples.
+def run_blocks(kernel, args: tuple, samples: int, workers: int = 1):
+    """Sum of kernel((*args, index, count)) over the blocks of at most _BLOCK samples.
 
-    Results come back in block order; blocks, and so results, do not depend
-    on the worker count.
+    Each kernel returns a fixed-size reduction of its block, added in block
+    order: the sum does not depend on the worker count, nor memory on samples.
     """
     blocks = [(*args, idx, min(_BLOCK, samples - start))
               for idx, start in enumerate(range(0, samples, _BLOCK))]
+    workers = min(workers, len(blocks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(kernel, blocks))
-    return [kernel(b) for b in blocks]
+            parts = list(pool.map(kernel, blocks))
+    else:
+        parts = [kernel(b) for b in blocks]
+    return np.sum(parts, axis=0)
 
 
-def _tube_block(args):
-    variety, cap, eps_grid, seed, index, count = args
-    rng = RngStream(seed, index + 1)
-    pts = sample_uniform_cap(cap, rng, size=count)
-    d = variety.distances(pts)
-    return np.array([(d < e).sum() for e in eps_grid], dtype=np.int64)
+def _cap_block(args):
+    """reduce(variety distances) of `count` uniform cap samples from stream index + 1;
+    `reduce` travels to workers by pickle (a module-level function or partial)."""
+    variety, cap, reduce, seed, index, count = args
+    pts = sample_uniform_cap(cap, RngStream(seed, index + 1), size=count)
+    return reduce(variety.distances(pts))
+
+
+def _count_within(eps_grid: tuple, d: np.ndarray) -> np.ndarray:
+    return np.array([(d <= e).sum() for e in eps_grid], dtype=np.int64)
 
 
 def tube_cap_counts(variety: Variety, cap: Cap, eps_grid, samples: int,
                     seed: int, workers: int = 1) -> np.ndarray:
-    """Per-threshold membership counts, reproducible for any worker count."""
-    parts = run_blocks(_tube_block, (variety, cap, tuple(eps_grid), seed), samples, workers)
-    return np.sum(parts, axis=0)
+    """Per-threshold counts of samples with distance <= eps, reproducible for any worker count."""
+    reduce = functools.partial(_count_within, tuple(eps_grid))
+    return run_blocks(_cap_block, (variety, cap, reduce, seed), samples, workers)
 
 
 def estimate_tube_cap_ratio(variety: Variety, cap: Cap, eps: float,
@@ -376,8 +391,8 @@ def verify_kinematic(p: int, i: int, alpha: float, samples: int,
         raise ValueError("alpha must lie in (0, pi/2]")
     lhs = geodesic_sphere_mu(p, alpha, i)
     analytic = kinematic_rhs_analytic(p, i, alpha)
-    parts = run_blocks(_kinematic_block, (p, i, alpha, rng.master_seed), samples, workers)
-    total = float(np.sum(parts))
+    total = float(run_blocks(_kinematic_block, (p, i, alpha, rng.master_seed),
+                             samples, workers))
     scale = kinematic_constant(p, i) * sphere_volume(i)
     mean = total / samples
     # integrand scaled to [0, 1]; generalized Clopper-Pearson on the mean
@@ -392,6 +407,6 @@ def subsphere_tube_cap_ratio_exact(p: int, eps: float) -> float:
     return subsphere_tube_volume(p, 1, eps) / sphere_volume(p)
 
 
-def load_curve(path: str, **kw) -> CurveVariety:
+def load_curve(path: str) -> CurveVariety:
     with open(path) as fh:
-        return CurveVariety.from_json(json.load(fh), **kw)
+        return CurveVariety.from_json(json.load(fh))

@@ -165,6 +165,9 @@ class TestEstimateCommand:
         ["tail", "--problem", "matrix-inversion", "--n", "2", "--samples", "-3"],
         ["tail", "--problem", "matrix-inversion", "--n", "2", "--t-grid", "0.5"],
         ["tube", "--variety", "determinant:2", "--eps-grid", "0"],
+        ["tail", "--problem", "matrix-inversion", "--n", "2", "--workers", "0"],
+        ["logmean", "--problem", "matrix-inversion", "--n", "2", "--workers", "-2"],
+        ["tail", "--problem", "moore-penrose", "--l", "1", "--m", "1"],
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
@@ -177,6 +180,53 @@ class TestEstimateCommand:
         assert code == 2
         assert err.startswith("error:")
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("doc", [
+        [{"alpha": [2, 0, 0], "coeff": 1.0}],
+        {"p": 2, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0}]},
+        {"p": 2, "degree": 2},
+        {"p": 2, "degree": 2, "monomials": [{"coeff": 1.0}]},
+        {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0]}]},
+    ], ids=["top-level-list", "no-degree", "no-monomials", "no-alpha", "no-coeff"])
+    def test_malformed_curve_json_is_a_usage_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad_curve.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "estimate", "tube", "--variety", f"curve:{path}",
+                           "--samples", "100", "--out", str(tmp_path / "bad"))
+        assert code == 2
+        assert err.startswith("error:")
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_tail_counts_are_tube_counts(self, tmp_path, capsys):
+        # P{C >= t} is the tube ratio of the singular matrices at eps = 1/t
+        common = ["--sigma", "0.5", "--samples", "20000", "--seed", "12"]
+        run(capsys, "estimate", "tail", "--problem", "matrix-inversion", "--n", "2",
+            "--t-grid", "2,4,10", *common, "--out", str(tmp_path / "tail"))
+        run(capsys, "estimate", "tube", "--variety", "determinant:2",
+            "--eps-grid", "0.5,0.25,0.1", *common, "--out", str(tmp_path / "tube"))
+
+        def hit_columns(name):
+            lines = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+            return [line.split(",")[1:4] for line in lines]
+
+        assert hit_columns("tail") == hit_columns("tube")
+        assert len(hit_columns("tail")) == 3
+
+    @pytest.mark.parametrize("which", ["tail", "logmean"])
+    def test_moore_penrose_worker_count_invariance(self, tmp_path, capsys, which):
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "estimate", which, "--problem", "moore-penrose",
+                             "--l", "4", "--m", "3", "--sigma", "0.5", "--samples", "20000",
+                             "--seed", "9", "--workers", workers,
+                             "--out", str(tmp_path / f"mp{workers}"))
+            assert code == 0
+        assert (tmp_path / "mp1.csv").read_bytes() == (tmp_path / "mp2.csv").read_bytes()
+
+    @pytest.mark.parametrize("l,m", [("3", "1"), ("2", "1")])
+    def test_moore_penrose_column_vectors(self, tmp_path, capsys, l, m):
+        code, _, _ = run(capsys, "estimate", "tail", "--problem", "moore-penrose",
+                         "--l", l, "--m", m, "--samples", "1000", "--out", str(tmp_path / "v"))
+        assert code == 0
 
     def test_center_file_with_warning(self, tmp_path, capsys):
         center = tmp_path / "center.json"
@@ -235,6 +285,17 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "cntr", "--trials", "30")
         assert code == 0
         assert "overall: pass" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_nonpositive_workers_is_a_usage_error(self, capsys, monkeypatch, workers):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("--workers is checked before sampling")
+
+        monkeypatch.setattr(cli, "verify_kinematic", no_sampling)
+        code, out, err = run(capsys, "verify", "kinematic", "--workers", workers)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
 
 class TestOutputFormat:

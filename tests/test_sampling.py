@@ -61,18 +61,6 @@ class TestRngStream:
         b = RngStream(2, 0).generator.random(16)
         assert not np.array_equal(a, b)
 
-    def test_child_is_deterministic(self):
-        a = RngStream(9, 4).child(7)
-        b = RngStream(9, 4).child(7)
-        assert np.array_equal(a.generator.random(8), b.generator.random(8))
-        assert a.master_seed == 9
-
-    def test_children_distinct(self):
-        base = RngStream(9, 0)
-        vals = [RngStream(9, 0).child(k).generator.random(4).tolist() for k in range(5)]
-        assert len({tuple(v) for v in vals}) == 5
-        assert base.generator is not None
-
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             RngStream(-1)

@@ -24,8 +24,13 @@ from spherecond import (
     verify_kinematic,
     verify_weyl_tube_bound,
 )
+from spherecond import varieties
+from spherecond.bounds import ProblemDescriptor
 from spherecond.varieties import (
+    _BLOCK,
+    Variety,
     kinematic_rhs_analytic,
+    run_blocks,
     subsphere_tube_cap_ratio_exact,
     tube_cap_counts,
 )
@@ -112,6 +117,22 @@ class TestDeterminantVariety:
     def test_degree_and_dim(self):
         v = DeterminantVariety(3)
         assert (v.p, v.degree) == (8, 3)
+
+    @pytest.mark.parametrize("l,m", [(2, 2), (3, 3), (3, 1), (2, 1), (4, 3), (5, 2)])
+    def test_dim_and_degree_match_moore_penrose(self, l, m):
+        v = DeterminantVariety(l, m)
+        assert (v.p, v.degree) == ProblemDescriptor("moore-penrose", l=l, m=m).ambient_dim_and_degree()
+
+    def test_rectangular_distance_is_smallest_singular_value(self):
+        pts = sample_uniform_sphere(11, RngStream(3), size=50)
+        d = DeterminantVariety(4, 3).distances(pts)
+        ref = [np.linalg.svd(row.reshape(4, 3), compute_uv=False)[-1] for row in pts]
+        assert np.array_equal(d, ref)
+
+    @pytest.mark.parametrize("shape", [(1,), (1, 1), (2, 3), (2, 0)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            DeterminantVariety(*shape)
 
     def test_dimension_check(self):
         with pytest.raises(ValueError):
@@ -269,6 +290,17 @@ class TestTubeEstimates:
             kappa = frobenius_condition(row.reshape(2, 2))
             assert (dist < 0.25) == (kappa > 4.0) or abs(dist - 0.25) < 1e-12
 
+    def test_count_includes_distance_equal_to_eps(self):
+        # the tail event C >= t is sigma_min <= 1/t, so the tube count is d <= eps
+        class AtHalf(Variety):
+            p, degree = 2, 1
+
+            def distances(self, points):
+                return np.full(points.shape[0], 0.5)
+
+        counts = tube_cap_counts(AtHalf(), Cap(north(2), 1.0), [0.25, 0.5], 100, seed=1)
+        assert counts.tolist() == [0, 100]
+
     def test_mcestimate_validation(self):
         with pytest.raises(ValueError):
             McEstimate(estimate=0.5, ci_low=0.6, ci_high=0.7, samples=10, seed=0)
@@ -328,3 +360,42 @@ class TestGeodesicSphereIdentities:
             lhs, rhs, ok = verify_weyl_tube_bound(p, math.pi / 2, 0.5)
             assert ok
             assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def _block_id(args):
+    index, count = args
+    return np.array([index, count])
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestRunBlocks:
+    def test_sums_kernel_results_in_block_order(self):
+        total = run_blocks(_block_id, (), 2 * _BLOCK + 5)
+        assert total.tolist() == [0 + 1 + 2, 2 * _BLOCK + 5]
+
+    @pytest.mark.parametrize("workers,samples,size", [
+        (64, 3 * _BLOCK, 3), (2, 3 * _BLOCK, 2), (64, _BLOCK, None), (2, 1, None),
+    ])
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, workers, samples, size):
+        monkeypatch.setattr(varieties, "ProcessPoolExecutor", _SerialPool)
+        monkeypatch.setattr(_SerialPool, "sizes", [])
+        total = run_blocks(_block_id, (), samples, workers)
+        assert _SerialPool.sizes == ([] if size is None else [size])
+        assert np.array_equal(total, run_blocks(_block_id, (), samples, 1))
