@@ -7,7 +7,6 @@ from .geometry import (
     Cap,
     SpherePoint,
     ball_volume,
-    distance_to_subsphere,
     j_integral,
     j_integral_quad,
     kinematic_constant,
@@ -16,7 +15,7 @@ from .geometry import (
     sphere_volume,
     subsphere_tube_volume,
 )
-from .sampling import RngStream, Rotation, sample_rotation, sample_uniform_cap, sample_uniform_sphere
+from .sampling import RngStream, sample_rotation, sample_uniform_cap, sample_uniform_sphere
 from .bounds import (
     BoundParams,
     ProblemDescriptor,
@@ -36,9 +35,7 @@ from .conditioning import (
     eigenvalue_condition,
     frobenius_condition,
     mu_norm,
-    mu_norm_real_lower,
     multiple_zero_witness,
-    real_eigen_condition_lower,
     system_projective_distance,
     weyl_inner,
     weyl_norm,
@@ -48,11 +45,8 @@ from .varieties import (
     DeterminantVariety,
     McEstimate,
     SubsphereVariety,
-    UnionVariety,
     band_volume,
     clopper_pearson,
-    distance_to_variety,
-    estimate_tube_cap_ratio,
     geodesic_sphere_mu,
     verify_kinematic,
     verify_weyl_tube_bound,

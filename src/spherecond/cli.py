@@ -52,6 +52,8 @@ from .varieties import (
     SubsphereVariety,
     _cap_block,
     clopper_pearson,
+    geodesic_sphere_mu,
+    kinematic_rhs_analytic,
     load_curve,
     run_blocks,
     tube_cap_counts,
@@ -93,34 +95,32 @@ def _problem_from_flags(args) -> ProblemDescriptor:
 
 def cmd_bounds(args) -> int:
     try:
+        # (p, d) from --problem, or from --p/--d; `which` picks the bound either way
         if args.problem is not None:
             problem = _problem_from_flags(args)
-            if args.which in ("tail", "application") and args.t is not None:
-                value = application_bound(problem, args.sigma, args.t, mode="tail")
-                params = {"problem": args.problem, "sigma": args.sigma, "t": args.t}
-            else:
-                value = application_bound(problem, args.sigma, mode="expectation")
-                params = {"problem": args.problem, "sigma": args.sigma}
-        elif args.which == "tail":
-            value = tail_bound(BoundParams(p=args.p, d=args.d, sigma=args.sigma, t=args.t))
-            params = {"p": args.p, "d": args.d, "sigma": args.sigma, "t": args.t}
-        elif args.which == "expectation":
-            value = expectation_bound(BoundParams(p=args.p, d=args.d, sigma=args.sigma))
-            params = {"p": args.p, "d": args.d, "sigma": args.sigma}
+            p, d = problem.ambient_dim_and_degree()
+            params = {"problem": args.problem, "sigma": args.sigma}
+        else:
+            problem, p, d = None, args.p, args.d
+            params = {"p": p, "d": d, "sigma": args.sigma}
+        if args.which == "tail":
+            value = tail_bound(BoundParams(p=p, d=d, sigma=args.sigma, t=args.t))
+            params["t"] = args.t
+        elif args.which == "expectation":  # named problems keep their sharper constants
+            value = (application_bound(problem, args.sigma) if problem is not None
+                     else expectation_bound(BoundParams(p=p, d=d, sigma=args.sigma)))
         elif args.which == "tube":
-            value = tube_ratio_bound(BoundParams(p=args.p, d=args.d, sigma=args.sigma, eps=args.eps))
-            params = {"p": args.p, "d": args.d, "sigma": args.sigma, "eps": args.eps}
-        elif args.which == "linear":
-            value = linear_tail_bound(args.p, args.d, args.sigma, args.eps)
-            params = {"p": args.p, "d": args.d, "sigma": args.sigma, "eps": args.eps}
+            value = tube_ratio_bound(BoundParams(p=p, d=d, sigma=args.sigma, eps=args.eps))
+            params["eps"] = args.eps
+        else:
+            value = linear_tail_bound(p, d, args.sigma, args.eps)
+            params["eps"] = args.eps
             if value is None:
                 if args.json:
                     print(json.dumps({"params": params, "value": None}))
                 else:
                     print("not applicable")
                 return EXIT_OK
-        else:
-            raise ValueError(f"unknown bounds subcommand {args.which}")
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -149,9 +149,8 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
         v[0] = 1.0
         return SpherePoint(v)
     if spec == "random":
-        rng = RngStream(seed, 999_983)
-        g = rng.generator.standard_normal(p + 1)
-        return SpherePoint.from_vector(g)
+        # stream 0: sample blocks use streams index + 1
+        return SpherePoint.from_vector(RngStream(seed).generator.standard_normal(p + 1))
     with open(spec) as fh:
         v = np.asarray(json.load(fh), dtype=float)
     norm = np.linalg.norm(v)
@@ -314,7 +313,6 @@ def _verify_kinematic(args) -> int:
     else:
         grid = [(p, i) for p in (2, 3, 4, 5) for i in range(p - 1)]
         alphas = [0.3, 0.6, 1.0, 1.4]
-    from .varieties import geodesic_sphere_mu, kinematic_rhs_analytic
     analytic_ok = True
     for p, i in grid:
         for a in alphas:
@@ -325,8 +323,7 @@ def _verify_kinematic(args) -> int:
     mc_cases = grid if args.p is not None else [(2, 0), (3, 0), (3, 1), (4, 1)]
     for p, i in mc_cases:
         for a in (alphas if args.p is not None else [args.alpha]):
-            lhs, _, est = verify_kinematic(p, i, a, args.samples,
-                                           RngStream(args.seed), args.workers)
+            lhs, _, est = verify_kinematic(p, i, a, args.samples, args.seed, args.workers)
             half = max(est.ci_high - est.estimate, est.estimate - est.ci_low)
             ok = abs(est.estimate - lhs) <= 3.0 * half
             rows.append((f"monte carlo p={p} i={i} alpha={a:.2f}", ok))
@@ -407,6 +404,17 @@ def _verify_cntr(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    try:
+        if args.samples < 1 or args.trials < 1:
+            raise ValueError("--samples and --trials must be >= 1")
+        if args.seed < 0:
+            raise ValueError("--seed must be >= 0")
+        if args.which == "kinematic":  # without --p, --alpha is used with (p, i) = (2, 0) first
+            p, i = (2, 0) if args.p is None else (args.p, args.i)
+            kinematic_rhs_analytic(p, i, args.alpha)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     dispatch = {
         "jintegrals": _verify_jintegrals,
         "kinematic": _verify_kinematic,
@@ -427,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bounds", help="evaluate closed-form bounds")
-    pb.add_argument("which", choices=["tail", "expectation", "tube", "linear", "application"])
+    pb.add_argument("which", choices=["tail", "expectation", "tube", "linear"])
     pb.add_argument("--p", type=int)
     pb.add_argument("--d", type=int)
     pb.add_argument("--sigma", type=float, default=1.0)
@@ -471,7 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--trials", type=int, default=1000)
     pv.add_argument("--seed", type=int, default=7)
     pv.add_argument("--workers", type=int, default=1)
-    pv.add_argument("--n", type=int, default=2)
     pv.set_defaults(func=cmd_verify)
 
     return parser

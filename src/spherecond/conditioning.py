@@ -1,10 +1,10 @@
 """Condition number evaluators.
 
 Matrix inversion and Moore-Penrose conditioning via the SVD, eigenvalue
-conditioning via left/right eigenvectors, a lower-bound estimator for
-the real-eigenvalue condition number, and the Shub-Smale condition
-number of polynomial systems under the orthogonally invariant inner
-product on homogeneous polynomials.
+conditioning via left/right eigenvectors, the exact distance from a 2x2
+matrix to the set with a real multiple eigenvalue, and the Shub-Smale
+condition number of polynomial systems under the orthogonally invariant
+inner product on homogeneous polynomials.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import SpherePoint
-from .sampling import RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -88,87 +87,6 @@ def discriminant_distance_2x2(a: np.ndarray) -> float:
     if r_plus_d == 0.0:  # A = lam*I lies on the quadric
         return 0.0
     return float(abs((a11 - a22) ** 2 + 4.0 * a12 * a21) / (4.0 * r_plus_d))
-
-
-def _charpoly_discriminant(b: np.ndarray) -> float:
-    """Discriminant of the characteristic polynomial via the Sylvester resultant."""
-    coeffs = np.poly(b)  # leading coefficient 1
-    n = len(coeffs) - 1
-    dcoeffs = np.polyder(coeffs)
-    size = 2 * n - 1
-    syl = np.zeros((size, size))
-    for i in range(n - 1):
-        syl[i, i:i + n + 1] = coeffs
-    for i in range(n):
-        syl[n - 1 + i, i:i + n] = dcoeffs
-    sign = (-1.0) ** (n * (n - 1) // 2)
-    return sign * float(np.linalg.det(syl))
-
-
-def real_eigen_condition_lower(a: np.ndarray, restarts: int = 8, iters: int = 200,
-                               rng: RngStream | None = None) -> float:
-    """Lower bound on sqrt(2) ||A||_F / dist(A, real-multiple-eigenvalue set).
-
-    The distance is estimated by local searches for a nearby matrix with
-    vanishing characteristic-polynomial discriminant; any feasible point
-    overestimates the distance, so the returned value never exceeds the
-    true condition number. Capped at 1e15.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != n or n < 2:
-        raise ValueError("need a square matrix with n >= 2")
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        raise ValueError("zero matrix")
-    ahat = a / fro
-    if rng is None:
-        rng = RngStream(0)
-    gen = rng.generator
-
-    if n == 2:
-        constraint = lambda v: (v[0] - v[3]) ** 2 + 4.0 * v[1] * v[2]
-    else:
-        constraint = lambda v: _charpoly_discriminant(v.reshape(n, n))
-
-    from scipy.optimize import minimize  # slow to import; needed only here
-
-    x0s = [ahat.ravel()]
-    x0s += [ahat.ravel() + 0.1 * gen.standard_normal(n * n) for _ in range(restarts - 1)]
-    best = math.inf
-    for x0 in x0s:
-        res = minimize(
-            lambda v: np.sum((v - ahat.ravel()) ** 2),
-            x0,
-            jac=lambda v: 2.0 * (v - ahat.ravel()),
-            constraints=[{"type": "eq", "fun": constraint}],
-            method="SLSQP",
-            options={"maxiter": iters, "ftol": 1e-14},
-        )
-        v = res.x
-        if abs(constraint(v)) <= 1e-8 * max(1.0, np.linalg.norm(v) ** (2 * max(n - 1, 1))):
-            # polish feasibility: project along the constraint gradient
-            for _ in range(50):
-                g = _numeric_grad(constraint, v)
-                c = constraint(v)
-                gn = np.dot(g, g)
-                if gn < 1e-30 or abs(c) < 1e-14:
-                    break
-                v = v - (c / gn) * g
-            best = min(best, float(np.linalg.norm(v - ahat.ravel())))
-    if best <= 1e-15 or not np.isfinite(best):
-        return 1e15
-    return min(math.sqrt(2.0) / best, 1e15)
-
-
-def _numeric_grad(fun, v: np.ndarray, h: float = 1e-7) -> np.ndarray:
-    g = np.empty_like(v)
-    for i in range(v.size):
-        vp, vm = v.copy(), v.copy()
-        vp[i] += h
-        vm[i] -= h
-        g[i] = (fun(vp) - fun(vm)) / (2.0 * h)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -326,18 +244,6 @@ def mu_norm(f: PolySystem, zeta: SpherePoint) -> float:
         return math.inf
     scaled = np.linalg.solve(m, np.diag(np.sqrt(np.array(f.degrees, dtype=float))))
     return float(norm_f * np.linalg.norm(scaled, 2))
-
-
-def mu_norm_real_lower(f: PolySystem, zeros) -> float:
-    """Max of mu_norm over a list of verified real zeros.
-
-    Lower-bounds the global condition number for real solving and zero
-    counting, since each zero's ill-posed set sits inside the global one.
-    """
-    zeros = list(zeros)
-    if not zeros:
-        raise ValueError("need at least one zero")
-    return max(mu_norm(f, z) for z in zeros)
 
 
 def _expand(forms, n: int) -> dict:

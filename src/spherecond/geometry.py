@@ -155,9 +155,3 @@ def projective_distance(x: SpherePoint, y: SpherePoint) -> float:
     """sin of the angular distance; vanishes at both y and -y."""
     return float(np.sin(riemannian_distance(x, y)))
 
-
-def distance_to_subsphere(x: SpherePoint, m: int) -> float:
-    """Projective distance from x to the subsphere {x_{m+1} = ... = x_p = 0}."""
-    if not 0 <= m <= x.p - 1:
-        raise ValueError("need 0 <= m <= p - 1")
-    return float(np.linalg.norm(x.coords[m + 1:]))

@@ -30,21 +30,6 @@ class RngStream:
         self.generator = np.random.Generator(np.random.Philox(seq))
 
 
-class Rotation:
-    """An orthogonal matrix acting on R^{p+1}."""
-
-    def __init__(self, matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if np.max(np.abs(m.T @ m - np.eye(m.shape[0]))) > 1e-10:
-            raise ValueError("matrix is not orthogonal within 1e-10")
-        self.matrix = m
-
-    def apply(self, x: SpherePoint) -> SpherePoint:
-        return SpherePoint.from_vector(self.matrix @ x.coords)
-
-
 def sample_uniform_sphere(p: int, rng: RngStream, size: int | None = None):
     """Uniform point(s) on S^p: normalized standard Gaussian vectors.
 
@@ -129,11 +114,11 @@ def sample_uniform_cap(cap: Cap, rng: RngStream, size: int | None = None):
     return z
 
 
-def sample_rotation(n: int, rng: RngStream) -> Rotation:
+def sample_rotation(n: int, rng: RngStream) -> np.ndarray:
     """Haar-distributed orthogonal n x n matrix (Gaussian QR with sign fix)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     g = rng.generator.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     q *= np.sign(np.diag(r))
-    return Rotation(q)
+    return q

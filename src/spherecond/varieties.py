@@ -20,14 +20,13 @@ from scipy.special import betaincinv
 from .conditioning import WeylPolynomial
 from .geometry import (
     Cap,
-    SpherePoint,
     j_integral,
     kinematic_constant,
     sphere_volume,
     subsphere_tube_volume,
     _log_binom,
 )
-from .sampling import RngStream, sample_uniform_cap
+from .sampling import RngStream, sample_uniform_cap, sample_uniform_sphere
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +78,6 @@ class Variety:
     def distances(self, points: np.ndarray) -> np.ndarray:
         """Projective distances from rows of `points` to the variety."""
         raise NotImplementedError
-
-    def distance(self, x: SpherePoint) -> float:
-        return float(self.distances(x.coords[None, :])[0])
 
 
 class SubsphereVariety(Variety):
@@ -222,33 +218,6 @@ class CurveVariety(Variety):
         return out
 
 
-class UnionVariety(Variety):
-    """Union of varieties: distance is the member minimum."""
-
-    def __init__(self, members):
-        members = list(members)
-        if not members:
-            raise ValueError("empty union")
-        self.members = members
-        self.p = members[0].p
-        if any(v.p != self.p for v in members):
-            raise ValueError("members live on different spheres")
-        # single-polynomial degree bound: product of one defining polynomial
-        # per member, each bounded by the largest member degree
-        self.degree = max(v.degree for v in members) * len(members)
-        self.distance_kind = ("exact" if all(v.distance_kind == "exact" for v in members)
-                              else "mesh-newton")
-
-    def distances(self, points: np.ndarray) -> np.ndarray:
-        return np.min(np.stack([v.distances(points) for v in self.members]), axis=0)
-
-
-def distance_to_variety(x: SpherePoint, variety: Variety) -> float:
-    if x.p != variety.p:
-        raise ValueError("dimension mismatch")
-    return variety.distance(x)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo tube/cap ratio
 
@@ -261,6 +230,8 @@ def run_blocks(kernel, args: tuple, samples: int, workers: int = 1):
     Each kernel returns a fixed-size reduction of its block, added in block
     order: the sum does not depend on the worker count, nor memory on samples.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     blocks = [(*args, idx, min(_BLOCK, samples - start))
               for idx, start in enumerate(range(0, samples, _BLOCK))]
     workers = min(workers, len(blocks))
@@ -289,19 +260,6 @@ def tube_cap_counts(variety: Variety, cap: Cap, eps_grid, samples: int,
     """Per-threshold counts of samples with distance <= eps, reproducible for any worker count."""
     reduce = functools.partial(_count_within, tuple(eps_grid))
     return run_blocks(_cap_block, (variety, cap, reduce, seed), samples, workers)
-
-
-def estimate_tube_cap_ratio(variety: Variety, cap: Cap, eps: float,
-                            samples: int, rng: RngStream,
-                            workers: int = 1) -> McEstimate:
-    """Fraction of uniform cap samples within projective distance eps of the variety."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    hits = int(tube_cap_counts(variety, cap, [eps], samples,
-                               rng.master_seed, workers)[0])
-    lo, hi = clopper_pearson(hits, samples)
-    return McEstimate(estimate=hits / samples, ci_low=lo, ci_high=hi,
-                      samples=samples, seed=rng.master_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +314,10 @@ def verify_weyl_tube_bound(p: int, alpha: float, beta: float):
 
 def kinematic_rhs_analytic(p: int, i: int, alpha: float) -> float:
     """Closed form of the slice-averaged curvature integral times the constant."""
+    if p < 2 or not 0 <= i < p - 1:
+        raise ValueError("need p >= 2 and 0 <= i < p - 1")
+    if not 0.0 < alpha <= np.pi / 2:
+        raise ValueError("alpha must lie in (0, pi/2]")
     return (kinematic_constant(p, i)
             * sphere_volume(i) * sphere_volume(i + 1) * sphere_volume(p - i - 2)
             / sphere_volume(p)
@@ -364,9 +326,7 @@ def kinematic_rhs_analytic(p: int, i: int, alpha: float) -> float:
 
 def _kinematic_block(args):
     p, i, alpha, seed, index, count = args
-    rng = RngStream(seed, index + 1)
-    z = rng.generator.standard_normal((count, p + 1))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = sample_uniform_sphere(p, RngStream(seed, index + 1), size=count)
     # distance to S^{i+1} = {x_{i+2} = ... = x_p = 0}
     sin_rho = np.linalg.norm(z[:, i + 2:], axis=1)
     cos_rho = np.sqrt(np.clip(1.0 - sin_rho**2, 0.0, 1.0))
@@ -378,27 +338,22 @@ def _kinematic_block(args):
 
 
 def verify_kinematic(p: int, i: int, alpha: float, samples: int,
-                     rng: RngStream, workers: int = 1):
+                     seed: int, workers: int = 1):
     """Check the kinematic identity for geodesic spheres.
 
     Returns (lhs, analytic_rhs, mc_rhs) where lhs is the exact curvature
     integral, analytic_rhs its closed-form slice average (must agree to
     1e-10 relative), and mc_rhs a Monte Carlo estimate of the average.
     """
-    if p < 2 or not 0 <= i < p - 1:
-        raise ValueError("need p >= 2 and 0 <= i < p - 1")
-    if not 0.0 < alpha <= np.pi / 2:
-        raise ValueError("alpha must lie in (0, pi/2]")
+    analytic = kinematic_rhs_analytic(p, i, alpha)  # checks (p, i, alpha) first
     lhs = geodesic_sphere_mu(p, alpha, i)
-    analytic = kinematic_rhs_analytic(p, i, alpha)
-    total = float(run_blocks(_kinematic_block, (p, i, alpha, rng.master_seed),
-                             samples, workers))
+    total = float(run_blocks(_kinematic_block, (p, i, alpha, seed), samples, workers))
     scale = kinematic_constant(p, i) * sphere_volume(i)
     mean = total / samples
     # integrand scaled to [0, 1]; generalized Clopper-Pearson on the mean
     lo, hi = clopper_pearson(total, samples)
     est = McEstimate(estimate=scale * mean, ci_low=scale * lo, ci_high=scale * hi,
-                     samples=samples, seed=rng.master_seed)
+                     samples=samples, seed=seed)
     return lhs, analytic, est
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spherecond
-from spherecond import cli
+from spherecond import RngStream, cli, linear_tail_bound
 from spherecond.cli import main
 
 
@@ -62,6 +62,25 @@ class TestBoundsCommand:
         code, _, err = run(capsys, "bounds", "tail", "--p", "3", "--d", "1",
                            "--sigma", "1")
         assert code == 2
+
+    def test_problem_tail_needs_t(self, capsys):
+        code, out, err = run(capsys, "bounds", "tail", "--problem", "matrix-inversion", "--n", "2")
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    def test_problem_tube_uses_problem_dims(self, capsys):
+        # matrix inversion at n = 2: (p, d) = (3, 2)
+        _, by_problem, _ = run(capsys, "bounds", "tube", "--problem", "matrix-inversion",
+                               "--n", "2", "--eps", "0.1")
+        _, by_dims, _ = run(capsys, "bounds", "tube", "--p", "3", "--d", "2", "--eps", "0.1")
+        assert by_problem.strip() == by_dims.strip() == "8.52319"
+
+    def test_problem_linear_uses_problem_dims(self, capsys):
+        code, out, _ = run(capsys, "bounds", "linear", "--problem", "matrix-inversion",
+                           "--n", "2", "--eps", "0.001", "--json")
+        assert code == 0
+        assert json.loads(out)["value"] == linear_tail_bound(3, 2, 1.0, 0.001)
 
 
 class TestEstimateCommand:
@@ -246,6 +265,11 @@ class TestEstimateCommand:
                 "--center", "random", "--out", str(out))
         assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
+    def test_random_center_is_stream_zero(self):
+        # sample blocks use streams index + 1, so stream 0 is the center's alone
+        g = RngStream(6).generator.standard_normal(4)
+        assert np.array_equal(cli._resolve_center("random", 3, 6).coords, g / np.linalg.norm(g))
+
     def test_unknown_variety(self, tmp_path, capsys):
         code, _, err = run(capsys, "estimate", "tube", "--variety", "torus:3",
                            "--samples", "100", "--out", str(tmp_path / "x"))
@@ -293,6 +317,25 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(cli, "verify_kinematic", no_sampling)
         code, out, err = run(capsys, "verify", "kinematic", "--workers", workers)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["kinematic", "--samples", "0"],
+        ["kinematic", "--samples", "-3"],
+        ["kinematic", "--p", "2", "--i", "5"],
+        ["kinematic", "--p", "3", "--alpha", "2.0"],
+        ["wilkinson", "--trials", "-1"],
+        ["eckart-young", "--seed", "-1"],
+    ])
+    def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, argv):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("input is checked before the suite runs")
+
+        monkeypatch.setattr(cli, "verify_kinematic", no_suite)
+        monkeypatch.setattr(cli, "eigenvalue_condition", no_suite)
+        code, out, err = run(capsys, "verify", *argv)
         assert code == 2
         assert err.startswith("error:")
         assert out == ""

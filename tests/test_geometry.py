@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from spherecond import (
     Cap,
     SpherePoint,
+    SubsphereVariety,
     ball_volume,
-    distance_to_subsphere,
     j_integral,
     j_integral_quad,
     kinematic_constant,
@@ -230,20 +230,24 @@ class TestDistances:
 
 
 class TestSubsphereDistance:
+    @staticmethod
+    def distance(x, m):
+        return SubsphereVariety(x.p, m).distances(x.coords[None])[0]
+
     def test_on_subsphere(self):
-        assert distance_to_subsphere(unit([0.6, 0.8, 0.0, 0.0]), 1) == 0.0
+        assert self.distance(unit([0.6, 0.8, 0.0, 0.0]), 1) == 0.0
 
     def test_pole(self):
-        assert distance_to_subsphere(unit([0, 0, 0, 1]), 1) == pytest.approx(1.0)
+        assert self.distance(unit([0, 0, 0, 1]), 1) == pytest.approx(1.0)
 
     def test_angle(self):
         theta = 0.44
         x = unit([math.cos(theta), 0.0, math.sin(theta)])
-        assert distance_to_subsphere(x, 1) == pytest.approx(math.sin(theta), rel=1e-12)
+        assert self.distance(x, 1) == pytest.approx(math.sin(theta), rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            distance_to_subsphere(unit([1, 0, 0]), 2)
+            SubsphereVariety(2, 2)
 
 
 class TestTypes:

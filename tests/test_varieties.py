@@ -12,12 +12,9 @@ from spherecond import (
     RngStream,
     SpherePoint,
     SubsphereVariety,
-    UnionVariety,
     WeylPolynomial,
     band_volume,
     clopper_pearson,
-    distance_to_variety,
-    estimate_tube_cap_ratio,
     geodesic_sphere_mu,
     sample_uniform_sphere,
     sphere_volume,
@@ -93,11 +90,11 @@ class TestSubsphereVariety:
     def test_distance_matches_coords(self):
         v = SubsphereVariety(4, 2)
         x = SpherePoint.from_vector(np.array([1.0, 1.0, 1.0, 1.0, 1.0]))
-        assert v.distance(x) == pytest.approx(math.sqrt(2.0 / 5.0), rel=1e-12)
+        assert v.distances(x.coords[None])[0] == pytest.approx(math.sqrt(2.0 / 5.0), rel=1e-12)
 
     def test_on_variety(self):
         v = SubsphereVariety(3, 1)
-        assert v.distance(north(3)) == 0.0
+        assert v.distances(north(3).coords[None])[0] == 0.0
 
     def test_degree(self):
         assert SubsphereVariety(5, 2).degree == 1
@@ -107,12 +104,12 @@ class TestDeterminantVariety:
     def test_scaled_identity(self):
         v = DeterminantVariety(2)
         x = SpherePoint.from_vector(np.eye(2).ravel())
-        assert v.distance(x) == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert v.distances(x.coords[None])[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
     def test_singular_matrix(self):
         v = DeterminantVariety(2)
         x = SpherePoint.from_vector(np.array([1.0, 0.0, 0.0, 0.0]))
-        assert v.distance(x) == pytest.approx(0.0, abs=1e-12)
+        assert v.distances(x.coords[None])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_degree_and_dim(self):
         v = DeterminantVariety(3)
@@ -133,10 +130,6 @@ class TestDeterminantVariety:
     def test_shape_rejected(self, shape):
         with pytest.raises(ValueError):
             DeterminantVariety(*shape)
-
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            distance_to_variety(north(2), DeterminantVariety(2))
 
 
 class TestCurveVariety:
@@ -236,40 +229,21 @@ class TestCurveVariety:
             CurveVariety([((1, 0, 0), 1.0)], degree=2)
 
 
-class TestUnionVariety:
-    def test_distance_is_min(self):
-        u = UnionVariety([SubsphereVariety(3, 1), SubsphereVariety(3, 2)])
-        pts = sample_uniform_sphere(3, RngStream(2), size=500)
-        d = u.distances(pts)
-        d1 = SubsphereVariety(3, 1).distances(pts)
-        d2 = SubsphereVariety(3, 2).distances(pts)
-        assert np.allclose(d, np.minimum(d1, d2))
-
-    def test_degree_rule(self):
-        u = UnionVariety([DeterminantVariety(2), SubsphereVariety(3, 1)])
-        assert u.degree == 2 * 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            UnionVariety([])
-
-
 class TestTubeEstimates:
     def test_subsphere_matches_closed_form(self):
         p, eps = 3, 0.4
         cap = Cap(north(p), 1.0)
         # the hemisphere is symmetric about {x_p = 0}, so the cap ratio
         # equals the full-sphere tube/sphere ratio
-        est = estimate_tube_cap_ratio(SubsphereVariety(p, p - 1), cap, eps,
-                                      samples=60_000, rng=RngStream(3))
+        hits = tube_cap_counts(SubsphereVariety(p, p - 1), cap, [eps], 60_000, seed=3)[0]
+        lo, hi = clopper_pearson(int(hits), 60_000)
         exact = subsphere_tube_cap_ratio_exact(p, eps)
-        assert est.ci_low <= exact <= est.ci_high
+        assert lo <= exact <= hi
 
     def test_eps_one_hits_everything(self):
         cap = Cap(north(2), 0.7)
-        est = estimate_tube_cap_ratio(SubsphereVariety(2, 1), cap, 1.0,
-                                      samples=2000, rng=RngStream(4))
-        assert est.estimate == 1.0
+        hits = tube_cap_counts(SubsphereVariety(2, 1), cap, [1.0], 2000, seed=4)[0]
+        assert hits / 2000 == 1.0
 
     def test_worker_invariance(self):
         cap = Cap(north(3), 0.5)
@@ -322,8 +296,7 @@ class TestGeodesicSphereIdentities:
                     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_kinematic_monte_carlo(self):
-        lhs, analytic, est = verify_kinematic(3, 1, 0.8, samples=200_000,
-                                              rng=RngStream(7))
+        lhs, analytic, est = verify_kinematic(3, 1, 0.8, samples=200_000, seed=7)
         assert analytic == pytest.approx(lhs, rel=1e-10)
         half = max(est.ci_high - est.estimate, est.estimate - est.ci_low)
         assert abs(est.estimate - lhs) <= 3 * half
@@ -399,3 +372,11 @@ class TestRunBlocks:
         total = run_blocks(_block_id, (), samples, workers)
         assert _SerialPool.sizes == ([] if size is None else [size])
         assert np.array_equal(total, run_blocks(_block_id, (), samples, 1))
+
+    def test_no_samples_is_an_error(self):
+        with pytest.raises(ValueError):
+            run_blocks(_block_id, (), 0)
+        with pytest.raises(ValueError):
+            tube_cap_counts(DeterminantVariety(2), Cap(north(3), 1.0), [0.1], 0, seed=1)
+        with pytest.raises(ValueError):
+            verify_kinematic(3, 1, 0.8, samples=0, seed=7)
