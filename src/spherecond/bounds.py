@@ -170,21 +170,9 @@ class ProblemDescriptor:
         return dim - 1, 2 * nvars * bezout**2
 
 
-def application_bound(problem: ProblemDescriptor, sigma: float,
-                      value: float | None = None, mode: str = "expectation") -> float:
-    """Bound for a named problem.
-
-    mode="tail" uses the generic tail bound at t=value with the problem's
-    (p, d); mode="expectation" uses the per-problem closed forms with
-    their sharper additive constants.
-    """
-    if mode == "tail":
-        if value is None:
-            raise ValueError("tail mode requires the threshold t")
-        p, d = problem.ambient_dim_and_degree()
-        return tail_bound(BoundParams(p=p, d=d, sigma=sigma, t=value))
-    if mode != "expectation":
-        raise ValueError("mode must be 'tail' or 'expectation'")
+def application_bound(problem: ProblemDescriptor, sigma: float) -> float:
+    """Bound on E ln C for a named problem: the per-problem closed forms with
+    their sharper additive constants."""
     ls = 2.0 * math.log(1.0 / sigma)
     if problem.kind == "matrix-inversion":
         return 6.0 * math.log(problem.n) + ls + 5.5

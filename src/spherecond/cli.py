@@ -100,6 +100,8 @@ def cmd_bounds(args) -> int:
             problem = _problem_from_flags(args)
             p, d = problem.ambient_dim_and_degree()
             params = {"problem": args.problem, "sigma": args.sigma}
+        elif args.p is None or args.d is None:
+            raise ValueError("bounds needs --problem, or both --p and --d")
         else:
             problem, p, d = None, args.p, args.d
             params = {"p": p, "d": d, "sigma": args.sigma}
@@ -232,7 +234,7 @@ def cmd_estimate(args) -> int:
             header = ["t", "empirical", *columns]
         else:
             problem, variety = _estimate_problem(args)
-            bound = application_bound(problem, args.sigma, mode="expectation")
+            bound = application_bound(problem, args.sigma)
             header = ["empirical_mean_ln", *columns]
         cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
         if args.which == "logmean":

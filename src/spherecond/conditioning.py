@@ -126,7 +126,7 @@ class WeylPolynomial:
 
     def __call__(self, x: np.ndarray):
         """f at one point (a float) or at each row of an (N, n+1) array; terms are summed
-        in coefficient order as ((c x0^a0) x1^a1) ..., which the curve mesh relies on."""
+        in coefficient order as ((c x0^a0) x1^a1) ...."""
         cols, total = self._coordinates(x)
         for alpha, c in self.coefficients.items():
             term = c

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import betainc, betaincinv
 
 # j_integral stays bound here: benchmark/tracing.py patches sampling.j_integral.
-from .geometry import Cap, SpherePoint, j_integral  # noqa: F401
+from .geometry import Cap, j_integral  # noqa: F401
 
 
 class RngStream:
@@ -30,18 +30,12 @@ class RngStream:
         self.generator = np.random.Generator(np.random.Philox(seq))
 
 
-def sample_uniform_sphere(p: int, rng: RngStream, size: int | None = None):
-    """Uniform point(s) on S^p: normalized standard Gaussian vectors.
-
-    Returns a SpherePoint, or an array of shape (size, p+1) if size is given.
-    """
+def sample_uniform_sphere(p: int, rng: RngStream, size: int) -> np.ndarray:
+    """`size` uniform points on S^p, shape (size, p+1): normalized standard Gaussian vectors."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    n = 1 if size is None else size
-    g = rng.generator.standard_normal((n, p + 1))
+    g = rng.generator.standard_normal((size, p + 1))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    if size is None:
-        return SpherePoint(g[0])
     return g
 
 
@@ -85,21 +79,21 @@ def _small_cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> 
     return out
 
 
-def sample_uniform_cap(cap: Cap, rng: RngStream, size: int | None = None):
-    """Uniform point(s) on the cap around cap.center of projective radius sigma.
+def sample_uniform_cap(cap: Cap, rng: RngStream, size: int) -> np.ndarray:
+    """`size` uniform points, shape (size, p+1), on the cap around cap.center of
+    projective radius sigma.
 
     Radius from the density proportional to sin^{p-1} on [0, arcsin sigma]
     (`_cap_radii`), direction uniform on the tangent sphere, combined via
     the spherical exponential map.
     """
     p = cap.center.p
-    n = 1 if size is None else size
     gen = rng.generator
-    rho = _cap_radii(p, cap.alpha, gen, n)
+    rho = _cap_radii(p, cap.alpha, gen, size)
     a = cap.center.coords
     # tangent directions: Gaussian vectors with the component along a removed
-    u = np.empty((n, p + 1))
-    todo = np.arange(n)
+    u = np.empty((size, p + 1))
+    todo = np.arange(size)
     while todo.size:
         g = gen.standard_normal((todo.size, p + 1))
         g -= np.outer(g @ a, a)
@@ -109,8 +103,6 @@ def sample_uniform_cap(cap: Cap, rng: RngStream, size: int | None = None):
         todo = todo[~ok]
     z = np.cos(rho)[:, None] * a + np.sin(rho)[:, None] * u
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    if size is None:
-        return SpherePoint(z[0])
     return z
 
 

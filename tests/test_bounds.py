@@ -186,11 +186,6 @@ class TestApplicationBounds:
         ec = application_bound(ProblemDescriptor("eigen-complex", n=2), 1.0)
         assert ec == pytest.approx(er + 2 * math.log(2), rel=1e-12)
 
-    def test_tail_mode_uses_generic(self):
-        prob = ProblemDescriptor("matrix-inversion", n=2)
-        v = application_bound(prob, 1.0, value=10.0, mode="tail")
-        assert v == pytest.approx(tail_bound(BoundParams(p=3, d=2, sigma=1.0, t=10.0)))
-
     def test_corollary_vs_generic_relation(self):
         # the matrix-inversion corollary coarsens p = n^2 - 1 up to n^2, so it
         # exceeds the generic bound by exactly 2 ln(n^2 / (n^2 - 1))
@@ -201,7 +196,3 @@ class TestApplicationBounds:
             special = application_bound(prob, 0.5)
             gap = 2 * math.log(n * n / (n * n - 1))
             assert special - generic == pytest.approx(gap, abs=1e-12)
-
-    def test_tail_mode_requires_t(self):
-        with pytest.raises(ValueError):
-            application_bound(ProblemDescriptor("matrix-inversion", n=2), 1.0, mode="tail")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spherecond
-from spherecond import RngStream, cli, linear_tail_bound
+from spherecond import BoundParams, RngStream, cli, linear_tail_bound, tail_bound
 from spherecond.cli import main
 
 
@@ -67,6 +67,20 @@ class TestBoundsCommand:
         code, out, err = run(capsys, "bounds", "tail", "--problem", "matrix-inversion", "--n", "2")
         assert code == 2
         assert err.startswith("error:")
+        assert out == ""
+
+    def test_problem_tail_uses_generic(self, capsys):
+        # a named problem's tail bound is the generic one at its (p, d) = (3, 2)
+        code, out, _ = run(capsys, "bounds", "tail", "--problem", "matrix-inversion",
+                           "--n", "2", "--sigma", "1", "--t", "10")
+        assert code == 0
+        assert out.strip() == cli._fmt6(tail_bound(BoundParams(p=3, d=2, sigma=1.0, t=10.0)))
+
+    @pytest.mark.parametrize("dims", [(), ("--p", "3")], ids=["none", "p-only"])
+    def test_missing_dims_named(self, capsys, dims):
+        code, out, err = run(capsys, "bounds", "tail", *dims, "--t", "10")
+        assert code == 2
+        assert all(flag in err for flag in ("--problem", "--p", "--d"))
         assert out == ""
 
     def test_problem_tube_uses_problem_dims(self, capsys):

@@ -67,11 +67,6 @@ class TestRngStream:
 
 
 class TestUniformSphere:
-    def test_single_point_unit_norm(self):
-        x = sample_uniform_sphere(4, RngStream(0))
-        assert isinstance(x, SpherePoint)
-        assert np.linalg.norm(x.coords) == pytest.approx(1.0, abs=1e-12)
-
     def test_batch_shape_and_norms(self):
         pts = sample_uniform_sphere(3, RngStream(0), size=500)
         assert pts.shape == (500, 4)
@@ -97,10 +92,6 @@ class TestCapSampling:
         cos_alpha = math.sqrt(1 - sigma**2)
         assert np.all(pts[:, 0] >= cos_alpha - 1e-12)
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-
-    def test_single_point(self):
-        x = sample_uniform_cap(Cap(north(2), 0.5), RngStream(0))
-        assert isinstance(x, SpherePoint)
 
     def test_radial_law(self):
         # fraction of samples within angular radius rho is J(rho)/J(alpha)

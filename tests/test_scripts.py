@@ -1,0 +1,36 @@
+"""Smoke tests of the experiment scripts in scripts/, each run as a subprocess at a small size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name,argv,csvs", [
+    ("run_tail_dominance.py", ["--sizes", "2", "--sigmas", "1.0"],
+     [f"n2_sigma1.0_{center}" for center in ("north", "random")]),
+    ("run_tube_sweep.py", [],
+     [f"{label}_sigma{s}" for label in ("det2", "subsphere", "curve") for s in (0.25, 1.0)]),
+], ids=["tail", "tube"])
+def test_sweep_writes_csvs(tmp_path, name, argv, csvs):
+    done = run_script(name, "--outdir", str(tmp_path), "--samples", "2000", *argv, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    for stem in csvs:
+        assert (tmp_path / f"{stem}.csv").is_file()
+        assert (tmp_path / f"{stem}.manifest.json").is_file()
+
+
+def test_verification_passes(tmp_path):
+    done = run_script("run_verification.py", "--samples", "2000", "--trials", "5", cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("overall: pass") == 6

@@ -45,6 +45,33 @@ CONIC = ([((2, 0, 0), 1.0), ((0, 2, 0), -1.0)], 2)
 QUARTIC = ([((4, 0, 0), 1.0), ((2, 0, 2), -1.0), ((2, 2, 0), -1.0), ((0, 2, 2), 1.0)], 4)
 
 
+class GreatCircles(Variety):
+    """Union of the great circles {n . x = 0} on S^2; exact distance min |n . x| / |n|."""
+
+    def __init__(self, normals):
+        self.normals = np.array(normals, dtype=float)
+        self.normals /= np.linalg.norm(self.normals, axis=1, keepdims=True)
+        self.p, self.degree, self.distance_kind = 2, len(self.normals), "exact"
+
+    def distances(self, points):
+        return np.min(np.abs(points @ self.normals.T), axis=1)
+
+
+def _conic(c):
+    """x^2 - c y^2 = 0: the great circles x = +-sqrt(c) y, both through the poles +-e_z."""
+    r = math.sqrt(c)
+    return ([((2, 0, 0), 1.0), ((0, 2, 0), -c)], 2), [(1.0, -r, 0.0), (1.0, r, 0.0)]
+
+
+# name -> (curve, normals of the great circles whose union it is)
+GREAT_CIRCLE_UNIONS = {
+    "conic-1": _conic(1.0),
+    "conic-1.01": _conic(1.01),
+    "conic-3": _conic(3.0),
+    "quartic": (QUARTIC, [(1.0, -1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 0.0, -1.0), (1.0, 0.0, 1.0)]),
+}
+
+
 def band_volume_mpmath(p, alpha, beta):
     """O_{p-1} int_{alpha-beta}^{alpha+beta} sin^{p-1}, via incomplete beta at 50 digits."""
     with mpmath.workdps(50):
@@ -171,13 +198,15 @@ class TestCurveVariety:
         exact = np.minimum(np.abs(pts[:, 0] - pts[:, 1]), np.abs(pts[:, 0] + pts[:, 1])) / math.sqrt(2)
         assert np.all(curve.distances(pts) >= exact - 1e-12)
 
-    @pytest.mark.parametrize("curve,size", [(CONIC, 760), (QUARTIC, 1258)])
-    def test_mesh_on_curve(self, curve, size):
+    @pytest.mark.parametrize("curve", [CONIC, QUARTIC], ids=["conic", "quartic"])
+    def test_mesh_on_curve(self, curve):
         c = CurveVariety(*curve)
         mesh = c._mesh
-        assert mesh.shape == (size, 3)
         assert np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0)) < 1e-15
         assert np.max(np.abs(c.poly(mesh))) < 1e-9
+        # no point repeats, up to sign
+        both = np.round(np.vstack([mesh, -mesh]), 9)
+        assert np.unique(both, axis=0).shape[0] == 2 * mesh.shape[0]
 
     def test_quartic_mesh_on_its_great_circles(self):
         m = CurveVariety(*QUARTIC)._mesh
@@ -185,14 +214,30 @@ class TestCurveVariety:
         d = np.min(np.abs([x - y, x + y, x - z, x + z]), axis=0) / math.sqrt(2)
         assert np.max(d) < 1e-12
 
+    @pytest.mark.parametrize("curve,normals", list(GREAT_CIRCLE_UNIONS.values()),
+                             ids=list(GREAT_CIRCLE_UNIONS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_exact_great_circle_distance(self, curve, normals, seed):
+        # an upper bound on the exact distance, within 0.02 also next to crossings;
+        # meridian components (x^2 - c y^2) are found whether or not c = 1
+        pts = sample_uniform_sphere(2, RngStream(seed), size=20_000)
+        over = CurveVariety(*curve).distances(pts) - GreatCircles(normals).distances(pts)
+        assert np.min(over) >= -1e-12
+        assert np.max(over) <= 0.02
+
     def test_quartic_tube_hits_pinned(self):
-        # pinned: reworking the mesh build must leave the mesh, and so these counts, unchanged
-        counts = tube_cap_counts(CurveVariety(*QUARTIC), Cap(north(2), 1.0),
-                                 [0.02, 0.05, 0.1], samples=20_000, seed=11)
-        assert counts.tolist() == [1593, 3845, 7135]
+        cap, eps = Cap(north(2), 1.0), [0.02, 0.05, 0.1]
+        counts = tube_cap_counts(CurveVariety(*QUARTIC), cap, eps, samples=20_000, seed=11)
+        exact = tube_cap_counts(GreatCircles(GREAT_CIRCLE_UNIONS["quartic"][1]), cap, eps,
+                                samples=20_000, seed=11)
+        # the oracle over-estimates distances, so it can only miss hits: at least
+        # the counts of the meridian-scan mesh, at most the exact counts
+        assert np.all(counts >= [1593, 3845, 7135])
+        assert np.all(counts <= exact)
+        assert counts.tolist() == [1596, 3845, 7135]
 
     def test_mesh_build_is_batched(self, monkeypatch):
-        # one evaluation per scan, bisection step and Newton step, not per bracket
+        # one evaluation for the lattice, one per Newton step and one for the check
         curve = CurveVariety(*QUARTIC)
         calls = 0
         evaluate = WeylPolynomial.__call__
@@ -205,7 +250,7 @@ class TestCurveVariety:
         monkeypatch.setattr(WeylPolynomial, "__call__", counting)
         mesh = curve._build_mesh()
         assert np.array_equal(mesh, curve._mesh)
-        assert calls <= 64
+        assert calls <= 18
 
     def test_repeated_exponents_add_up(self):
         split = CurveVariety([((2, 0, 0), 0.25), ((0, 2, 0), -1.0), ((2, 0, 0), 0.75)], degree=2)
