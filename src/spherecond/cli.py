@@ -172,10 +172,24 @@ def _estimate_problem(args) -> tuple[ProblemDescriptor, DeterminantVariety]:
     return problem, DeterminantVariety(problem.l, problem.m)
 
 
-def _log_moments(d: np.ndarray) -> np.ndarray:
-    """(sum lk, sum lk^2) of lk = ln C = -ln sigma_min over one block."""
+def _log_moments(d: np.ndarray) -> tuple[int, float, float]:
+    """(n, mean, M2) of lk = ln C = -ln sigma_min over one block; M2 = sum (lk - mean)^2."""
     lk = -np.log(np.maximum(d, 1e-300))
-    return np.array([np.sum(lk), np.sum(lk * lk)])
+    mean = float(np.mean(lk))
+    return lk.size, mean, float(np.sum((lk - mean) ** 2))
+
+
+def _merge_moments(parts: list) -> tuple[int, float, float]:
+    """Fold per-block (n, mean, M2) in order (Chan, Golub and LeVeque 1979): no sum of
+    squares cancels against the squared mean, so tiny spreads keep their digits."""
+    n, mean, m2 = parts[0]
+    for nb, mean_b, m2_b in parts[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    return n, mean, m2
 
 
 def _resolve_variety(spec: str):
@@ -238,11 +252,9 @@ def cmd_estimate(args) -> int:
             header = ["empirical_mean_ln", *columns]
         cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
         if args.which == "logmean":
-            total, total_sq = run_blocks(_cap_block, (variety, cap, _log_moments, args.seed),
-                                         args.samples, args.workers)
-            mean = float(total) / args.samples
-            var = (float(total_sq) - mean * float(total)) / (args.samples - 1)
-            half = 2.5758293035489004 * math.sqrt(max(var, 0.0)) / math.sqrt(args.samples)
+            n, mean, m2 = _merge_moments(run_blocks(
+                _cap_block, (variety, cap, _log_moments, args.seed), args.samples, args.workers))
+            half = 2.5758293035489004 * math.sqrt(m2 / (n - 1)) / math.sqrt(n)
             rows = [[mean, mean - half, mean + half, bound, mean - half <= bound]]
         else:
             hits = tube_cap_counts(variety, cap, eps_grid, args.samples, args.seed, args.workers)

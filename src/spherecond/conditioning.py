@@ -115,30 +115,43 @@ class WeylPolynomial:
                 clean[alpha] = float(c)
         object.__setattr__(self, "coefficients", clean)
 
-    def _coordinates(self, x):
-        """Python floats for one point (n+1,), column views for rows (N, n+1)."""
+    def _powers(self, x):
+        """Power table [1, xi, xi*xi, ...] up to `degree` for each coordinate, and a zero.
+
+        Python floats for one point (n+1,), contiguous columns for rows (N, n+1).
+        Powers are built by repeated multiplication only, so one point and a row
+        of a batch go through the same correctly rounded operations.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape == (self.n + 1,):
-            return x.tolist(), 0.0
-        if x.ndim == 2 and x.shape[1] == self.n + 1:
-            return [x[:, i] for i in range(self.n + 1)], np.zeros(x.shape[0])
-        raise ValueError(f"expected shape ({self.n + 1},) or (N, {self.n + 1}), got {x.shape}")
+            cols, zero = x.tolist(), 0.0
+        elif x.ndim == 2 and x.shape[1] == self.n + 1:
+            cols, zero = list(np.ascontiguousarray(x.T)), np.zeros(x.shape[0])
+        else:
+            raise ValueError(f"expected shape ({self.n + 1},) or (N, {self.n + 1}), got {x.shape}")
+        table = []
+        for xi in cols:
+            row = [1.0, xi]
+            for _ in range(self.degree - 1):
+                row.append(row[-1] * xi)
+            table.append(row)
+        return table, zero
 
     def __call__(self, x: np.ndarray):
         """f at one point (a float) or at each row of an (N, n+1) array; terms are summed
         in coefficient order as ((c x0^a0) x1^a1) ...."""
-        cols, total = self._coordinates(x)
+        table, total = self._powers(x)
         for alpha, c in self.coefficients.items():
             term = c
-            for xi, e in zip(cols, alpha):
+            for row, e in zip(table, alpha):
                 if e:
-                    term = term * xi ** e
+                    term = term * row[e]
             total = total + term
         return total
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient at one point, shape (n+1,), or at each row, shape (N, n+1)."""
-        cols, zero = self._coordinates(x)
+        table, zero = self._powers(x)
         g = [zero] * (self.n + 1)
         for alpha, c in self.coefficients.items():
             for i, e in enumerate(alpha):
@@ -148,7 +161,7 @@ class WeylPolynomial:
                 for j, ej in enumerate(alpha):
                     pw = ej - 1 if j == i else ej
                     if pw:
-                        term = term * cols[j] ** pw
+                        term = term * table[j][pw]
                 g[i] = g[i] + term
         return np.array(g) if isinstance(zero, float) else np.stack(g, axis=1)
 

@@ -4,7 +4,9 @@ Varieties are symmetric subsets of S^p with an attached projective
 distance evaluator: great subspheres (exact), rank-deficient matrices via
 the smallest singular value (exact), and plane curves on S^2 via a mesh of
 Newton-projected hemisphere lattice points with Newton refinement (upper
-bound on the true distance).
+bound on the true distance). The curve oracle finds each query's nearest
+mesh point in cache-sized row blocks against one reused buffer, and
+evaluates the polynomial from a multiply-only power table.
 """
 
 from __future__ import annotations
@@ -119,6 +121,11 @@ class DeterminantVariety(Variety):
 # over the exact ones, at 8192 caps around a crossing lost tube hits.
 _MESH_SIZE = 16384
 _NEWTON_STEPS = 2
+# rows per pass of the Newton refinement, which bounds its temporaries for any N,
+# and rows per block of the nearest-point search, whose (rows, mesh) |dot| buffer
+# stays in cache (1.3 MB for the quartic's 1281 mesh points)
+_CHUNK_ROWS = 4096
+_NEAREST_ROWS = 128
 
 
 class CurveVariety(Variety):
@@ -129,6 +136,12 @@ class CurveVariety(Variety):
     it. Distance: the mesh point nearest up to sign, then two rounds of
     tangential sliding and Newton reprojection. The reported distance is an
     upper bound of the true distance.
+
+    The nearest point is the largest |dot| with the mesh, taken _NEAREST_ROWS
+    query rows at a time in one (_NEAREST_ROWS, mesh) buffer; the refinement
+    runs on chunks of _CHUNK_ROWS rows. Rows never interact, so any split of
+    the queries gives the same bits. `WeylPolynomial` evaluates f and its
+    gradient from a power table built by multiplication only.
     """
 
     def __init__(self, monomials, degree: int):
@@ -143,6 +156,7 @@ class CurveVariety(Variety):
         self._mesh = self._build_mesh()
         if self._mesh.size == 0:
             raise ValueError("curve has no real points on S^2 at mesh resolution")
+        self._mesh_t = np.ascontiguousarray(self._mesh.T)
 
     @classmethod
     def from_json(cls, doc) -> "CurveVariety":
@@ -186,10 +200,18 @@ class CurveVariety(Variety):
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], 4096):
-            chunk = points[start:start + 4096]
-            dots = np.abs(chunk @ self._mesh.T)
-            best = self._mesh[np.argmax(dots, axis=1)].copy()
+        buf = np.empty((_NEAREST_ROWS, self._mesh_t.shape[1]))
+        for start in range(0, points.shape[0], _CHUNK_ROWS):
+            chunk = points[start:start + _CHUNK_ROWS]
+            # nearest mesh point up to sign (largest |dot|), one cache-sized block at a time
+            idx = np.empty(chunk.shape[0], dtype=np.intp)
+            for s in range(0, chunk.shape[0], _NEAREST_ROWS):
+                rows = chunk[s:s + _NEAREST_ROWS]
+                dots = buf[:rows.shape[0]]
+                np.matmul(rows, self._mesh_t, out=dots)
+                np.abs(dots, out=dots)
+                np.argmax(dots, axis=1, out=idx[s:s + rows.shape[0]])
+            best = self._mesh[idx]
             # align hemispheres so the refinement target is the nearer antipode
             flip = np.sum(best * chunk, axis=1) < 0
             best[flip] *= -1.0
@@ -204,7 +226,7 @@ class CurveVariety(Variety):
                 best /= np.linalg.norm(best, axis=1, keepdims=True)
                 best = self._project(best, steps=3)
             # |best x z| = sin of the angle, accurate also next to the curve
-            out[start:start + 4096] = np.linalg.norm(np.cross(best, chunk), axis=1)
+            out[start:start + _CHUNK_ROWS] = np.linalg.norm(np.cross(best, chunk), axis=1)
         return out
 
 
@@ -214,11 +236,12 @@ class CurveVariety(Variety):
 _BLOCK = 8192  # fixed block size keeps results independent of worker count
 
 
-def run_blocks(kernel, args: tuple, samples: int, workers: int = 1):
-    """Sum of kernel((*args, index, count)) over the blocks of at most _BLOCK samples.
+def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
+    """kernel((*args, index, count)) for the blocks of at most _BLOCK samples, in block order.
 
-    Each kernel returns a fixed-size reduction of its block, added in block
-    order: the sum does not depend on the worker count, nor memory on samples.
+    Each kernel returns a fixed-size reduction of its block, and callers fold
+    the list in block order: the result does not depend on the worker count,
+    nor memory on samples.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -230,7 +253,7 @@ def run_blocks(kernel, args: tuple, samples: int, workers: int = 1):
             parts = list(pool.map(kernel, blocks))
     else:
         parts = [kernel(b) for b in blocks]
-    return np.sum(parts, axis=0)
+    return parts
 
 
 def _cap_block(args):
@@ -249,7 +272,7 @@ def tube_cap_counts(variety: Variety, cap: Cap, eps_grid, samples: int,
                     seed: int, workers: int = 1) -> np.ndarray:
     """Per-threshold counts of samples with distance <= eps, reproducible for any worker count."""
     reduce = functools.partial(_count_within, tuple(eps_grid))
-    return run_blocks(_cap_block, (variety, cap, reduce, seed), samples, workers)
+    return np.sum(run_blocks(_cap_block, (variety, cap, reduce, seed), samples, workers), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +360,8 @@ def verify_kinematic(p: int, i: int, alpha: float, samples: int,
     """
     analytic = kinematic_rhs_analytic(p, i, alpha)  # checks (p, i, alpha) first
     lhs = geodesic_sphere_mu(p, alpha, i)
-    total = float(run_blocks(_kinematic_block, (p, i, alpha, seed), samples, workers))
+    total = float(np.sum(run_blocks(_kinematic_block, (p, i, alpha, seed), samples, workers),
+                         axis=0))
     scale = kinematic_constant(p, i) * sphere_volume(i)
     mean = total / samples
     # integrand scaled to [0, 1]; generalized Clopper-Pearson on the mean

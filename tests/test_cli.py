@@ -9,8 +9,18 @@ import numpy as np
 import pytest
 
 import spherecond
-from spherecond import BoundParams, RngStream, cli, linear_tail_bound, tail_bound
+from spherecond import (
+    BoundParams,
+    Cap,
+    DeterminantVariety,
+    RngStream,
+    SpherePoint,
+    cli,
+    linear_tail_bound,
+    tail_bound,
+)
 from spherecond.cli import main
+from spherecond.varieties import _cap_block, run_blocks
 
 
 def run(capsys, *argv):
@@ -151,6 +161,27 @@ class TestEstimateCommand:
         # E ln(1/sigma_min) for 2x2 on S^3 is moderate; bound is 9.65888
         assert float(cols[3]) == pytest.approx(6 * math.log(2) + 5.5, rel=1e-10)
         assert cols[4] == "true"
+
+    def test_logmean_half_width_on_a_tiny_cap(self, tmp_path, capsys):
+        # at sigma = 1e-9 the spread of ln C is ~1e-9 of its mean: a variance from
+        # sum lk^2 - mean sum lk loses 3% of the half-width to cancellation
+        center = tmp_path / "center.json"
+        center.write_text("[1, 0, 0, 1e-3]")
+        out = tmp_path / "lm"
+        code, _, _ = run(capsys, "estimate", "logmean", "--problem", "matrix-inversion",
+                         "--n", "2", "--sigma", "1e-9", "--center", str(center),
+                         "--samples", "20000", "--seed", "2", "--out", str(out))
+        assert code == 0
+        _, lo, hi = (float(v) for v in (tmp_path / "lm.csv").read_text().splitlines()[1]
+                     .split(",")[:3])
+        cap = Cap(center=SpherePoint.from_vector(np.array([1.0, 0.0, 0.0, 1e-3])), sigma=1e-9)
+        d = np.concatenate(run_blocks(_cap_block, (DeterminantVariety(2), cap, np.copy, 2),
+                                      20000))
+        lk = -np.log(d)
+        mean = math.fsum(lk) / lk.size
+        sd = math.sqrt(math.fsum((lk - mean) ** 2) / (lk.size - 1))
+        assert (hi - lo) / 2 == pytest.approx(2.5758293035489004 * sd / math.sqrt(lk.size),
+                                              rel=1e-6)
 
     def test_tube_subsphere(self, tmp_path, capsys):
         out = tmp_path / "tube"

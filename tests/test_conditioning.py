@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def random_poly(n, d, gen):
 
 class TestWeylPolynomial:
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_rows_equal_per_row(self, n, d):
         gen = np.random.default_rng(10 * n + d)
         f = random_poly(n, d, gen)
@@ -192,15 +193,37 @@ class TestWeylPolynomial:
         for i in range(40):
             assert vals[i] == f(x[i:i + 1])[0]
             assert np.array_equal(grads[i], f.gradient(x[i:i + 1])[0])
-        # one point is evaluated on Python floats; libm's pow and numpy's
-        # vectorised pow (AVX-512 builds) may differ in the last bit, so the
-        # bound is a few ulps of each term, summed by the |coefficient| polynomial
-        g = WeylPolynomial(n=n, degree=d,
-                           coefficients={a: abs(c) for a, c in f.coefficients.items()})
+        # one point (Python floats) and a batch row take the same multiplications
         for i in range(40):
-            assert abs(f(x[i]) - vals[i]) <= 1e-13 * g(np.abs(x[i]))
-            assert np.all(np.abs(f.gradient(x[i]) - grads[i]) <= 1e-13 * g.gradient(np.abs(x[i])))
+            assert f(x[i]) == vals[i]
+            assert np.array_equal(f.gradient(x[i]), grads[i])
         assert isinstance(f(x[0]), float) and f.gradient(x[0]).shape == (n + 1,)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_matches_exact_rational_evaluation(self, n, d):
+        # each term takes d multiplications and the sum one addition per term, so the
+        # error is at most (d + terms) unit roundoffs of sum |c x^alpha| (Higham, gamma_m)
+        gen = np.random.default_rng(50 * n + d)
+        f = random_poly(n, d, gen)
+        x = gen.standard_normal((20, n + 1))
+        absf = WeylPolynomial(n=n, degree=d,
+                              coefficients={a: abs(c) for a, c in f.coefficients.items()})
+        gamma = 1.01 * (d + len(f.coefficients)) * 2.0 ** -53
+        vals, grads = f(x), f.gradient(x)
+        for row, val, grad in zip(x, vals, grads):
+            q = [Fraction(v) for v in row]
+
+            def exact(alpha, c):
+                return c * math.prod(qi ** e for qi, e in zip(q, alpha))
+
+            assert abs(Fraction(val) - sum(exact(a, Fraction(c))
+                                           for a, c in f.coefficients.items())) \
+                <= gamma * absf(np.abs(row))
+            for i in range(n + 1):
+                g_i = sum(exact(a[:i] + (a[i] - 1,) + a[i + 1:], Fraction(c) * a[i])
+                          for a, c in f.coefficients.items() if a[i])
+                assert abs(Fraction(grad[i]) - g_i) <= gamma * absf.gradient(np.abs(row))[i]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gradient_matches_central_differences(self, n):

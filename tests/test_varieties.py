@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -172,16 +173,17 @@ class TestCurveVariety:
         assert np.max(d) < 1e-8
 
     def test_distance_is_upper_bound_conic(self):
-        # x0^2 - x1^2 = 0 is the pair of great circles x0 = +-x1;
-        # exact distance is computable from the two planes
-        curve = CurveVariety([((2, 0, 0), 1.0), ((0, 2, 0), -1.0)], degree=2)
-        pts = sample_uniform_sphere(2, RngStream(1), size=2000)
-        n1 = np.array([1.0, -1.0, 0.0]) / math.sqrt(2)
-        n2 = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)
-        exact = np.minimum(np.abs(pts @ n1), np.abs(pts @ n2))
+        # x0^2 - x1^2 = 0 is the pair of great circles x0 = +-x1, crossing at (0, 0, +-1).
+        # Everywhere the oracle is an upper bound; next to the curve and away from the
+        # crossings (where the mesh may pick the farther branch) it is exact to round-off
+        curve = CurveVariety(*CONIC)
+        pts = sample_uniform_sphere(2, RngStream(1), size=200_000)
+        exact = GreatCircles(GREAT_CIRCLE_UNIONS["conic-1"][1]).distances(pts)
         d = curve.distances(pts)
         assert np.all(d >= exact - 1e-9)
-        assert np.max(d - exact) < 5e-6
+        near = (exact < 0.05) & (np.abs(pts[:, 2]) <= math.cos(0.1))
+        assert np.count_nonzero(near) > 5000
+        assert np.max(d[near] - exact[near]) <= 1e-12
 
     def test_no_round_off_below_exact_next_to_curve(self):
         # the oracle must not under-report distances of points hugging the curve,
@@ -224,6 +226,30 @@ class TestCurveVariety:
         over = CurveVariety(*curve).distances(pts) - GreatCircles(normals).distances(pts)
         assert np.min(over) >= -1e-12
         assert np.max(over) <= 0.02
+
+    @pytest.mark.parametrize("curve", [CONIC, QUARTIC], ids=["conic", "quartic"])
+    def test_rows_do_not_interact_across_blocks(self, curve):
+        # splits that cut the nearest-point blocks (_NEAREST_ROWS) and the Newton
+        # chunks (_CHUNK_ROWS) anywhere give the same bits as one call
+        c = CurveVariety(*curve)
+        pts = sample_uniform_sphere(2, RngStream(4), size=20_011)
+        whole = c.distances(pts)
+        for rows in (1, 127, 128, 129, 4097):
+            parts = [c.distances(pts[s:s + rows]) for s in range(0, 20_011, rows)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_distances_memory_is_bounded(self):
+        # memory must not scale with rows x mesh points: the nearest-point search
+        # reuses one (_NEAREST_ROWS, mesh) buffer, 1.3 MB for the quartic's mesh
+        c = CurveVariety(*QUARTIC)
+        pts = sample_uniform_sphere(2, RngStream(5), size=32768)
+        tracemalloc.start()
+        try:
+            c.distances(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_quartic_tube_hits_pinned(self):
         cap, eps = Cap(north(2), 1.0), [0.02, 0.05, 0.1]
@@ -404,9 +430,9 @@ class _SerialPool:
 
 
 class TestRunBlocks:
-    def test_sums_kernel_results_in_block_order(self):
-        total = run_blocks(_block_id, (), 2 * _BLOCK + 5)
-        assert total.tolist() == [0 + 1 + 2, 2 * _BLOCK + 5]
+    def test_returns_kernel_results_in_block_order(self):
+        parts = run_blocks(_block_id, (), 2 * _BLOCK + 5)
+        assert [part.tolist() for part in parts] == [[0, _BLOCK], [1, _BLOCK], [2, 5]]
 
     @pytest.mark.parametrize("workers,samples,size", [
         (64, 3 * _BLOCK, 3), (2, 3 * _BLOCK, 2), (64, _BLOCK, None), (2, 1, None),
