@@ -17,7 +17,6 @@ from .geometry import (
 )
 from .sampling import RngStream, sample_rotation, sample_uniform_cap, sample_uniform_sphere
 from .bounds import (
-    BoundParams,
     ProblemDescriptor,
     application_bound,
     curvature_integral_bound,

@@ -17,27 +17,13 @@ from scipy.special import logsumexp
 from .geometry import _log_O, _log_binom
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """The four scalars every bound consumes: (p, d, sigma, t or eps)."""
-
-    p: int
-    d: int
-    sigma: float
-    t: float | None = None
-    eps: float | None = None
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if not 0.0 < self.sigma <= 1.0:
-            raise ValueError("sigma must lie in (0, 1]")
-        if self.t is not None and self.t < 1.0:
-            raise ValueError("t must be >= 1 (the bound is vacuous below)")
-        if self.eps is not None and not 0.0 < self.eps <= 1.0:
-            raise ValueError("eps must lie in (0, 1]")
+def _check_range(p: int, d: int, sigma: float) -> None:
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if not 0.0 < sigma <= 1.0:
+        raise ValueError("sigma must lie in (0, 1]")
 
 
 def _tail_core(p: int, d: int, ratio: float) -> float:
@@ -62,25 +48,28 @@ def _tail_core(p: int, d: int, ratio: float) -> float:
     return float(np.exp(logsumexp(terms)))
 
 
-def tail_bound(params: BoundParams) -> float:
+def tail_bound(p: int, d: int, sigma: float, t: float) -> float:
     """Upper bound on Prob{C(z) >= t} for z uniform on a cap of radius sigma."""
-    if params.t is None:
-        raise ValueError("tail_bound requires t")
-    return _tail_core(params.p, params.d, 1.0 / (params.t * params.sigma))
+    _check_range(p, d, sigma)
+    if t < 1.0:
+        raise ValueError("t must be >= 1 (the bound is vacuous below)")
+    return _tail_core(p, d, 1.0 / (t * sigma))
 
 
-def tube_ratio_bound(params: BoundParams) -> float:
+def tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
     """Upper bound on vol(T(W,eps) cap B(a,sigma)) / vol B(a,sigma)."""
-    if params.eps is None:
-        raise ValueError("tube_ratio_bound requires eps")
-    return _tail_core(params.p, params.d, params.eps / params.sigma)
+    _check_range(p, d, sigma)
+    if not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
+    return _tail_core(p, d, eps / sigma)
 
 
-def expectation_bound(params: BoundParams) -> float:
+def expectation_bound(p: int, d: int, sigma: float) -> float:
     """Upper bound on E ln C over the cap: 2 ln p + 2 ln d + 2 ln(1/sigma) + 5.5."""
-    if params.p < 2:
+    _check_range(p, d, sigma)
+    if p < 2:
         raise ValueError("the expectation bound needs p >= 2")
-    return 2.0 * math.log(params.p) + 2.0 * math.log(params.d) + 2.0 * math.log(1.0 / params.sigma) + 5.5
+    return 2.0 * math.log(p) + 2.0 * math.log(d) + 2.0 * math.log(1.0 / sigma) + 5.5
 
 
 def smooth_tube_bound(p: int, d: int, sigma: float, eps: float) -> float:
@@ -127,12 +116,14 @@ def linear_tail_bound(p: int, d: int, sigma: float, eps: float) -> float | None:
     return (8.0 * math.e + 4.0) * d * p * eps / sigma
 
 
+PROBLEM_KINDS = ("matrix-inversion", "moore-penrose", "eigen-real", "eigen-complex", "polysys")
+
+
 @dataclass(frozen=True)
 class ProblemDescriptor:
-    """A named problem whose ill-posed set has known dimension and degree.
-
-    kinds: matrix-inversion(n), moore-penrose(l, m), eigen-real(n),
-    eigen-complex(n), polysys(degrees).
+    """A named problem, one of PROBLEM_KINDS, whose ill-posed set has known
+    dimension and degree: moore-penrose takes (l, m), polysys its degrees, the
+    other kinds n.
     """
 
     kind: str
@@ -142,17 +133,17 @@ class ProblemDescriptor:
     degrees: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in {"matrix-inversion", "moore-penrose", "eigen-real",
-                             "eigen-complex", "polysys"}:
+        # the fields are the CLI's flags, so each message names the flag to fix
+        if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if self.kind == "moore-penrose":
             if self.l is None or self.m is None or not self.l >= self.m >= 1:
-                raise ValueError("moore-penrose needs l >= m >= 1")
+                raise ValueError("moore-penrose needs --l >= --m >= 1")
         elif self.kind == "polysys":
             if not self.degrees or any(d < 1 for d in self.degrees):
-                raise ValueError("polysys needs positive degrees")
+                raise ValueError("polysys needs --degrees, each >= 1")
         elif self.n is None or self.n < 2:
-            raise ValueError(f"{self.kind} needs n >= 2")
+            raise ValueError(f"{self.kind} needs --n >= 2")
 
     def ambient_dim_and_degree(self) -> tuple[int, int]:
         """(p, d) of the sphere and defining-polynomial degree for tail bounds."""
@@ -171,8 +162,8 @@ class ProblemDescriptor:
 
 
 def application_bound(problem: ProblemDescriptor, sigma: float) -> float:
-    """Bound on E ln C for a named problem: the per-problem closed forms with
-    their sharper additive constants."""
+    """Bound on E ln C for a named problem: the paper's corollary, which coarsens
+    expectation_bound at the problem's (p, d) and so lies above it."""
     ls = 2.0 * math.log(1.0 / sigma)
     if problem.kind == "matrix-inversion":
         return 6.0 * math.log(problem.n) + ls + 5.5

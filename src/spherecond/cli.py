@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import (
-    BoundParams,
+    PROBLEM_KINDS,
     ProblemDescriptor,
     application_bound,
     expectation_bound,
@@ -51,6 +51,8 @@ from .varieties import (
     DeterminantVariety,
     SubsphereVariety,
     _cap_block,
+    _merge_moments,
+    _moments,
     clopper_pearson,
     geodesic_sphere_mu,
     kinematic_rhs_analytic,
@@ -83,21 +85,15 @@ def _fmt17(x) -> str:
 # bounds
 
 
-def _problem_from_flags(args) -> ProblemDescriptor:
-    kind = args.problem
-    if kind == "moore-penrose":
-        return ProblemDescriptor(kind=kind, l=args.l, m=args.m)
-    if kind == "polysys":
-        degrees = tuple(int(d) for d in args.degrees.split(","))
-        return ProblemDescriptor(kind=kind, degrees=degrees)
-    return ProblemDescriptor(kind=kind, n=args.n)
+def _degrees(spec: str) -> tuple[int, ...]:
+    return tuple(int(d) for d in spec.split(","))
 
 
 def cmd_bounds(args) -> int:
     try:
         # (p, d) from --problem, or from --p/--d; `which` picks the bound either way
         if args.problem is not None:
-            problem = _problem_from_flags(args)
+            problem = ProblemDescriptor(args.problem, args.n, args.l, args.m, args.degrees)
             p, d = problem.ambient_dim_and_degree()
             params = {"problem": args.problem, "sigma": args.sigma}
         elif args.p is None or args.d is None:
@@ -105,31 +101,25 @@ def cmd_bounds(args) -> int:
         else:
             problem, p, d = None, args.p, args.d
             params = {"p": p, "d": d, "sigma": args.sigma}
-        if args.which == "tail":
-            value = tail_bound(BoundParams(p=p, d=d, sigma=args.sigma, t=args.t))
-            params["t"] = args.t
-        elif args.which == "expectation":  # named problems keep their sharper constants
+        if args.which == "expectation":  # a named problem gets the paper's corollary
             value = (application_bound(problem, args.sigma) if problem is not None
-                     else expectation_bound(BoundParams(p=p, d=d, sigma=args.sigma)))
-        elif args.which == "tube":
-            value = tube_ratio_bound(BoundParams(p=p, d=d, sigma=args.sigma, eps=args.eps))
-            params["eps"] = args.eps
+                     else expectation_bound(p, d, args.sigma))
         else:
-            value = linear_tail_bound(p, d, args.sigma, args.eps)
-            params["eps"] = args.eps
-            if value is None:
-                if args.json:
-                    print(json.dumps({"params": params, "value": None}))
-                else:
-                    print("not applicable")
-                return EXIT_OK
-    except (ValueError, TypeError) as exc:
+            flag = "t" if args.which == "tail" else "eps"
+            x = getattr(args, flag)
+            if x is None:
+                raise ValueError(f"bounds {args.which} needs --{flag}")
+            bound = {"tail": tail_bound, "tube": tube_ratio_bound,
+                     "linear": linear_tail_bound}[args.which]
+            value = bound(p, d, args.sigma, x)  # linear: None where it does not apply
+            params[flag] = x
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
         print(json.dumps({"params": params, "value": value}))
     else:
-        print(_fmt6(value))
+        print("not applicable" if value is None else _fmt6(value))
     return EXIT_OK
 
 
@@ -155,6 +145,8 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
         return SpherePoint.from_vector(RngStream(seed).generator.standard_normal(p + 1))
     with open(spec) as fh:
         v = np.asarray(json.load(fh), dtype=float)
+    if v.shape != (p + 1,):
+        raise ValueError(f"--center must list {p + 1} coordinates for S^{p}, got shape {v.shape}")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > 1e-6:
         print(f"warning: center norm {norm:.6g} deviates from 1; normalizing",
@@ -162,37 +154,21 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
     return SpherePoint.from_vector(v)
 
 
-def _estimate_problem(args) -> tuple[ProblemDescriptor, DeterminantVariety]:
-    """The sampled problem and its ill-posed set: unit matrices have C = 1/sigma_min = 1/dist."""
-    if args.problem not in ("matrix-inversion", "moore-penrose"):
-        raise ValueError("estimate supports --problem matrix-inversion or moore-penrose")
-    problem = _problem_from_flags(args)
-    if problem.kind == "matrix-inversion":
-        return problem, DeterminantVariety(problem.n)
-    return problem, DeterminantVariety(problem.l, problem.m)
-
-
 def _log_moments(d: np.ndarray) -> tuple[int, float, float]:
-    """(n, mean, M2) of lk = ln C = -ln sigma_min over one block; M2 = sum (lk - mean)^2."""
-    lk = -np.log(np.maximum(d, 1e-300))
-    mean = float(np.mean(lk))
-    return lk.size, mean, float(np.sum((lk - mean) ** 2))
+    """(n, mean, M2) of lk = ln C = -ln sigma_min over one block."""
+    return _moments(-np.log(np.maximum(d, 1e-300)))
 
 
-def _merge_moments(parts: list) -> tuple[int, float, float]:
-    """Fold per-block (n, mean, M2) in order (Chan, Golub and LeVeque 1979): no sum of
-    squares cancels against the squared mean, so tiny spreads keep their digits."""
-    n, mean, m2 = parts[0]
-    for nb, mean_b, m2_b in parts[1:]:
-        total = n + nb
-        delta = mean_b - mean
-        mean += delta * nb / total
-        m2 += m2_b + delta * delta * n * nb / total
-        n = total
-    return n, mean, m2
+# estimate --problem: each kind's ill-posed set; a unit matrix has C = 1/sigma_min = 1/dist
+PROBLEM_VARIETIES = {
+    "matrix-inversion": lambda problem: DeterminantVariety(problem.n),
+    "moore-penrose": lambda problem: DeterminantVariety(problem.l, problem.m),
+}
 
 
-def _resolve_variety(spec: str):
+def _resolve_variety(spec: str | None):
+    if spec is None:
+        raise ValueError("estimate tube needs --variety")
     kind, _, rest = spec.partition(":")
     if kind == "subsphere":
         p, m = (int(v) for v in rest.split(","))
@@ -236,20 +212,22 @@ def cmd_estimate(args) -> int:
         if args.which == "tube":
             variety = _resolve_variety(args.variety)
             grid = eps_grid = _parse_grid(args.eps_grid)
-            bounds = [tube_ratio_bound(BoundParams(p=variety.p, d=variety.degree,
-                                                   sigma=args.sigma, eps=eps)) for eps in grid]
+            bounds = [tube_ratio_bound(variety.p, variety.degree, args.sigma, eps)
+                      for eps in grid]
             header = ["eps", "empirical_ratio", *columns]
-        elif args.which == "tail":
-            problem, variety = _estimate_problem(args)
-            grid = _parse_grid(args.t_grid)
-            eps_grid = [1.0 / t for t in grid]  # P{C >= t} is the tube ratio at eps = 1/t
-            bounds = [tail_bound(BoundParams(p=variety.p, d=variety.degree,
-                                             sigma=args.sigma, t=t)) for t in grid]
-            header = ["t", "empirical", *columns]
+        elif args.problem is None:
+            raise ValueError(f"estimate {args.which} needs --problem")
         else:
-            problem, variety = _estimate_problem(args)
-            bound = application_bound(problem, args.sigma)
-            header = ["empirical_mean_ln", *columns]
+            problem = ProblemDescriptor(args.problem, args.n, args.l, args.m)
+            variety = PROBLEM_VARIETIES[args.problem](problem)
+            if args.which == "tail":
+                grid = _parse_grid(args.t_grid)
+                eps_grid = [1.0 / t for t in grid]  # P{C >= t} is the tube ratio at eps = 1/t
+                bounds = [tail_bound(variety.p, variety.degree, args.sigma, t) for t in grid]
+                header = ["t", "empirical", *columns]
+            else:
+                bound = application_bound(problem, args.sigma)
+                header = ["empirical_mean_ln", *columns]
         cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
         if args.which == "logmean":
             n, mean, m2 = _merge_moments(run_blocks(
@@ -455,18 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--sigma", type=float, default=1.0)
     pb.add_argument("--t", type=float)
     pb.add_argument("--eps", type=float)
-    pb.add_argument("--problem", choices=["matrix-inversion", "moore-penrose",
-                                          "eigen-real", "eigen-complex", "polysys"])
+    pb.add_argument("--problem", choices=PROBLEM_KINDS)
     pb.add_argument("--n", type=int)
     pb.add_argument("--l", type=int)
     pb.add_argument("--m", type=int)
-    pb.add_argument("--degrees", type=str)
+    pb.add_argument("--degrees", type=_degrees)
     pb.add_argument("--json", action="store_true")
     pb.set_defaults(func=cmd_bounds)
 
     pe = sub.add_parser("estimate", help="Monte Carlo experiments -> CSV")
     pe.add_argument("which", choices=["tail", "logmean", "tube"])
-    pe.add_argument("--problem", choices=["matrix-inversion", "moore-penrose"])
+    pe.add_argument("--problem", choices=list(PROBLEM_VARIETIES))
     pe.add_argument("--variety", type=str,
                     help="subsphere:p,m | determinant:n | curve:file.json")
     pe.add_argument("--n", type=int)

@@ -51,8 +51,8 @@ class McEstimate:
             raise ValueError("confidence interval must contain the estimate")
 
 
-def clopper_pearson(successes: float, trials: int, level: float = 0.99):
-    """Clopper-Pearson interval; fractional successes extend it to bounded means."""
+def clopper_pearson(successes: int, trials: int, level: float = 0.99):
+    """Clopper-Pearson interval for a binomial proportion; integer counts only."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     a = 1.0 - level
@@ -65,6 +65,18 @@ def clopper_pearson(successes: float, trials: int, level: float = 0.99):
     else:
         hi = float(betaincinv(successes + 1, trials - successes, 1 - a / 2))
     return lo, hi
+
+
+def empirical_bernstein(n: int, mean: float, m2: float, level: float = 0.99):
+    """Two-sided interval for the mean of n i.i.d. samples in [0, 1], given their
+    (n, mean, M2): the empirical-Bernstein bound (Maurer and Pontil 2009, Theorem 4)
+    at (1 - level) / 2 on each side, clipped to [0, 1]."""
+    if n < 2:
+        return 0.0, 1.0
+    log_term = math.log(4.0 / (1.0 - level))
+    half = (math.sqrt(2.0 * (m2 / (n - 1)) * log_term / n)
+            + 7.0 * log_term / (3.0 * (n - 1)))
+    return max(0.0, mean - half), min(1.0, mean + half)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +268,25 @@ def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
     return parts
 
 
+def _moments(x: np.ndarray) -> tuple[int, float, float]:
+    """(n, mean, M2) of one block; M2 = sum (x - mean)^2."""
+    mean = float(np.mean(x))
+    return x.size, mean, float(np.sum((x - mean) ** 2))
+
+
+def _merge_moments(parts: list) -> tuple[int, float, float]:
+    """Fold per-block (n, mean, M2) in order (Chan, Golub and LeVeque 1979): no sum of
+    squares cancels against the squared mean, so tiny spreads keep their digits."""
+    n, mean, m2 = parts[0]
+    for nb, mean_b, m2_b in parts[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    return n, mean, m2
+
+
 def _cap_block(args):
     """reduce(variety distances) of `count` uniform cap samples from stream index + 1;
     `reduce` travels to workers by pickle (a module-level function or partial)."""
@@ -346,8 +377,7 @@ def _kinematic_block(args):
     inside = cos_rho > np.cos(alpha)
     cos_delta = np.zeros(count)
     cos_delta[inside] = np.cos(alpha) / cos_rho[inside]
-    vals = np.where(inside, cos_delta**i, 0.0)
-    return vals.sum()
+    return _moments(np.where(inside, cos_delta**i, 0.0))
 
 
 def verify_kinematic(p: int, i: int, alpha: float, samples: int,
@@ -360,12 +390,10 @@ def verify_kinematic(p: int, i: int, alpha: float, samples: int,
     """
     analytic = kinematic_rhs_analytic(p, i, alpha)  # checks (p, i, alpha) first
     lhs = geodesic_sphere_mu(p, alpha, i)
-    total = float(np.sum(run_blocks(_kinematic_block, (p, i, alpha, seed), samples, workers),
-                         axis=0))
+    n, mean, m2 = _merge_moments(run_blocks(_kinematic_block, (p, i, alpha, seed),
+                                            samples, workers))
     scale = kinematic_constant(p, i) * sphere_volume(i)
-    mean = total / samples
-    # integrand scaled to [0, 1]; generalized Clopper-Pearson on the mean
-    lo, hi = clopper_pearson(total, samples)
+    lo, hi = empirical_bernstein(n, mean, m2)  # the integrand lies in [0, 1]
     est = McEstimate(estimate=scale * mean, ci_low=scale * lo, ci_high=scale * hi,
                      samples=samples, seed=seed)
     return lhs, analytic, est

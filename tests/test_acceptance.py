@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from spherecond import (
-    BoundParams,
     Cap,
     CurveVariety,
     DeterminantVariety,
@@ -156,7 +155,7 @@ def test_06_tail_bound_dominance():
                 for t in t_grid:
                     hits = int((smins <= 1.0 / t).sum())
                     lo, _ = clopper_pearson(hits, 100_000)
-                    bound = tail_bound(BoundParams(p=p, d=n, sigma=sigma, t=float(t)))
+                    bound = tail_bound(p, n, sigma, float(t))
                     assert lo <= bound, (n, sigma, t)
     elapsed = time.time() - t0
     assert elapsed < 180.0
@@ -198,8 +197,7 @@ def test_08_tube_ratio_dominance():
             counts = tube_cap_counts(variety, cap, eps_grid, 100_000, seed=47)
             for eps, hits in zip(eps_grid, counts):
                 lo, _ = clopper_pearson(int(hits), 100_000)
-                bound = tube_ratio_bound(BoundParams(p=variety.p, d=variety.degree,
-                                                     sigma=sigma, eps=eps))
+                bound = tube_ratio_bound(variety.p, variety.degree, sigma, eps)
                 assert lo <= bound, (type(variety).__name__, sigma, eps)
     report("tube-ratio dominance", "determinant + 3 random quadric curves")
 

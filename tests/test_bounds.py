@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherecond import (
-    BoundParams,
     ProblemDescriptor,
     application_bound,
     curvature_integral_bound,
@@ -16,6 +15,7 @@ from spherecond import (
     tail_bound,
     tube_ratio_bound,
 )
+from spherecond.bounds import PROBLEM_KINDS
 from spherecond.geometry import sphere_volume
 
 
@@ -32,7 +32,7 @@ def brute_tail(p, d, sigma, t):
 
 class TestTailBound:
     def test_reference_value(self):
-        assert tail_bound(BoundParams(p=3, d=1, sigma=1.0, t=10.0)) == pytest.approx(
+        assert tail_bound(3, 1, 1.0, 10.0) == pytest.approx(
             3.50740, abs=5e-6
         )
 
@@ -44,7 +44,7 @@ class TestTailBound:
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_direct_summation(self, p, d, sigma, t):
-        got = tail_bound(BoundParams(p=p, d=d, sigma=sigma, t=t))
+        got = tail_bound(p, d, sigma, t)
         ref = brute_tail(p, d, sigma, t)
         assert got == pytest.approx(ref, rel=1e-10)
 
@@ -52,55 +52,74 @@ class TestTailBound:
     @settings(max_examples=50, deadline=None)
     def test_decreasing_in_t(self, p, d, sigma):
         ts = [1.0, 3.0, 10.0, 100.0, 1e4]
-        vals = [tail_bound(BoundParams(p=p, d=d, sigma=sigma, t=t)) for t in ts]
+        vals = [tail_bound(p, d, sigma, t) for t in ts]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_large_parameters_finite(self):
-        v = tail_bound(BoundParams(p=10_000, d=500, sigma=1e-3, t=1e8))
+        v = tail_bound(10_000, 500, 1e-3, 1e8)
         assert np.isfinite(v) and v > 0
 
     def test_requires_t(self):
-        with pytest.raises(ValueError):
-            tail_bound(BoundParams(p=3, d=1, sigma=1.0))
+        with pytest.raises(TypeError, match="'t'"):
+            tail_bound(3, 1, 1.0)
 
     def test_rejects_t_below_one(self):
-        with pytest.raises(ValueError):
-            BoundParams(p=3, d=1, sigma=1.0, t=0.5)
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            tail_bound(3, 1, 1.0, 0.5)
 
 
 class TestTubeRatioBound:
     def test_substitution_identity(self):
         # tube bound at eps equals tail bound at t = 1/eps
         for p, d, sigma, eps in [(3, 2, 0.5, 0.1), (5, 1, 1.0, 0.01), (8, 4, 0.25, 0.2)]:
-            tube = tube_ratio_bound(BoundParams(p=p, d=d, sigma=sigma, eps=eps))
-            tail = tail_bound(BoundParams(p=p, d=d, sigma=sigma, t=1.0 / eps))
+            tube = tube_ratio_bound(p, d, sigma, eps)
+            tail = tail_bound(p, d, sigma, 1.0 / eps)
             assert tube == pytest.approx(tail, rel=1e-12)
 
     @given(p=st.integers(2, 10), d=st.integers(1, 5), sigma=st.floats(0.1, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_increasing_in_eps(self, p, d, sigma):
         epss = [0.01, 0.05, 0.2, 0.6, 1.0]
-        vals = [tube_ratio_bound(BoundParams(p=p, d=d, sigma=sigma, eps=e)) for e in epss]
+        vals = [tube_ratio_bound(p, d, sigma, e) for e in epss]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_requires_eps(self):
-        with pytest.raises(ValueError):
-            tube_ratio_bound(BoundParams(p=3, d=1, sigma=1.0))
+        with pytest.raises(TypeError, match="'eps'"):
+            tube_ratio_bound(3, 1, 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, 1.5])
+    def test_rejects_eps_outside_unit_interval(self, eps):
+        with pytest.raises(ValueError, match="eps must lie in"):
+            tube_ratio_bound(3, 1, 1.0, eps)
+
+
+@pytest.mark.parametrize("bound", [
+    lambda p, d, sigma: tail_bound(p, d, sigma, 10.0),
+    lambda p, d, sigma: tube_ratio_bound(p, d, sigma, 0.1),
+    expectation_bound,
+], ids=["tail", "tube", "expectation"])
+@pytest.mark.parametrize("p,d,sigma,message", [
+    (0, 1, 1.0, "p must be >= 1"),
+    (3, 0, 1.0, "d must be >= 1"),
+    (3, 1, 0.0, "sigma must lie in"),
+    (3, 1, 1.5, "sigma must lie in"),
+])
+def test_shared_range_check(bound, p, d, sigma, message):
+    with pytest.raises(ValueError, match=message):
+        bound(p, d, sigma)
 
 
 class TestExpectationBound:
     def test_reference_value(self):
-        assert expectation_bound(BoundParams(p=3, d=2, sigma=0.5)) == pytest.approx(
-            10.4698, abs=5e-5
-        )
+        assert expectation_bound(3, 2, 0.5) == pytest.approx(10.4698, abs=5e-5)
 
     def test_closed_form(self):
-        v = expectation_bound(BoundParams(p=7, d=3, sigma=0.2))
+        v = expectation_bound(7, 3, 0.2)
         assert v == pytest.approx(2 * math.log(7) + 2 * math.log(3) + 2 * math.log(5) + 5.5)
 
     def test_p_one_rejected(self):
-        with pytest.raises(ValueError):
-            expectation_bound(BoundParams(p=1, d=1, sigma=1.0))
+        with pytest.raises(ValueError, match="needs p >= 2"):
+            expectation_bound(1, 1, 1.0)
 
 
 class TestSmoothTube:
@@ -146,7 +165,7 @@ class TestLinearTail:
         eps = frac * sigma / ((1 + 2 * d) * (p - 1))
         lin = linear_tail_bound(p, d, sigma, eps)
         assert lin is not None
-        full = tube_ratio_bound(BoundParams(p=p, d=d, sigma=sigma, eps=eps))
+        full = tube_ratio_bound(p, d, sigma, eps)
         assert full <= lin * (1 + 1e-9)
 
 
@@ -192,7 +211,21 @@ class TestApplicationBounds:
         for n in range(2, 101, 7):
             prob = ProblemDescriptor("matrix-inversion", n=n)
             p, d = prob.ambient_dim_and_degree()
-            generic = expectation_bound(BoundParams(p=p, d=d, sigma=0.5))
+            generic = expectation_bound(p, d, 0.5)
             special = application_bound(prob, 0.5)
             gap = 2 * math.log(n * n / (n * n - 1))
             assert special - generic == pytest.approx(gap, abs=1e-12)
+        # every corollary coarsens the generic bound at its own (p, d); the smallest
+        # margins here are 5.7e-4 (matrix-inversion, n = 59) and 2.4e-3 (moore-penrose)
+        problems = [ProblemDescriptor(kind, n=n) for n in range(2, 60)
+                    for kind in ("matrix-inversion", "eigen-real", "eigen-complex")]
+        problems += [ProblemDescriptor("moore-penrose", l=l, m=m)
+                     for l in range(2, 30) for m in range(1, l + 1) if l * m >= 3]
+        problems += [ProblemDescriptor("polysys", degrees=degrees)
+                     for degrees in [(2,), (3,), (5,), (1, 1), (2, 2), (2, 3), (1, 2, 3),
+                                     (3, 3, 3)]]
+        assert {prob.kind for prob in problems} == set(PROBLEM_KINDS)
+        for prob in problems:
+            p, d = prob.ambient_dim_and_degree()
+            for sigma in (1.0, 0.5, 1e-3):
+                assert application_bound(prob, sigma) >= expectation_bound(p, d, sigma), prob

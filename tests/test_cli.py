@@ -10,9 +10,9 @@ import pytest
 
 import spherecond
 from spherecond import (
-    BoundParams,
     Cap,
     DeterminantVariety,
+    ProblemDescriptor,
     RngStream,
     SpherePoint,
     cli,
@@ -21,6 +21,30 @@ from spherecond import (
 )
 from spherecond.cli import main
 from spherecond.varieties import _cap_block, run_blocks
+
+
+CONIC = {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
+                                           {"alpha": [0, 2, 0], "coeff": -1.0}]}
+
+
+# estimate inputs whose error must name a flag; {tmp} holds _write_flag_inputs' files
+NAMED_FLAG_CASES = [
+    # a center whose length is not p + 1
+    (["tail", "--problem", "matrix-inversion", "--n", "2", "--center", "{tmp}/c3.json"],
+     "--center"),
+    (["tube", "--variety", "subsphere:3,1", "--center", "{tmp}/c3.json"], "--center"),
+    (["tube", "--variety", "curve:{tmp}/conic.json", "--center", "{tmp}/c4.json"], "--center"),
+    (["tube"], "--variety"),
+    (["logmean", "--n", "2"], "--problem"),
+    (["tail", "--problem", "moore-penrose", "--l", "3"], "--m"),
+]
+
+
+def _write_flag_inputs(tmp_path):
+    """Centers with 3 and 4 coordinates, and a conic on S^2."""
+    (tmp_path / "c3.json").write_text("[1, 0, 0]")
+    (tmp_path / "c4.json").write_text("[1, 0, 0, 0]")
+    (tmp_path / "conic.json").write_text(json.dumps(CONIC))
 
 
 def run(capsys, *argv):
@@ -69,22 +93,52 @@ class TestBoundsCommand:
         assert "error" in err
 
     def test_missing_t(self, capsys):
-        code, _, err = run(capsys, "bounds", "tail", "--p", "3", "--d", "1",
-                           "--sigma", "1")
+        code, out, err = run(capsys, "bounds", "tail", "--p", "3", "--d", "1",
+                             "--sigma", "1")
         assert code == 2
+        assert "--t" in err
+        assert out == ""
 
     def test_problem_tail_needs_t(self, capsys):
         code, out, err = run(capsys, "bounds", "tail", "--problem", "matrix-inversion", "--n", "2")
         assert code == 2
         assert err.startswith("error:")
+        assert "--t" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["linear", "--p", "3", "--d", "1"], "--eps"),
+        (["tube", "--p", "3", "--d", "1"], "--eps"),
+        (["tail", "--problem", "polysys", "--t", "10"], "--degrees"),
+        (["tail", "--problem", "polysys", "--degrees", "2,0", "--t", "10"], "--degrees"),
+        (["expectation", "--problem", "moore-penrose", "--l", "3"], "--m"),
+        (["expectation", "--problem", "eigen-real"], "--n"),
+    ])
+    def test_missing_flag_is_named(self, capsys, argv, flag):
+        code, out, err = run(capsys, "bounds", *argv)
+        assert code == 2
+        assert err.startswith("error:") and flag in err
+        assert out == ""
+
+    def test_malformed_degrees_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "tail", "--problem", "polysys", "--degrees", "2,x", "--t", "10"])
+        assert exc.value.code == 2
+        assert "--degrees" in capsys.readouterr().err
+
+    def test_problem_polysys_uses_problem_dims(self, capsys):
+        # two quadrics in 2 variables: p = 2 C(4, 2) - 1 = 11, d = 2 * 2 * 4^2 = 64
+        _, by_problem, _ = run(capsys, "bounds", "tail", "--problem", "polysys",
+                               "--degrees", "2,2", "--t", "1e6")
+        _, by_dims, _ = run(capsys, "bounds", "tail", "--p", "11", "--d", "64", "--t", "1e6")
+        assert by_problem == by_dims == cli._fmt6(tail_bound(11, 64, 1.0, 1e6)) + "\n"
 
     def test_problem_tail_uses_generic(self, capsys):
         # a named problem's tail bound is the generic one at its (p, d) = (3, 2)
         code, out, _ = run(capsys, "bounds", "tail", "--problem", "matrix-inversion",
                            "--n", "2", "--sigma", "1", "--t", "10")
         assert code == 0
-        assert out.strip() == cli._fmt6(tail_bound(BoundParams(p=3, d=2, sigma=1.0, t=10.0)))
+        assert out.strip() == cli._fmt6(tail_bound(3, 2, 1.0, 10.0))
 
     @pytest.mark.parametrize("dims", [(), ("--p", "3")], ids=["none", "p-only"])
     def test_missing_dims_named(self, capsys, dims):
@@ -232,6 +286,7 @@ class TestEstimateCommand:
         ["tail", "--problem", "matrix-inversion", "--n", "2", "--workers", "0"],
         ["logmean", "--problem", "matrix-inversion", "--n", "2", "--workers", "-2"],
         ["tail", "--problem", "moore-penrose", "--l", "1", "--m", "1"],
+        *(argv for argv, _ in NAMED_FLAG_CASES),
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
@@ -239,11 +294,21 @@ class TestEstimateCommand:
 
         monkeypatch.setattr(cli, "run_blocks", no_sampling)
         monkeypatch.setattr(cli, "tube_cap_counts", no_sampling)
+        _write_flag_inputs(tmp_path)
         out = tmp_path / "bad"
+        argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, "estimate", *argv, "--out", str(out))
         assert code == 2
         assert err.startswith("error:")
         assert not (tmp_path / "bad.csv").exists()
+
+    @pytest.mark.parametrize("argv,flag", NAMED_FLAG_CASES)
+    def test_usage_error_names_the_flag(self, tmp_path, capsys, argv, flag):
+        _write_flag_inputs(tmp_path)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, err = run(capsys, "estimate", *argv, "--out", str(tmp_path / "bad"))
+        assert code == 2
+        assert flag in err
 
     @pytest.mark.parametrize("doc", [
         [{"alpha": [2, 0, 0], "coeff": 1.0}],
@@ -320,6 +385,22 @@ class TestEstimateCommand:
                            "--samples", "100", "--out", str(tmp_path / "x"))
         assert code == 2
         assert "error" in err
+
+
+# sizes of each problem `estimate --problem` samples, edge cases first
+PROBLEM_SIZES = {
+    "matrix-inversion": [{"n": 2}, {"n": 3}, {"n": 8}],
+    "moore-penrose": [{"l": 2, "m": 1}, {"l": 3, "m": 1}, {"l": 2, "m": 2}, {"l": 4, "m": 3}],
+}
+
+
+@pytest.mark.parametrize("kind", list(cli.PROBLEM_VARIETIES))
+def test_problem_variety_has_the_problem_dims(kind):
+    # a kind without sizes here fails with a KeyError: add its sizes
+    for sizes in PROBLEM_SIZES[kind]:
+        problem = ProblemDescriptor(kind, **sizes)
+        variety = cli.PROBLEM_VARIETIES[kind](problem)
+        assert (variety.p, variety.degree) == problem.ambient_dim_and_degree()
 
 
 class TestVerifyCommand:

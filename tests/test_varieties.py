@@ -27,6 +27,9 @@ from spherecond.bounds import ProblemDescriptor
 from spherecond.varieties import (
     _BLOCK,
     Variety,
+    _merge_moments,
+    _moments,
+    empirical_bernstein,
     kinematic_rhs_analytic,
     run_blocks,
     subsphere_tube_cap_ratio_exact,
@@ -99,11 +102,6 @@ class TestClopperPearson:
         lo, hi = clopper_pearson(100, 100)
         assert hi == 1.0 and lo > 0.94
 
-    def test_fractional_successes(self):
-        lo_f, hi_f = clopper_pearson(36.5, 1000)
-        lo, hi = clopper_pearson(37, 1000)
-        assert lo_f <= lo and hi_f <= hi
-
     def test_wider_at_higher_level(self):
         lo99, hi99 = clopper_pearson(50, 1000, level=0.99)
         lo95, hi95 = clopper_pearson(50, 1000, level=0.95)
@@ -112,6 +110,28 @@ class TestClopperPearson:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             clopper_pearson(0, 0)
+
+
+class TestEmpiricalBernstein:
+    def test_closed_form(self):
+        # n = 1001 samples, mean 0.3, sample variance 0.04, level 0.99: L = ln 400
+        lo, hi = empirical_bernstein(1001, 0.3, 0.04 * 1000)
+        log_term = math.log(400.0)
+        half = math.sqrt(2 * 0.04 * log_term / 1001) + 7 * log_term / (3 * 1000)
+        assert (lo, hi) == pytest.approx((0.3 - half, 0.3 + half), rel=1e-14)
+
+    def test_clipped_to_unit_interval(self):
+        assert empirical_bernstein(100, 0.0, 0.0)[0] == 0.0
+        assert empirical_bernstein(100, 1.0, 0.0)[1] == 1.0
+        assert empirical_bernstein(1, 0.5, 0.0) == (0.0, 1.0)
+
+    def test_merged_blocks_give_the_two_pass_interval(self):
+        x = np.random.default_rng(3).random(30_000) ** 3
+        merged = _merge_moments([_moments(x[s:s + 8192]) for s in range(0, x.size, 8192)])
+        mean = math.fsum(x) / x.size
+        m2 = math.fsum((x - mean) ** 2)
+        assert empirical_bernstein(*merged) == pytest.approx(
+            empirical_bernstein(x.size, mean, m2), rel=1e-12)
 
 
 class TestSubsphereVariety:
@@ -234,9 +254,12 @@ class TestCurveVariety:
         c = CurveVariety(*curve)
         pts = sample_uniform_sphere(2, RngStream(4), size=20_011)
         whole = c.distances(pts)
-        for rows in (1, 127, 128, 129, 4097):
+        for rows in (127, 128, 129, 4097):
             parts = [c.distances(pts[s:s + rows]) for s in range(0, 20_011, rows)]
             assert np.array_equal(np.concatenate(parts), whole)
+        # one row per call costs ~1 ms, so only over rows that cross two block boundaries
+        single = [c.distances(pts[s:s + 1]) for s in range(300)]
+        assert np.array_equal(np.concatenate(single), whole[:300])
 
     def test_distances_memory_is_bounded(self):
         # memory must not scale with rows x mesh points: the nearest-point search
@@ -371,6 +394,12 @@ class TestGeodesicSphereIdentities:
         assert analytic == pytest.approx(lhs, rel=1e-10)
         half = max(est.ci_high - est.estimate, est.estimate - est.ci_low)
         assert abs(est.estimate - lhs) <= 3 * half
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("p,i,alpha", [(2, 0, 0.6), (3, 1, 0.8), (4, 1, 1.2)])
+    def test_kinematic_interval_covers_analytic(self, seed, p, i, alpha):
+        _, analytic, est = verify_kinematic(p, i, alpha, samples=50_000, seed=seed)
+        assert est.ci_low <= analytic <= est.ci_high
 
     def test_band_volume_s2(self):
         # band on S^2 between colatitudes a-b and a+b: 2 pi (cos(a-b) - cos(a+b))
