@@ -9,6 +9,16 @@ import sys
 
 from spherecond.cli import main as cli_main
 
+# the flags each suite reads; the CLI rejects any other
+SUITE_FLAGS = {
+    "jintegrals": (),
+    "weyltube": (),
+    "kinematic": ("samples", "seed", "workers"),
+    "eckart-young": ("trials", "seed"),
+    "wilkinson": ("trials", "seed"),
+    "cntr": ("trials", "seed"),
+}
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
@@ -20,13 +30,11 @@ def main() -> int:
     args = ap.parse_args()
 
     worst = 0
-    for which in ("jintegrals", "weyltube", "kinematic",
-                  "eckart-young", "wilkinson", "cntr"):
+    for which, flags in SUITE_FLAGS.items():
         print(f"=== verify {which} ===")
-        argv = ["verify", which, "--seed", str(args.seed),
-                "--trials", str(args.trials), "--workers", str(args.workers)]
-        if which == "kinematic":
-            argv += ["--samples", str(args.samples)]
+        argv = ["verify", which]
+        for flag in flags:
+            argv += [f"--{flag}", str(getattr(args, flag))]
         worst = max(worst, cli_main(argv))
     return worst
 

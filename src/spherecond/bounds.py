@@ -17,13 +17,18 @@ from scipy.special import logsumexp
 from .geometry import _log_O, _log_binom
 
 
-def _check_range(p: int, d: int, sigma: float) -> None:
+def _check_range(p: int, d: int, sigma: float, eps: float | None = None,
+                 min_p: int = 1) -> None:
     if p < 1:
         raise ValueError("p must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
     if not 0.0 < sigma <= 1.0:
         raise ValueError("sigma must lie in (0, 1]")
+    if eps is not None and not 0.0 < eps <= 1.0:
+        raise ValueError("eps must lie in (0, 1]")
+    if p < min_p:
+        raise ValueError(f"this bound needs p >= {min_p}")
 
 
 def _tail_core(p: int, d: int, ratio: float) -> float:
@@ -58,17 +63,13 @@ def tail_bound(p: int, d: int, sigma: float, t: float) -> float:
 
 def tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
     """Upper bound on vol(T(W,eps) cap B(a,sigma)) / vol B(a,sigma)."""
-    _check_range(p, d, sigma)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
+    _check_range(p, d, sigma, eps)
     return _tail_core(p, d, eps / sigma)
 
 
 def expectation_bound(p: int, d: int, sigma: float) -> float:
     """Upper bound on E ln C over the cap: 2 ln p + 2 ln d + 2 ln(1/sigma) + 5.5."""
-    _check_range(p, d, sigma)
-    if p < 2:
-        raise ValueError("the expectation bound needs p >= 2")
+    _check_range(p, d, sigma, min_p=2)
     return 2.0 * math.log(p) + 2.0 * math.log(d) + 2.0 * math.log(1.0 / sigma) + 5.5
 
 
@@ -78,8 +79,7 @@ def smooth_tube_bound(p: int, d: int, sigma: float, eps: float) -> float:
     (4 O_{p-1}/p) sum_{k<p} C(p,k) d^k eps^k sigma^{p-k} + 2 O_p d^p eps^p.
     Stated for even degree d; odd d is accepted for exploratory use.
     """
-    if p < 2 or d < 1 or not 0.0 < eps <= 1.0 or not 0.0 < sigma <= 1.0:
-        raise ValueError("need p >= 2, d >= 1, eps and sigma in (0, 1]")
+    _check_range(p, d, sigma, eps, min_p=2)
     log_d, log_e, log_s = math.log(d), math.log(eps), math.log(sigma)
     k = np.arange(1, p)
     logs = (
@@ -109,8 +109,7 @@ def linear_tail_bound(p: int, d: int, sigma: float, eps: float) -> float | None:
     Returns None when eps exceeds sigma / ((1+2d)(p-1)), where the
     linearization does not apply.
     """
-    if p < 2 or d < 1 or not 0.0 < sigma <= 1.0 or not 0.0 < eps <= 1.0:
-        raise ValueError("need p >= 2, d >= 1, sigma and eps in (0, 1]")
+    _check_range(p, d, sigma, eps, min_p=2)
     if eps > sigma / ((1 + 2 * d) * (p - 1)):
         return None
     return (8.0 * math.e + 4.0) * d * p * eps / sigma
@@ -123,7 +122,7 @@ PROBLEM_KINDS = ("matrix-inversion", "moore-penrose", "eigen-real", "eigen-compl
 class ProblemDescriptor:
     """A named problem, one of PROBLEM_KINDS, whose ill-posed set has known
     dimension and degree: moore-penrose takes (l, m), polysys its degrees, the
-    other kinds n.
+    other kinds n. A size of another kind is an error.
     """
 
     kind: str
@@ -136,6 +135,11 @@ class ProblemDescriptor:
         # the fields are the CLI's flags, so each message names the flag to fix
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        sizes = {"moore-penrose": ("l", "m"), "polysys": ("degrees",)}.get(self.kind, ("n",))
+        other = [f"--{name}" for name in ("n", "l", "m", "degrees")
+                 if name not in sizes and getattr(self, name) is not None]
+        if other:
+            raise ValueError(f"{self.kind} takes no {', '.join(other)}")
         if self.kind == "moore-penrose":
             if self.l is None or self.m is None or not self.l >= self.m >= 1:
                 raise ValueError("moore-penrose needs --l >= --m >= 1")
@@ -164,6 +168,8 @@ class ProblemDescriptor:
 def application_bound(problem: ProblemDescriptor, sigma: float) -> float:
     """Bound on E ln C for a named problem: the paper's corollary, which coarsens
     expectation_bound at the problem's (p, d) and so lies above it."""
+    p, d = problem.ambient_dim_and_degree()
+    _check_range(p, d, sigma, min_p=2)
     ls = 2.0 * math.log(1.0 / sigma)
     if problem.kind == "matrix-inversion":
         return 6.0 * math.log(problem.n) + ls + 5.5
@@ -174,7 +180,6 @@ def application_bound(problem: ProblemDescriptor, sigma: float) -> float:
     if problem.kind == "eigen-complex":
         return 8.0 * math.log(problem.n) + ls + 6.0 + 2.0 * math.log(2.0)
     nvars = len(problem.degrees)
-    p, _ = problem.ambient_dim_and_degree()
     bezout = math.prod(problem.degrees)
     return (2.0 * math.log(p) + 4.0 * math.log(bezout)
             + 2.0 * math.log(nvars) + ls + 7.0)

@@ -1,16 +1,18 @@
 """Batch experiment runner.
 
-Subcommands:
-  bounds    evaluate a closed-form bound and print it
-  estimate  Monte Carlo tail / log-mean / tube-ratio experiments -> CSV + manifest
-  verify    exact-identity and oracle verification suites
+Subcommands, each split into modes that declare only the flags they read:
+  bounds tail|expectation|tube|linear  evaluate a closed-form bound and print it
+  estimate tail|logmean|tube           Monte Carlo experiments -> CSV + manifest
+  verify <suite>                       exact-identity and oracle verification suites
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 bound violation.
+A usage error, argparse's own included, prints one "error: ..." line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -93,6 +95,8 @@ def cmd_bounds(args) -> int:
     try:
         # (p, d) from --problem, or from --p/--d; `which` picks the bound either way
         if args.problem is not None:
+            if args.p is not None or args.d is not None:
+                raise ValueError("--problem gives (p, d): drop --p and --d")
             problem = ProblemDescriptor(args.problem, args.n, args.l, args.m, args.degrees)
             p, d = problem.ambient_dim_and_degree()
             params = {"problem": args.problem, "sigma": args.sigma}
@@ -107,8 +111,6 @@ def cmd_bounds(args) -> int:
         else:
             flag = "t" if args.which == "tail" else "eps"
             x = getattr(args, flag)
-            if x is None:
-                raise ValueError(f"bounds {args.which} needs --{flag}")
             bound = {"tail": tail_bound, "tube": tube_ratio_bound,
                      "linear": linear_tail_bound}[args.which]
             value = bound(p, d, args.sigma, x)  # linear: None where it does not apply
@@ -166,9 +168,7 @@ PROBLEM_VARIETIES = {
 }
 
 
-def _resolve_variety(spec: str | None):
-    if spec is None:
-        raise ValueError("estimate tube needs --variety")
+def _resolve_variety(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "subsphere":
         p, m = (int(v) for v in rest.split(","))
@@ -205,9 +205,6 @@ def cmd_estimate(args) -> int:
     t0 = time.time()
     columns = ["ci_low", "ci_high", "bound", "dominated"]
     try:
-        min_samples = 2 if args.which == "logmean" else 1  # logmean's sd divides by samples - 1
-        if args.samples < min_samples:
-            raise ValueError(f"estimate {args.which} needs --samples >= {min_samples}")
         # each branch evaluates its bounds before sampling, so a bad grid fails at once
         if args.which == "tube":
             variety = _resolve_variety(args.variety)
@@ -215,8 +212,6 @@ def cmd_estimate(args) -> int:
             bounds = [tube_ratio_bound(variety.p, variety.degree, args.sigma, eps)
                       for eps in grid]
             header = ["eps", "empirical_ratio", *columns]
-        elif args.problem is None:
-            raise ValueError(f"estimate {args.which} needs --problem")
         else:
             problem = ProblemDescriptor(args.problem, args.n, args.l, args.m)
             variety = PROBLEM_VARIETIES[args.problem](problem)
@@ -245,7 +240,7 @@ def cmd_estimate(args) -> int:
         return EXIT_USAGE
     violation = not all(row[-1] for row in rows)
     params = {k: v for k, v in vars(args).items()
-              if k not in ("func", "which", "argv") and v is not None}
+              if k not in ("func", "command", "which", "argv") and v is not None}
     _write_outputs(args, header, rows, params, args.samples, t0)
     if violation:
         print("bound violation detected (dominated=false rows present)", file=sys.stderr)
@@ -298,27 +293,19 @@ def _verify_jintegrals(args) -> int:
 
 
 def _verify_kinematic(args) -> int:
-    rows = []
-    if args.p is not None:
-        grid = [(args.p, args.i)]
-        alphas = [args.alpha]
-    else:
-        grid = [(p, i) for p in (2, 3, 4, 5) for i in range(p - 1)]
-        alphas = [0.3, 0.6, 1.0, 1.4]
     analytic_ok = True
-    for p, i in grid:
-        for a in alphas:
-            lhs = geodesic_sphere_mu(p, a, i)
-            rhs = kinematic_rhs_analytic(p, i, a)
-            analytic_ok &= abs(lhs - rhs) <= 1e-10 * abs(lhs)
-    rows.append(("analytic slice-average identity", analytic_ok))
-    mc_cases = grid if args.p is not None else [(2, 0), (3, 0), (3, 1), (4, 1)]
-    for p, i in mc_cases:
-        for a in (alphas if args.p is not None else [args.alpha]):
-            lhs, _, est = verify_kinematic(p, i, a, args.samples, args.seed, args.workers)
-            half = max(est.ci_high - est.estimate, est.estimate - est.ci_low)
-            ok = abs(est.estimate - lhs) <= 3.0 * half
-            rows.append((f"monte carlo p={p} i={i} alpha={a:.2f}", ok))
+    for p in (2, 3, 4, 5):
+        for i in range(p - 1):
+            for a in (0.3, 0.6, 1.0, 1.4):
+                lhs = geodesic_sphere_mu(p, a, i)
+                rhs = kinematic_rhs_analytic(p, i, a)
+                analytic_ok &= abs(lhs - rhs) <= 1e-10 * abs(lhs)
+    rows = [("analytic slice-average identity", analytic_ok)]
+    for p, i in [(2, 0), (3, 0), (3, 1), (4, 1)]:
+        lhs, _, est = verify_kinematic(p, i, 0.6, args.samples, args.seed, args.workers)
+        half = max(est.ci_high - est.estimate, est.estimate - est.ci_low)
+        ok = abs(est.estimate - lhs) <= 3.0 * half
+        rows.append((f"monte carlo p={p} i={i} alpha=0.60", ok))
     return _report(rows)
 
 
@@ -395,93 +382,101 @@ def _verify_cntr(args) -> int:
     return _report([(f"witness products >= 1 ({args.trials} trials)", ok)])
 
 
-def cmd_verify(args) -> int:
-    try:
-        if args.samples < 1 or args.trials < 1:
-            raise ValueError("--samples and --trials must be >= 1")
-        if args.seed < 0:
-            raise ValueError("--seed must be >= 0")
-        if args.which == "kinematic":  # without --p, --alpha is used with (p, i) = (2, 0) first
-            p, i = (2, 0) if args.p is None else (args.p, args.i)
-            kinematic_rhs_analytic(p, i, args.alpha)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    dispatch = {
-        "jintegrals": _verify_jintegrals,
-        "kinematic": _verify_kinematic,
-        "weyltube": _verify_weyltube,
-        "eckart-young": _verify_eckart_young,
-        "wilkinson": _verify_wilkinson,
-        "cntr": _verify_cntr,
-    }
-    return dispatch[args.which](args)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors as ValueError, so that main reports them like
+    every other usage error: one "error: ..." line and exit code 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an int that must be >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
+@functools.cache  # nested subparsers cost milliseconds to build, and main runs per command
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spherecond", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser = _Parser(prog="spherecond", description=__doc__)
+    commands = parser.add_subparsers(dest="command", required=True)
+    count, seed = _int_at_least(1), _int_at_least(0)
 
-    pb = sub.add_parser("bounds", help="evaluate closed-form bounds")
-    pb.add_argument("which", choices=["tail", "expectation", "tube", "linear"])
-    pb.add_argument("--p", type=int)
-    pb.add_argument("--d", type=int)
-    pb.add_argument("--sigma", type=float, default=1.0)
-    pb.add_argument("--t", type=float)
-    pb.add_argument("--eps", type=float)
-    pb.add_argument("--problem", choices=PROBLEM_KINDS)
-    pb.add_argument("--n", type=int)
-    pb.add_argument("--l", type=int)
-    pb.add_argument("--m", type=int)
-    pb.add_argument("--degrees", type=_degrees)
-    pb.add_argument("--json", action="store_true")
-    pb.set_defaults(func=cmd_bounds)
+    bounds = commands.add_parser("bounds", help="evaluate closed-form bounds").add_subparsers(
+        dest="which", required=True)
+    for which, flag in (("tail", "t"), ("expectation", None), ("tube", "eps"), ("linear", "eps")):
+        pb = bounds.add_parser(which)
+        pb.add_argument("--problem", choices=PROBLEM_KINDS)
+        for size in ("--n", "--l", "--m", "--p", "--d"):  # --p, --d: without --problem
+            pb.add_argument(size, type=int)
+        pb.add_argument("--degrees", type=_degrees)
+        pb.add_argument("--sigma", type=float, default=1.0)
+        if flag is not None:
+            pb.add_argument(f"--{flag}", type=float, required=True)
+        pb.add_argument("--json", action="store_true")
+        pb.set_defaults(func=cmd_bounds)
 
-    pe = sub.add_parser("estimate", help="Monte Carlo experiments -> CSV")
-    pe.add_argument("which", choices=["tail", "logmean", "tube"])
-    pe.add_argument("--problem", choices=list(PROBLEM_VARIETIES))
-    pe.add_argument("--variety", type=str,
-                    help="subsphere:p,m | determinant:n | curve:file.json")
-    pe.add_argument("--n", type=int)
-    pe.add_argument("--l", type=int)
-    pe.add_argument("--m", type=int)
-    pe.add_argument("--sigma", type=float, default=1.0)
-    pe.add_argument("--samples", type=int, default=100_000)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--workers", type=int, default=1)
-    pe.add_argument("--out", type=str, required=True)
-    pe.add_argument("--t-grid", dest="t_grid", type=str, default="log:2:1000:6")
-    pe.add_argument("--eps-grid", dest="eps_grid", type=str, default="0.05,0.1,0.2,0.3,0.5,0.8")
-    pe.add_argument("--center", type=str, default="north",
-                    help="north | random | path to JSON coordinate array")
-    pe.set_defaults(func=cmd_estimate)
+    estimate = commands.add_parser("estimate", help="Monte Carlo experiments -> CSV")
+    estimate = estimate.add_subparsers(dest="which", required=True)
+    for which in ("tail", "logmean", "tube"):
+        pe = estimate.add_parser(which)
+        if which == "tube":
+            pe.add_argument("--variety", required=True,
+                            help="subsphere:p,m | determinant:n | curve:file.json")
+            pe.add_argument("--eps-grid", default="0.05,0.1,0.2,0.3,0.5,0.8")
+        else:
+            pe.add_argument("--problem", required=True, choices=list(PROBLEM_VARIETIES))
+            for size in ("--n", "--l", "--m"):
+                pe.add_argument(size, type=int)
+        if which == "tail":
+            pe.add_argument("--t-grid", default="log:2:1000:6")
+        pe.add_argument("--sigma", type=float, default=1.0)
+        pe.add_argument("--samples", default=100_000,  # logmean's sd divides by samples - 1
+                        type=_int_at_least(2 if which == "logmean" else 1))
+        pe.add_argument("--seed", type=seed, default=0)
+        pe.add_argument("--workers", type=count, default=1)
+        pe.add_argument("--center", default="north",
+                        help="north | random | path to JSON coordinate array")
+        pe.add_argument("--out", required=True)
+        pe.set_defaults(func=cmd_estimate)
 
-    pv = sub.add_parser("verify", help="verification suites")
-    pv.add_argument("which", choices=["kinematic", "weyltube", "jintegrals",
-                                      "eckart-young", "wilkinson", "cntr"])
-    pv.add_argument("--p", type=int)
-    pv.add_argument("--i", type=int, default=0)
-    pv.add_argument("--alpha", type=float, default=0.6)
-    pv.add_argument("--samples", type=int, default=1_000_000)
-    pv.add_argument("--trials", type=int, default=1000)
-    pv.add_argument("--seed", type=int, default=7)
-    pv.add_argument("--workers", type=int, default=1)
-    pv.set_defaults(func=cmd_verify)
+    verify = commands.add_parser("verify", help="verification suites").add_subparsers(
+        dest="which", required=True)
+    trials = [("--trials", 1000)]
+    for which, suite, flags in (
+            ("kinematic", _verify_kinematic, [("--samples", 1_000_000), ("--workers", 1)]),
+            ("weyltube", _verify_weyltube, []),
+            ("jintegrals", _verify_jintegrals, []),
+            ("eckart-young", _verify_eckart_young, trials),
+            ("wilkinson", _verify_wilkinson, trials),
+            ("cntr", _verify_cntr, trials)):
+        pv = verify.add_parser(which)
+        for name, default in flags:
+            pv.add_argument(name, type=count, default=default)
+        # every suite takes --seed, so one seed serves all; weyltube and jintegrals draw none
+        pv.add_argument("--seed", type=seed, default=7)
+        pv.set_defaults(func=suite)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
-    args.argv = argv  # recorded in manifests as the command actually run
-    if getattr(args, "workers", 1) < 1:  # estimate and verify, before any sampling
-        print("error: --workers must be >= 1", file=sys.stderr)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    args.argv = argv  # recorded in manifests as the command actually run
     return args.func(args)
 
 

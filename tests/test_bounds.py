@@ -97,7 +97,9 @@ class TestTubeRatioBound:
     lambda p, d, sigma: tail_bound(p, d, sigma, 10.0),
     lambda p, d, sigma: tube_ratio_bound(p, d, sigma, 0.1),
     expectation_bound,
-], ids=["tail", "tube", "expectation"])
+    lambda p, d, sigma: linear_tail_bound(p, d, sigma, 1e-3),
+    lambda p, d, sigma: smooth_tube_bound(p, d, sigma, 0.1),
+], ids=["tail", "tube", "expectation", "linear", "smooth-tube"])
 @pytest.mark.parametrize("p,d,sigma,message", [
     (0, 1, 1.0, "p must be >= 1"),
     (3, 0, 1.0, "d must be >= 1"),
@@ -107,6 +109,18 @@ class TestTubeRatioBound:
 def test_shared_range_check(bound, p, d, sigma, message):
     with pytest.raises(ValueError, match=message):
         bound(p, d, sigma)
+
+
+@pytest.mark.parametrize("bound", [linear_tail_bound, smooth_tube_bound],
+                         ids=["linear", "smooth-tube"])
+@pytest.mark.parametrize("p,eps,message", [
+    (1, 1e-3, "needs p >= 2"),
+    (3, 0.0, "eps must lie in"),
+    (3, 1.5, "eps must lie in"),
+])
+def test_p_and_eps_rules(bound, p, eps, message):
+    with pytest.raises(ValueError, match=message):
+        bound(p, 1, 1.0, eps)
 
 
 class TestExpectationBound:
@@ -190,6 +204,8 @@ class TestProblemDescriptors:
             ProblemDescriptor("matrix-inversion", n=1)
         with pytest.raises(ValueError):
             ProblemDescriptor("moore-penrose", l=2, m=3)
+        with pytest.raises(ValueError, match="matrix-inversion takes no --m"):
+            ProblemDescriptor("matrix-inversion", n=2, m=7)
         with pytest.raises(ValueError):
             ProblemDescriptor("no-such-problem", n=3)
 

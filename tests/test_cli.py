@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,10 +122,22 @@ class TestBoundsCommand:
         assert out == ""
 
     def test_malformed_degrees_is_an_argparse_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", "tail", "--problem", "polysys", "--degrees", "2,x", "--t", "10"])
-        assert exc.value.code == 2
-        assert "--degrees" in capsys.readouterr().err
+        code, _, err = run(capsys, "bounds", "tail", "--problem", "polysys",
+                           "--degrees", "2,x", "--t", "10")
+        assert code == 2
+        assert "--degrees" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--problem", "matrix-inversion", "--n", "2", "--sigma", "2"], "sigma must lie in (0, 1]"),
+        (["--problem", "matrix-inversion", "--n", "2", "--sigma", "-1"], "sigma must lie in (0, 1]"),
+        (["--problem", "moore-penrose", "--l", "2", "--m", "1"], "needs p >= 2"),  # p = 1
+        (["--problem", "moore-penrose", "--l", "1", "--m", "1"], "p must be >= 1"),  # p = 0
+    ])
+    def test_problem_expectation_out_of_range(self, capsys, argv, message):
+        code, out, err = run(capsys, "bounds", "expectation", *argv)
+        assert code == 2
+        assert err.startswith("error:") and message in err
+        assert out == ""
 
     def test_problem_polysys_uses_problem_dims(self, capsys):
         # two quadrics in 2 variables: p = 2 C(4, 2) - 1 = 11, d = 2 * 2 * 4^2 = 64
@@ -410,12 +423,6 @@ class TestVerifyCommand:
         assert "overall: pass" in out
         assert "quadrature vs closed form" in out and "max rel err" in out
 
-    def test_kinematic_single_case(self, capsys):
-        code, out, _ = run(capsys, "verify", "kinematic", "--p", "3", "--i", "1",
-                           "--alpha", "0.6", "--samples", "100000")
-        assert code == 0
-        assert "overall: pass" in out
-
     def test_weyltube(self, capsys):
         code, out, _ = run(capsys, "verify", "weyltube")
         assert code == 0
@@ -465,6 +472,86 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error:")
         assert out == ""
+
+
+    def test_error_inside_a_suite_propagates(self, monkeypatch):
+        # only input errors are usage errors; a failing suite is a bug to see
+        def broken(*args, **kwargs):
+            raise ValueError("broken suite")
+
+        monkeypatch.setattr(cli, "verify_weyl_tube_bound", broken)
+        with pytest.raises(ValueError, match="broken suite"):
+            main(["verify", "weyltube"])
+
+
+# one flag per case that its mode does not read, next to flags it does
+UNREAD_FLAG_CASES = [
+    ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2", "--variety", "torus:9"],
+    ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2", "--m", "7"],
+    ["estimate", "tube", "--variety", "determinant:2", "--t-grid", "2"],
+    ["bounds", "expectation", "--problem", "matrix-inversion", "--n", "2", "--t", "3"],
+    ["bounds", "tail", "--problem", "matrix-inversion", "--n", "2", "--p", "7", "--t", "10"],
+    ["verify", "jintegrals", "--trials", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", UNREAD_FLAG_CASES,
+                         ids=["tail-variety", "tail-m", "tube-t-grid", "expectation-t",
+                              "bounds-problem-p", "jintegrals-trials"])
+def test_unread_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("flags are checked before any work")
+
+    for name in ("run_blocks", "tube_cap_counts", "j_integral"):
+        monkeypatch.setattr(cli, name, no_work)
+    if argv[0] == "estimate":
+        argv = [*argv, "--out", str(tmp_path / "bad")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_manifest_parameters_are_the_flags_the_mode_reads(tmp_path, capsys):
+    out = str(tmp_path / "mp")
+    code, _, _ = run(capsys, "estimate", "tail", "--problem", "moore-penrose", "--l", "3",
+                     "--m", "2", "--samples", "1000", "--out", out)
+    assert code == 0
+    manifest = json.loads((tmp_path / "mp.manifest.json").read_text())
+    assert manifest["parameters"] == {
+        "problem": "moore-penrose", "l": 3, "m": 2, "t_grid": "log:2:1000:6", "sigma": 1.0,
+        "samples": 1000, "seed": 0, "workers": 1, "center": "north", "out": out}
+
+
+BOUNDS_FLAGS = ("--problem", "--n", "--l", "--m", "--p", "--d", "--degrees", "--sigma", "--json")
+PROBLEM_FLAGS = ("--problem", "--n", "--l", "--m")
+SAMPLING_FLAGS = ("--sigma", "--samples", "--seed", "--workers", "--center", "--out")
+MODE_FLAGS = {
+    "bounds tail": (*BOUNDS_FLAGS, "--t"),
+    "bounds expectation": BOUNDS_FLAGS,
+    "bounds tube": (*BOUNDS_FLAGS, "--eps"),
+    "bounds linear": (*BOUNDS_FLAGS, "--eps"),
+    "estimate tail": (*PROBLEM_FLAGS, "--t-grid", *SAMPLING_FLAGS),
+    "estimate logmean": (*PROBLEM_FLAGS, *SAMPLING_FLAGS),
+    "estimate tube": ("--variety", "--eps-grid", *SAMPLING_FLAGS),
+    "verify kinematic": ("--samples", "--workers", "--seed"),
+    "verify jintegrals": ("--seed",),
+    "verify weyltube": ("--seed",),
+    "verify eckart-young": ("--trials", "--seed"),
+    "verify wilkinson": ("--trials", "--seed"),
+    "verify cntr": ("--trials", "--seed"),
+}
+
+
+@pytest.mark.parametrize("mode", list(MODE_FLAGS))
+def test_help_lists_only_the_mode_flags(capsys, mode):
+    # --help still exits 0, although parser errors raise ValueError
+    with pytest.raises(SystemExit) as exc:
+        main([*mode.split(), "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == {"--help", *MODE_FLAGS[mode]}
 
 
 class TestOutputFormat:
