@@ -6,16 +6,13 @@ __version__ = "0.1.0"
 from .geometry import (
     Cap,
     SpherePoint,
-    ball_volume,
     j_integral,
     j_integral_quad,
     kinematic_constant,
-    projective_distance,
-    riemannian_distance,
     sphere_volume,
     subsphere_tube_volume,
 )
-from .sampling import RngStream, sample_rotation, sample_uniform_cap, sample_uniform_sphere
+from .sampling import RngStream, sample_uniform_cap, sample_uniform_sphere
 from .bounds import (
     ProblemDescriptor,
     application_bound,
@@ -42,7 +39,6 @@ from .conditioning import (
 from .varieties import (
     CurveVariety,
     DeterminantVariety,
-    McEstimate,
     SubsphereVariety,
     band_volume,
     clopper_pearson,

@@ -1,10 +1,10 @@
 """Exact spherical geometry on the unit sphere S^p.
 
-Volumes of spheres, geodesic balls and tubes around great subspheres,
-the trigonometric moment integrals that generate them (in closed form
-through the regularized incomplete beta function), the constants of
-the principal kinematic formula, and the two sphere distances (angular
-and projective).
+Points and caps, volumes of spheres and of tubes around great subspheres
+(a geodesic ball is half the tube around S^0), the trigonometric moment
+integrals that generate them (in closed form through the regularized
+incomplete beta function), and the constants of the principal kinematic
+formula.
 """
 
 from __future__ import annotations
@@ -108,15 +108,6 @@ def j_integral_quad(p: int, k: int, alpha: float) -> float:
     return val
 
 
-def ball_volume(p: int, alpha: float) -> float:
-    """Volume of the geodesic ball of angular radius alpha in S^p."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if not 0.0 < alpha <= np.pi / 2:
-        raise ValueError("alpha must lie in (0, pi/2]")
-    return sphere_volume(p - 1) * j_integral(p, p, alpha)
-
-
 def subsphere_tube_volume(p: int, k: int, eps: float) -> float:
     """Volume of the eps-neighborhood of the great subsphere S^{p-k} in S^p."""
     _check_jpk_args(p, k)
@@ -141,17 +132,3 @@ def _log_O(p: int) -> float:
 def _log_binom(n: int, k):
     k = np.asarray(k, dtype=float)
     return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-
-
-def riemannian_distance(x: SpherePoint, y: SpherePoint) -> float:
-    """Angular distance in [0, pi]."""
-    if x.p != y.p:
-        raise ValueError("dimension mismatch")
-    # clamp: dot products of unit vectors can exceed 1 by ~1e-16
-    return float(np.arccos(np.clip(np.dot(x.coords, y.coords), -1.0, 1.0)))
-
-
-def projective_distance(x: SpherePoint, y: SpherePoint) -> float:
-    """sin of the angular distance; vanishes at both y and -y."""
-    return float(np.sin(riemannian_distance(x, y)))
-

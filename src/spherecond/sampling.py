@@ -104,13 +104,3 @@ def sample_uniform_cap(cap: Cap, rng: RngStream, size: int) -> np.ndarray:
     z = np.cos(rho)[:, None] * a + np.sin(rho)[:, None] * u
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
-
-
-def sample_rotation(n: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed orthogonal n x n matrix (Gaussian QR with sign fix)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = rng.generator.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    q *= np.sign(np.diag(r))
-    return q

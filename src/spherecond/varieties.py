@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -26,7 +25,6 @@ from .geometry import (
     j_integral,
     kinematic_constant,
     sphere_volume,
-    subsphere_tube_volume,
     _log_binom,
 )
 from .sampling import RngStream, sample_uniform_cap, sample_uniform_sphere
@@ -34,21 +32,6 @@ from .sampling import RngStream, sample_uniform_cap, sample_uniform_sphere
 
 # ---------------------------------------------------------------------------
 # confidence intervals
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo estimate with a 99% confidence interval."""
-
-    estimate: float
-    ci_low: float
-    ci_high: float
-    samples: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.ci_low <= self.estimate <= self.ci_high:
-            raise ValueError("confidence interval must contain the estimate")
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.99):
@@ -358,8 +341,6 @@ def verify_weyl_tube_bound(p: int, alpha: float, beta: float):
 
 def kinematic_rhs_analytic(p: int, i: int, alpha: float) -> float:
     """Closed form of the slice-averaged curvature integral times the constant."""
-    if p < 2 or not 0 <= i < p - 1:
-        raise ValueError("need p >= 2 and 0 <= i < p - 1")
     if not 0.0 < alpha <= np.pi / 2:
         raise ValueError("alpha must lie in (0, pi/2]")
     return (kinematic_constant(p, i)
@@ -382,26 +363,19 @@ def _kinematic_block(args):
 
 def verify_kinematic(p: int, i: int, alpha: float, samples: int,
                      seed: int, workers: int = 1):
-    """Check the kinematic identity for geodesic spheres.
+    """Check the kinematic identity for geodesic spheres by Monte Carlo.
 
-    Returns (lhs, analytic_rhs, mc_rhs) where lhs is the exact curvature
-    integral, analytic_rhs its closed-form slice average (must agree to
-    1e-10 relative), and mc_rhs a Monte Carlo estimate of the average.
+    Returns (lhs, estimate, ci_low, ci_high): lhs is the exact curvature
+    integral, and estimate a Monte Carlo estimate of its slice average with
+    a 99% empirical-Bernstein interval [ci_low, ci_high]. A bad (p, i, alpha)
+    raises ValueError before any sampling.
     """
-    analytic = kinematic_rhs_analytic(p, i, alpha)  # checks (p, i, alpha) first
-    lhs = geodesic_sphere_mu(p, alpha, i)
+    lhs = geodesic_sphere_mu(p, alpha, i)  # checks p, alpha and 0 <= i <= p - 1
+    scale = kinematic_constant(p, i) * sphere_volume(i)  # checks i < p - 1
     n, mean, m2 = _merge_moments(run_blocks(_kinematic_block, (p, i, alpha, seed),
                                             samples, workers))
-    scale = kinematic_constant(p, i) * sphere_volume(i)
     lo, hi = empirical_bernstein(n, mean, m2)  # the integrand lies in [0, 1]
-    est = McEstimate(estimate=scale * mean, ci_low=scale * lo, ci_high=scale * hi,
-                     samples=samples, seed=seed)
-    return lhs, analytic, est
-
-
-def subsphere_tube_cap_ratio_exact(p: int, eps: float) -> float:
-    """Closed-form tube/cap ratio for the equator subsphere and the full cap."""
-    return subsphere_tube_volume(p, 1, eps) / sphere_volume(p)
+    return lhs, scale * mean, scale * lo, scale * hi
 
 
 def load_curve(path: str) -> CurveVariety:

@@ -160,6 +160,15 @@ class TestBoundsCommand:
         assert all(flag in err for flag in ("--problem", "--p", "--d"))
         assert out == ""
 
+    @pytest.mark.parametrize("size", [("--n", "2"), ("--l", "3"), ("--m", "2"),
+                                      ("--degrees", "2")], ids=lambda size: size[0][2:])
+    def test_size_needs_problem(self, capsys, size):
+        # without --problem, (p, d) come from --p/--d and a problem size would be ignored
+        code, out, err = run(capsys, "bounds", "tail", "--p", "3", "--d", "1", *size, "--t", "10")
+        assert code == 2
+        assert err == f"error: {size[0]} is a problem size: it needs --problem\n"
+        assert out == ""
+
     def test_problem_tube_uses_problem_dims(self, capsys):
         # matrix inversion at n = 2: (p, d) = (3, 2)
         _, by_problem, _ = run(capsys, "bounds", "tube", "--problem", "matrix-inversion",
@@ -482,6 +491,18 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "verify_weyl_tube_bound", broken)
         with pytest.raises(ValueError, match="broken suite"):
             main(["verify", "weyltube"])
+
+
+@pytest.mark.parametrize("argv,choices", [
+    ([], "{bounds,estimate,verify}"),
+    (["bounds"], "{tail,expectation,tube,linear}"),
+    (["verify"], "{kinematic,weyltube,jintegrals,eckart-young,wilkinson,cntr}"),
+], ids=["command", "bounds-mode", "verify-mode"])
+def test_missing_command_or_mode_names_the_choices(capsys, argv, choices):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == f"error: the following arguments are required: {choices}\n"
+    assert out == ""
 
 
 # one flag per case that its mode does not read, next to flags it does

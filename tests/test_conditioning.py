@@ -15,13 +15,12 @@ from spherecond import (
     frobenius_condition,
     mu_norm,
     multiple_zero_witness,
-    sample_rotation,
     system_projective_distance,
     weyl_inner,
     weyl_norm,
 )
 from spherecond.conditioning import _expand, random_system_with_zero
-from weyl_rotation import rotate_system
+from weyl_rotation import rotate_system, sample_rotation
 
 
 class TestMatrixCondition:

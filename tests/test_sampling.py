@@ -6,10 +6,11 @@ import pytest
 from scipy import stats
 from scipy.special import betainc, hyp2f1
 
-from spherecond import Cap, RngStream, SpherePoint, sample_rotation, sample_uniform_cap, sample_uniform_sphere
+from spherecond import Cap, RngStream, SpherePoint, sample_uniform_cap, sample_uniform_sphere
 from spherecond.geometry import j_integral
 from spherecond.sampling import _cap_radii, _small_cap_radii
 from spherecond.varieties import SubsphereVariety, tube_cap_counts
+from weyl_rotation import sample_rotation
 
 
 def north(p):

@@ -9,7 +9,6 @@ from spherecond import (
     Cap,
     CurveVariety,
     DeterminantVariety,
-    McEstimate,
     RngStream,
     SpherePoint,
     SubsphereVariety,
@@ -19,6 +18,7 @@ from spherecond import (
     geodesic_sphere_mu,
     sample_uniform_sphere,
     sphere_volume,
+    subsphere_tube_volume,
     verify_kinematic,
     verify_weyl_tube_bound,
 )
@@ -32,7 +32,6 @@ from spherecond.varieties import (
     empirical_bernstein,
     kinematic_rhs_analytic,
     run_blocks,
-    subsphere_tube_cap_ratio_exact,
     tube_cap_counts,
 )
 
@@ -331,7 +330,7 @@ class TestTubeEstimates:
         # equals the full-sphere tube/sphere ratio
         hits = tube_cap_counts(SubsphereVariety(p, p - 1), cap, [eps], 60_000, seed=3)[0]
         lo, hi = clopper_pearson(int(hits), 60_000)
-        exact = subsphere_tube_cap_ratio_exact(p, eps)
+        exact = subsphere_tube_volume(p, 1, eps) / sphere_volume(p)
         assert lo <= exact <= hi
 
     def test_eps_one_hits_everything(self):
@@ -369,10 +368,6 @@ class TestTubeEstimates:
         counts = tube_cap_counts(AtHalf(), Cap(north(2), 1.0), [0.25, 0.5], 100, seed=1)
         assert counts.tolist() == [0, 100]
 
-    def test_mcestimate_validation(self):
-        with pytest.raises(ValueError):
-            McEstimate(estimate=0.5, ci_low=0.6, ci_high=0.7, samples=10, seed=0)
-
 
 class TestGeodesicSphereIdentities:
     def test_mu_zero_is_area(self):
@@ -390,16 +385,27 @@ class TestGeodesicSphereIdentities:
                     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_kinematic_monte_carlo(self):
-        lhs, analytic, est = verify_kinematic(3, 1, 0.8, samples=200_000, seed=7)
-        assert analytic == pytest.approx(lhs, rel=1e-10)
-        half = max(est.ci_high - est.estimate, est.estimate - est.ci_low)
-        assert abs(est.estimate - lhs) <= 3 * half
+        lhs, est, lo, hi = verify_kinematic(3, 1, 0.8, samples=200_000, seed=7)
+        assert lo <= est <= hi
+        assert lo <= lhs <= hi
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("p,i,alpha", [(2, 0, 0.6), (3, 1, 0.8), (4, 1, 1.2)])
     def test_kinematic_interval_covers_analytic(self, seed, p, i, alpha):
-        _, analytic, est = verify_kinematic(p, i, alpha, samples=50_000, seed=seed)
-        assert est.ci_low <= analytic <= est.ci_high
+        _, _, lo, hi = verify_kinematic(p, i, alpha, samples=50_000, seed=seed)
+        assert lo <= kinematic_rhs_analytic(p, i, alpha) <= hi
+
+    @pytest.mark.parametrize("p,i,alpha", [(1, 0, 0.6), (3, -1, 0.6), (3, 2, 0.6),
+                                           (3, 1, 0.0), (3, 1, 2.0)])
+    def test_kinematic_rejects_bad_input_before_sampling(self, monkeypatch, p, i, alpha):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("(p, i, alpha) is checked before sampling")
+
+        monkeypatch.setattr(varieties, "run_blocks", no_sampling)
+        with pytest.raises(ValueError):
+            verify_kinematic(p, i, alpha, samples=1000, seed=7)
+        with pytest.raises(ValueError):
+            kinematic_rhs_analytic(p, i, alpha)
 
     def test_band_volume_s2(self):
         # band on S^2 between colatitudes a-b and a+b: 2 pi (cos(a-b) - cos(a+b))

@@ -1,9 +1,20 @@
-"""Exact rotation of homogeneous polynomials, for the orthogonal-invariance tests."""
+"""Haar rotations and the exact rotation of homogeneous polynomials, for the
+orthogonal-invariance tests."""
 
 import numpy as np
 
-from spherecond import PolySystem, WeylPolynomial
+from spherecond import PolySystem, RngStream, WeylPolynomial
 from spherecond.conditioning import _expand
+
+
+def sample_rotation(n: int, rng: RngStream) -> np.ndarray:
+    """Haar-distributed orthogonal n x n matrix (Gaussian QR with sign fix)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    g = rng.generator.standard_normal((n, n))
+    q, r = np.linalg.qr(g)
+    q *= np.sign(np.diag(r))
+    return q
 
 
 def rotate_polynomial(f: WeylPolynomial, g: np.ndarray) -> WeylPolynomial:
