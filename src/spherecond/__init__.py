@@ -19,6 +19,8 @@ from .bounds import (
     curvature_integral_bound,
     expectation_bound,
     linear_tail_bound,
+    log_tail_bound,
+    log_tube_ratio_bound,
     smooth_tube_bound,
     tail_bound,
     tube_ratio_bound,

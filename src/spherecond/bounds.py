@@ -31,8 +31,8 @@ def _check_range(p: int, d: int, sigma: float, eps: float | None = None,
         raise ValueError(f"this bound needs p >= {min_p}")
 
 
-def _tail_core(p: int, d: int, ratio: float) -> float:
-    """4 sum_k C(p,k)(2d)^k (1+r)^{p-k} r^k + (2p O_p/O_{p-1}) (2d)^p r^p."""
+def _log_tail_core(p: int, d: int, ratio: float) -> float:
+    """ln of 4 sum_k C(p,k)(2d)^k (1+r)^{p-k} r^k + (2p O_p/O_{p-1}) (2d)^p r^p."""
     log_r = math.log(ratio)
     log_2d = math.log(2.0 * d)
     terms = []
@@ -50,21 +50,35 @@ def _tail_core(p: int, d: int, ratio: float) -> float:
         math.log(2.0 * p) + _log_O(p) - _log_O(p - 1) + p * (log_2d + log_r)
     )
     terms.append(last)
-    return float(np.exp(logsumexp(terms)))
+    return float(logsumexp(terms))
 
 
-def tail_bound(p: int, d: int, sigma: float, t: float) -> float:
-    """Upper bound on Prob{C(z) >= t} for z uniform on a cap of radius sigma."""
+def log_tail_bound(p: int, d: int, sigma: float, t: float) -> float:
+    """ln tail_bound(p, d, sigma, t), finite also where the bound overflows a double."""
     _check_range(p, d, sigma)
     if t < 1.0:
         raise ValueError("t must be >= 1 (the bound is vacuous below)")
-    return _tail_core(p, d, 1.0 / (t * sigma))
+    return _log_tail_core(p, d, 1.0 / (t * sigma))
+
+
+def tail_bound(p: int, d: int, sigma: float, t: float) -> float:
+    """Upper bound on Prob{C(z) >= t} for z uniform on a cap of radius sigma;
+    inf, without a warning, beyond the double range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_tail_bound(p, d, sigma, t)))
+
+
+def log_tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
+    """ln tube_ratio_bound(p, d, sigma, eps), finite also where the bound overflows a double."""
+    _check_range(p, d, sigma, eps)
+    return _log_tail_core(p, d, eps / sigma)
 
 
 def tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
-    """Upper bound on vol(T(W,eps) cap B(a,sigma)) / vol B(a,sigma)."""
-    _check_range(p, d, sigma, eps)
-    return _tail_core(p, d, eps / sigma)
+    """Upper bound on vol(T(W,eps) cap B(a,sigma)) / vol B(a,sigma); inf beyond
+    the double range."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_tube_ratio_bound(p, d, sigma, eps)))
 
 
 def expectation_bound(p: int, d: int, sigma: float) -> float:

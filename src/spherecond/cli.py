@@ -15,10 +15,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bounds import (
@@ -27,6 +29,8 @@ from .bounds import (
     application_bound,
     expectation_bound,
     linear_tail_bound,
+    log_tail_bound,
+    log_tube_ratio_bound,
     tail_bound,
     tube_ratio_bound,
 )
@@ -50,6 +54,7 @@ from .geometry import (
 # sample_uniform_cap stays bound here: benchmark/tracing.py patches cli.sample_uniform_cap.
 from .sampling import RngStream, sample_uniform_cap  # noqa: F401
 from .varieties import (
+    _BLOCK,
     DeterminantVariety,
     SubsphereVariety,
     _cap_block,
@@ -118,11 +123,17 @@ def cmd_bounds(args) -> int:
                      "linear": linear_tail_bound}[args.which]
             value = bound(p, d, args.sigma, x)  # linear: None where it does not apply
             params[flag] = x
+        # a tail or tube bound can leave the double range; its log10 stays finite
+        log_bound = {"tail": log_tail_bound, "tube": log_tube_ratio_bound}.get(args.which)
+        log10_value = (log_bound(p, d, args.sigma, x) / math.log(10.0) if log_bound
+                       else None if value is None else math.log10(value))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        print(json.dumps({"params": params, "value": value}))
+    if args.json:  # JSON has no Infinity: such a bound is null, next to its log10
+        finite = value is None or math.isfinite(value)
+        print(json.dumps({"params": params, "value": value if finite else None,
+                          "log10_value": log10_value}, allow_nan=False))
     else:
         print("not applicable" if value is None else _fmt6(value))
     return EXIT_OK
@@ -185,19 +196,29 @@ def _resolve_variety(spec: str):
 
 def _write_outputs(args, header: list[str], rows: list[list], params: dict,
                    t0: float) -> None:
+    import platform  # only manifests need it: kept off the import path of a cold `bounds`
+
     csv_path = args.out + ".csv"
     with open(csv_path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(_fmt17(v) for v in row) + "\n")
+    # what ran and where: the CSV stays a function of the parameters alone
     manifest = {
         "command_line": " ".join(["spherecond", *args.argv]),
         "parameters": params,
         "master_seed": args.seed,
         "worker_count": args.workers,
         "sample_count": args.samples,
+        "block_size": _BLOCK,
+        "block_count": -(-args.samples // _BLOCK),
         "wall_time_seconds": time.time() - t0,
         "artifact_version": __version__,
+        "python_version": platform.python_version(),
+        "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
     with open(args.out + ".manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)

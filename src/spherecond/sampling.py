@@ -2,12 +2,15 @@
 
 Counter-based (Philox) streams keyed by (master_seed, stream_index), so
 that parallel workers can partition a sample budget deterministically.
+Cap radii come from one exact rejection sampler for every (p, alpha), whose
+envelope is an exponential tangent to log sin. It draws a variable number
+of uniforms, so a block's points depend on its whole stream: the block
+runner gives each block its own.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 # j_integral stays bound here: benchmark/tracing.py patches sampling.j_integral.
 from .geometry import Cap, j_integral  # noqa: F401
@@ -42,40 +45,32 @@ def sample_uniform_sphere(p: int, rng: RngStream, size: int) -> np.ndarray:
 def _cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
     """n angular radii of uniform points on a cap of angular radius alpha in S^p.
 
-    The radius rho has density proportional to sin^{p-1} on [0, alpha], so
-    sin^2(rho/2) ~ Beta(p/2, p/2) truncated at x0 = sin^2(alpha/2); one
-    inverse regularized incomplete beta call maps uniforms onto it. When
-    the truncated mass I_{x0}(p/2, p/2) is below the smallest normal double
-    (tiny caps in high dimension), radii come from `_small_cap_radii`.
-    """
-    h = 0.5 * p
-    x0 = np.sin(0.5 * alpha) ** 2
-    mass = betainc(h, h, x0)
-    if mass < np.finfo(float).tiny:
-        return _small_cap_radii(p, alpha, gen, n)
-    x = betaincinv(h, h, gen.random(n) * mass)
-    return 2.0 * np.arcsin(np.sqrt(np.minimum(x, x0)))
-
-
-def _small_cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
-    """Exact rejection sampler for the radial density sin^{p-1} on [0, alpha].
-
-    log sin is concave, so sin^{p-1} rho <= sin^{p-1} alpha * exp(lam (rho - alpha))
-    with lam = (p-1) cot alpha. Proposals come from that exponential
-    envelope on [0, alpha] by inversion and are accepted with the ratio of
-    the density to the envelope; about 1/((p-1) cos^2 alpha) of them are
-    rejected.
+    Exact rejection sampling from the density sin^{p-1} on [0, alpha]. log sin
+    is concave, so for any tangent point r0 in (0, alpha]
+    sin^{p-1} rho <= sin^{p-1} r0 * exp(lam (rho - r0)) with lam = (p-1) cot r0.
+    Proposals come from that exponential envelope on [0, alpha] by inversion
+    and are accepted with the ratio of the density to the envelope. The
+    tangent is cot r0 = max(cot alpha, 1/sqrt(p-1)): alpha itself on small
+    caps, one standard deviation below the peak at pi/2 on wide ones. By
+    quadrature over p = 2..399 and sigma = 1e-3..1, at least 0.637 of the
+    proposals are accepted (fewest near p = 8, sigma = 0.935).
     """
     if p == 1:  # constant density, where the envelope degenerates (lam = 0)
         return alpha * gen.random(n)
-    lam = (p - 1) / np.tan(alpha)
+    r0 = min(alpha, np.arctan(np.sqrt(p - 1)))
+    lam = (p - 1) / np.tan(r0)
     span = -np.expm1(-lam * alpha)
     out = np.empty(0)
     while out.size < n:
         m = n - out.size
         rho = alpha + np.log1p(-span * gen.random(m)) / lam
-        log_ratio = (p - 1) * np.log(np.sin(rho) / np.sin(alpha)) - lam * (rho - alpha)
-        out = np.concatenate([out, rho[np.log(gen.random(m)) < log_ratio]])
+        # round-off can put rho at or just below 0, where the density is 0:
+        # log sin is -inf there (so rho is rejected), without a warning
+        ratio = np.sin(rho) / np.sin(r0)
+        log_sin = np.log(ratio, out=np.full(m, -np.inf), where=ratio > 0.0)
+        log_ratio = (p - 1) * log_sin - lam * (rho - r0)
+        # log1p(-u) has the law of log u, and is finite on [0, 1)
+        out = np.concatenate([out, rho[np.log1p(-gen.random(m)) < log_ratio]])
     return out
 
 
@@ -83,24 +78,26 @@ def sample_uniform_cap(cap: Cap, rng: RngStream, size: int) -> np.ndarray:
     """`size` uniform points, shape (size, p+1), on the cap around cap.center of
     projective radius sigma.
 
-    Radius from the density proportional to sin^{p-1} on [0, arcsin sigma]
-    (`_cap_radii`), direction uniform on the tangent sphere, combined via
-    the spherical exponential map.
+    Radius exactly from the density proportional to sin^{p-1} on
+    [0, arcsin sigma], by rejection from an exponential envelope (`_cap_radii`),
+    direction uniform on the tangent sphere, combined via the spherical
+    exponential map.
     """
     p = cap.center.p
     gen = rng.generator
     rho = _cap_radii(p, cap.alpha, gen, size)
     a = cap.center.coords
     # tangent directions: Gaussian vectors with the component along a removed
-    u = np.empty((size, p + 1))
-    todo = np.arange(size)
-    while todo.size:
-        g = gen.standard_normal((todo.size, p + 1))
+    u = gen.standard_normal((size, p + 1))
+    u -= np.outer(u @ a, a)
+    norms = np.linalg.norm(u, axis=1)
+    while np.any(bad := norms < 1e-12):  # (almost) along a: no direction, draw again
+        g = gen.standard_normal((np.count_nonzero(bad), p + 1))
         g -= np.outer(g @ a, a)
-        norms = np.linalg.norm(g, axis=1)
-        ok = norms >= 1e-12
-        u[todo[ok]] = g[ok] / norms[ok, None]
-        todo = todo[~ok]
-    z = np.cos(rho)[:, None] * a + np.sin(rho)[:, None] * u
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return z
+        u[bad], norms[bad] = g, np.linalg.norm(g, axis=1)
+    u /= norms[:, None]
+    # z = cos(rho) a + sin(rho) u, built in u's memory
+    u *= np.sin(rho)[:, None]
+    u += np.outer(np.cos(rho), a)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from spherecond import (
     curvature_integral_bound,
     expectation_bound,
     linear_tail_bound,
+    log_tail_bound,
+    log_tube_ratio_bound,
     smooth_tube_bound,
     tail_bound,
     tube_ratio_bound,
@@ -58,6 +62,35 @@ class TestTailBound:
     def test_large_parameters_finite(self):
         v = tail_bound(10_000, 500, 1e-3, 1e8)
         assert np.isfinite(v) and v > 0
+
+    def test_overflow_is_inf_and_its_log_is_finite(self):
+        # at p = 399, d = 20, sigma = 0.25, t = 2 the bound is about 10^766
+        p, d, sigma, t = 399, 20, 0.25, 2.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert tail_bound(p, d, sigma, t) == math.inf
+            assert tube_ratio_bound(p, d, sigma, 1.0 / t) == math.inf
+        with mpmath.workdps(50):
+            r, two_d = mpmath.mpf(1) / (t * sigma), 2 * d
+
+            def log_o(k):  # ln O_k, the volume of S^k
+                return mpmath.log(2) + (k + 1) / mpmath.mpf(2) * mpmath.log(mpmath.pi) \
+                    - mpmath.loggamma(mpmath.mpf(k + 1) / 2)
+
+            ref = mpmath.fsum(4 * mpmath.binomial(p, k) * two_d**k * (1 + r) ** (p - k) * r**k
+                              for k in range(1, p))
+            ref += 2 * p * mpmath.exp(log_o(p) - log_o(p - 1)) * (two_d * r) ** p
+            log_ref = float(mpmath.log(ref))
+        assert log_tail_bound(p, d, sigma, t) == pytest.approx(log_ref, rel=1e-13)
+        assert log_tube_ratio_bound(p, d, sigma, 1.0 / t) == pytest.approx(log_ref, rel=1e-13)
+
+    @pytest.mark.parametrize("p, d, sigma, x", [(3, 1, 1.0, 10.0), (24, 5, 0.25, 1e4),
+                                                (399, 20, 1e-3, 7.2e7)])
+    def test_log_bounds_match_the_bounds(self, p, d, sigma, x):
+        assert log_tail_bound(p, d, sigma, x) == pytest.approx(
+            math.log(tail_bound(p, d, sigma, x)), rel=1e-14, abs=1e-14)
+        assert log_tube_ratio_bound(p, d, sigma, 1.0 / x) == pytest.approx(
+            math.log(tube_ratio_bound(p, d, sigma, 1.0 / x)), rel=1e-14, abs=1e-14)
 
     def test_requires_t(self):
         with pytest.raises(TypeError, match="'t'"):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import spherecond
 from spherecond import (
@@ -18,10 +20,11 @@ from spherecond import (
     SpherePoint,
     cli,
     linear_tail_bound,
+    log_tail_bound,
     tail_bound,
 )
 from spherecond.cli import main
-from spherecond.varieties import _cap_block, run_blocks
+from spherecond.varieties import _BLOCK, _cap_block, run_blocks
 
 
 CONIC = {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
@@ -86,6 +89,23 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["params"]["p"] == 3
         assert doc["value"] == pytest.approx(3.50740, abs=5e-6)
+        assert doc["log10_value"] == pytest.approx(math.log10(doc["value"]), rel=1e-14)
+
+    def test_json_overflowed_bound_is_null_with_finite_log10(self, capsys):
+        argv = ("--p", "399", "--d", "20", "--sigma", "0.25", "--t", "2")
+        code, out, err = run(capsys, "bounds", "tail", *argv, "--json")
+        assert code == 0 and err == ""
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["value"] is None
+        assert doc["log10_value"] == pytest.approx(
+            log_tail_bound(399, 20, 0.25, 2.0) / math.log(10.0), rel=1e-15)
+        assert 766 < doc["log10_value"] < 767
+        # the plain output still says the bound is infinite
+        assert run(capsys, "bounds", "tail", *argv)[1].strip() == "inf"
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "bounds", "tail", "--p", "3", "--d", "1",
@@ -205,6 +225,14 @@ class TestEstimateCommand:
         assert "command_line" in manifest
         assert manifest["wall_time_seconds"] >= 0.0
         assert manifest["artifact_version"]
+        # 20000 samples run as two full blocks and one of 3616
+        assert manifest["block_size"] == _BLOCK == 8192
+        assert manifest["block_count"] == 3
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["platform"] == platform.platform()
+        assert manifest["cpu_count"] == os.cpu_count()
 
     def test_manifest_records_argv_given_to_main(self, tmp_path, capsys):
         argv = ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2",

@@ -164,10 +164,6 @@ class TestSubsphereTube:
     def test_full_tube_codim_one(self, p):
         assert subsphere_tube_volume(p, 1, 1.0) == pytest.approx(sphere_volume(p), rel=1e-10)
 
-    @pytest.mark.parametrize("p", [1, 2, 3, 5, 9])
-    def test_full_tube_codim_p(self, p):
-        assert subsphere_tube_volume(p, p, 1.0) == pytest.approx(sphere_volume(p), rel=1e-10)
-
     def test_equator_band_s2(self):
         beta = 0.37
         assert subsphere_tube_volume(2, 1, math.sin(beta)) == pytest.approx(

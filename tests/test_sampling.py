@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.special import betainc, hyp2f1
 
 from spherecond import Cap, RngStream, SpherePoint, sample_uniform_cap, sample_uniform_sphere
 from spherecond.geometry import j_integral
-from spherecond.sampling import _cap_radii, _small_cap_radii
+from spherecond.sampling import _cap_radii
 from spherecond.varieties import SubsphereVariety, tube_cap_counts
 from weyl_rotation import sample_rotation
 
@@ -22,17 +23,22 @@ def north(p):
 def radial_cdf(p, x, x0):
     """CDF of sin^2(rho/2) for uniform points on the cap with sin^2(alpha/2) = x0.
 
-    The law is Beta(p/2, p/2) truncated at x0. Its CDF is evaluated through
-    I_x(a, a) = x^a (1-x)^a F(2a, 1; a+1; x) / (a B(a, a)) (DLMF 8.17.8), so
-    the constant cancels and nothing underflows for tiny caps in high
-    dimension, where I_x0 itself is below the smallest double.
+    The law is Beta(p/2, p/2) truncated at x0, with CDF I_x(a, a) / I_x0(a, a).
+    Where I_x0 is near or below the smallest double (tiny caps in high
+    dimension), the CDF is evaluated through
+    I_x(a, a) = x^a (1-x)^a F(2a, 1; a+1; x) / (a B(a, a)) (DLMF 8.17.8) in log
+    space, so the constant cancels and nothing underflows. That series form is
+    kept to small x0: scipy's hyp2f1 loses all accuracy at large a near x = 1/2.
     """
     a = p / 2
+    mass = betainc(a, a, x0)
+    if mass > 1e-250:
+        return np.clip(betainc(a, a, x) / mass, 0.0, 1.0)
 
-    def unnormalized(y):
-        return (y / x0) ** a * ((1 - y) / (1 - x0)) ** a * hyp2f1(2 * a, 1, a + 1, y)
+    def log_unnormalized(y):
+        return a * (np.log(y) + np.log1p(-y)) + np.log(hyp2f1(2 * a, 1, a + 1, y))
 
-    return np.clip(unnormalized(x) / unnormalized(x0), 0.0, 1.0)
+    return np.clip(np.exp(log_unnormalized(x) - log_unnormalized(x0)), 0.0, 1.0)
 
 
 def radial_cdf_mpmath(p, x, x0):
@@ -119,17 +125,6 @@ class TestCapSampling:
         ks_side = stats.ks_2samp(cap_pts[:, 1], uni[:, 1])
         assert ks_side.pvalue > 0.01
 
-    def test_inverse_cdf_residual(self):
-        # radii map the stream's uniforms u onto the truncated Beta(p/2, p/2) CDF
-        n = 2000
-        for p, alpha in [(5, 1.1), (24, math.asin(0.25)), (3, math.pi / 2)]:
-            u = RngStream(8).generator.random(n)
-            rho = _cap_radii(p, alpha, RngStream(8).generator, n)
-            assert np.all((rho >= 0.0) & (rho <= alpha))
-            mass = betainc(p / 2, p / 2, math.sin(alpha / 2) ** 2)
-            resid = np.abs(betainc(p / 2, p / 2, np.sin(rho / 2) ** 2) - u * mass)
-            assert np.max(resid) <= 1e-12 * mass
-
     @pytest.mark.parametrize("p, sigma", [(15, 0.05), (63, 0.01), (200, 0.01), (24, 0.25), (2, 1.0)])
     def test_radial_law_ks(self, p, sigma):
         cap = Cap(north(p), sigma)
@@ -139,19 +134,12 @@ class TestCapSampling:
         assert np.all(x <= x0 * (1 + 1e-12))
         assert stats.kstest(radial_cdf(p, x, x0), "uniform").pvalue > 1e-4
 
-    @pytest.mark.parametrize("p, sigma", [(15, 0.05), (63, 0.01), (200, 0.01)])
+    @pytest.mark.parametrize("p, sigma", [(15, 0.05), (63, 0.01), (200, 0.01), (399, 1.0),
+                                          (399, 0.2), (399, 1e-3)])
     def test_reference_cdf_matches_mpmath(self, p, sigma):
         x0 = math.sin(math.asin(sigma) / 2) ** 2
         for x in x0 * np.array([1e-3, 0.3, 0.8, 0.97, 0.999]):
             assert radial_cdf(p, x, x0) == pytest.approx(radial_cdf_mpmath(p, x, x0), rel=1e-10)
-
-    def test_tiny_cap_takes_rejection_fallback(self):
-        # the truncated beta mass at p=200, sigma=0.01 is below the smallest double
-        p, alpha = 200, math.asin(0.01)
-        assert betainc(p / 2, p / 2, math.sin(alpha / 2) ** 2) < np.finfo(float).tiny
-        rho = _cap_radii(p, alpha, RngStream(13).generator, 1000)
-        fallback = _small_cap_radii(p, alpha, RngStream(13).generator, 1000)
-        assert np.array_equal(rho, fallback)
 
     @pytest.mark.parametrize("p", [1, 2, 50])
     def test_vanishing_cap(self, p):
@@ -162,17 +150,47 @@ class TestCapSampling:
         mean, var = p / (p + 1), p / ((p + 1) ** 2 * (p + 2))
         assert abs(np.mean(rho / alpha) - mean) <= 5 * math.sqrt(var / n)
 
-    @pytest.mark.parametrize("p, sigma", [(5, 0.9), (24, 0.25), (63, 0.5)])
+    # (3, 1.0) and (399, 1.0) put the tangent below the cap's edge; (8, 0.935),
+    # the lowest acceptance rate, and (63, 0.99) keep it at the edge just short
+    # of the switch; at p = 399, sigma = 1e-3, I_x0 underflows
+    @pytest.mark.parametrize("p, sigma", [(5, 0.9), (24, 0.25), (63, 0.5), (3, 1.0), (8, 0.935),
+                                          (63, 0.99), (399, 1.0), (399, 1e-3)])
     def test_rejection_sampler_law(self, p, sigma):
-        # the fallback is exact wherever it runs, also on caps the inverse serves
         alpha = math.asin(sigma)
-        rho = _small_cap_radii(p, alpha, RngStream(14).generator, 20_000)
+        rho = _cap_radii(p, alpha, RngStream(14).generator, 20_000)
+        assert rho.shape == (20_000,)
         assert np.all((rho >= 0.0) & (rho <= alpha))
         x = np.sin(rho / 2) ** 2
         assert stats.kstest(radial_cdf(p, x, math.sin(alpha / 2) ** 2), "uniform").pvalue > 1e-4
 
+    @pytest.mark.parametrize("p", [2, 3, 8, 24, 63, 399])
+    @pytest.mark.parametrize("sigma", [1.0, 0.935, 0.5, 0.01])
+    def test_rejection_sampler_efficiency(self, p, sigma):
+        # two uniforms per proposal; an envelope anchored at alpha on a wide cap
+        # needs about 10 proposals per radius at p = 63
+        class Counting:
+            def __init__(self, gen):
+                self.gen, self.draws = gen, 0
+
+            def random(self, size):
+                self.draws += size
+                return self.gen.random(size)
+
+        gen, n = Counting(RngStream(17).generator), 20_000
+        rho = _cap_radii(p, math.asin(sigma), gen, n)
+        assert rho.shape == (n,)
+        assert gen.draws / 2 <= 1.7 * n
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 63, 399])
+    @pytest.mark.parametrize("alpha", [math.pi / 2, 1e-200])
+    def test_no_runtime_warning(self, p, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rho = _cap_radii(p, alpha, RngStream(18).generator, 20_000)
+        assert np.all((rho >= 0.0) & (rho <= alpha))
+
     def test_fallback_counts_identical_across_workers(self):
-        # rejection draws a variable number of uniforms; blocks keep workers out of it
+        # the radii draw a variable number of uniforms; blocks keep workers out of it
         cap = Cap(north(200), 0.01)
         variety = SubsphereVariety(200, 100)
         grid = [0.0068, 0.0071, 0.0074]
@@ -180,6 +198,33 @@ class TestCapSampling:
         c2 = tube_cap_counts(variety, cap, grid, 20_000, seed=15, workers=2)
         assert np.array_equal(c1, c2)
         assert 0 < c1[0] < c1[-1] < 20_000
+
+    def test_direction_along_center_is_drawn_again(self):
+        # a Gaussian vector along the center has no tangent direction; that row
+        # takes the next draw, which is along the center too once, then not
+        cap = Cap(SpherePoint.from_vector(np.array([1.0, 2.0, -0.5, 0.3])), 0.6)
+        gen = RngStream(19).generator
+
+        class AlongCenter:
+            def __init__(self):
+                self.calls = []
+
+            def random(self, size):
+                return gen.random(size)
+
+            def standard_normal(self, shape):
+                self.calls.append(shape)
+                g = gen.standard_normal(shape)
+                if len(self.calls) <= 2:
+                    g[0] = 2.0 * cap.center.coords
+                return g
+
+        stream = RngStream(19)
+        stream.generator = AlongCenter()
+        pts = sample_uniform_cap(cap, stream, size=100)
+        assert stream.generator.calls == [(100, 4), (1, 4), (1, 4)]
+        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+        assert np.all(pts @ cap.center.coords >= math.sqrt(1 - 0.6**2) - 1e-12)
 
     def test_rotation_invariance_of_center(self):
         # sampling around a rotated center equals rotating samples statistically
