@@ -56,8 +56,8 @@ def _log_tail_core(p: int, d: int, ratio: float) -> float:
 def log_tail_bound(p: int, d: int, sigma: float, t: float) -> float:
     """ln tail_bound(p, d, sigma, t), finite also where the bound overflows a double."""
     _check_range(p, d, sigma)
-    if t < 1.0:
-        raise ValueError("t must be >= 1 (the bound is vacuous below)")
+    if not 1.0 <= t < math.inf:
+        raise ValueError("t must be >= 1 and finite (the bound is vacuous below 1)")
     return _log_tail_core(p, d, 1.0 / (t * sigma))
 
 

@@ -228,20 +228,11 @@ def system_projective_distance(f: PolySystem, g: PolySystem) -> float:
     return float(np.sqrt(max(0.0, 1.0 - min(1.0, abs(cosang)) ** 2)))
 
 
-def _tangent_basis(zeta: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of zeta, as columns."""
-    n1 = zeta.size
-    # householder-based completion: columns 2..n1 of any orthogonal matrix
-    # with first column zeta
-    q, _ = np.linalg.qr(np.column_stack([zeta, np.eye(n1)[:, : n1 - 1]]))
-    if np.dot(q[:, 0], zeta) < 0:
-        q = -q
-    return q[:, 1:]
-
-
-def restricted_jacobian(f: PolySystem, zeta: SpherePoint) -> np.ndarray:
-    """Df at zeta restricted to an orthonormal basis of the tangent space."""
-    return f.jacobian(zeta.coords) @ _tangent_basis(zeta.coords)
+def _projected_svd(f: PolySystem, zeta: SpherePoint):
+    """Thin SVD (u, s, vt) of J = Df(zeta) - (Df(zeta) zeta) zeta^T. J zeta = 0, so its n
+    singular values are those of Df restricted to zeta^perp, and the rows of vt lie there."""
+    jac = f.jacobian(zeta.coords)
+    return np.linalg.svd(jac - np.outer(jac @ zeta.coords, zeta.coords), full_matrices=False)
 
 
 def mu_norm(f: PolySystem, zeta: SpherePoint) -> float:
@@ -251,11 +242,11 @@ def mu_norm(f: PolySystem, zeta: SpherePoint) -> float:
     norm_f = weyl_norm(f)
     if np.linalg.norm(f(zeta.coords)) > 1e-8 * norm_f:
         raise ValueError("zeta is not a zero of f (residual too large)")
-    m = restricted_jacobian(f, zeta)
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(svals[0], 1e-300):
+    u, s, _ = _projected_svd(f, zeta)
+    if s[-1] <= 1e-12 * max(s[0], 1e-300):
         return math.inf
-    scaled = np.linalg.solve(m, np.diag(np.sqrt(np.array(f.degrees, dtype=float))))
+    # the restricted inverse is vt^T diag(1/s) u^T, and vt^T has orthonormal columns
+    scaled = (u.T / s[:, None]) * np.sqrt(np.array(f.degrees, dtype=float))
     return float(norm_f * np.linalg.norm(scaled, 2))
 
 
@@ -314,9 +305,8 @@ def multiple_zero_witness(f: PolySystem, zeta: SpherePoint) -> PolySystem:
     restricted derivative at zeta singular, using polynomials that vanish
     at zeta. The result is renormalized to unit norm.
     """
-    m = restricted_jacobian(f, zeta)
-    u, s, vt = np.linalg.svd(m)
-    w = _tangent_basis(zeta.coords) @ vt[-1]
+    u, s, vt = _projected_svd(f, zeta)
+    w = vt[-1]  # unit tangent direction at zeta
     polys = []
     for i, fi in enumerate(f.polys):
         corr = _expand([s[-1] * u[i, -1] * w] + [zeta.coords] * (fi.degree - 1), f.n)
@@ -334,8 +324,7 @@ def cntr_witness_check(f: PolySystem, zeta: SpherePoint, g: PolySystem) -> bool:
         raise ValueError("f and g must have unit norm")
     if np.linalg.norm(g(zeta.coords)) > 1e-8:
         raise ValueError("zeta is not a zero of the witness")
-    mg = restricted_jacobian(g, zeta)
-    sg = np.linalg.svd(mg, compute_uv=False)
+    _, sg, _ = _projected_svd(g, zeta)
     if sg[-1] > 1e-8 * max(sg[0], 1.0):
         raise ValueError("zeta is not a multiple zero of the witness")
     mu = mu_norm(f, zeta)

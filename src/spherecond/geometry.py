@@ -63,7 +63,7 @@ def sphere_volume(p: int) -> float:
     """p-dimensional volume of S^p: 2 pi^{(p+1)/2} / Gamma((p+1)/2)."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    return float(2.0 * np.exp(0.5 * (p + 1) * np.log(np.pi) - gammaln(0.5 * (p + 1))))
+    return float(np.exp(_log_O(p)))
 
 
 def _check_jpk_args(p: int, k: int):

@@ -50,13 +50,13 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
     return lo, hi
 
 
-def empirical_bernstein(n: int, mean: float, m2: float, level: float = 0.99):
-    """Two-sided interval for the mean of n i.i.d. samples in [0, 1], given their
+def empirical_bernstein(n: int, mean: float, m2: float):
+    """Two-sided 99% interval for the mean of n i.i.d. samples in [0, 1], given their
     (n, mean, M2): the empirical-Bernstein bound (Maurer and Pontil 2009, Theorem 4)
-    at (1 - level) / 2 on each side, clipped to [0, 1]."""
+    at 0.005 on each side, clipped to [0, 1]."""
     if n < 2:
         return 0.0, 1.0
-    log_term = math.log(4.0 / (1.0 - level))
+    log_term = math.log(400.0)  # ln(4 / (1 - 0.99))
     half = (math.sqrt(2.0 * (m2 / (n - 1)) * log_term / n)
             + 7.0 * log_term / (3.0 * (n - 1)))
     return max(0.0, mean - half), min(1.0, mean + half)
@@ -168,7 +168,7 @@ class CurveVariety(Variety):
         g = self.poly.gradient(pts)
         return g - pts * np.sum(g * pts, axis=1, keepdims=True)
 
-    def _project(self, pts: np.ndarray, steps: int = 8) -> np.ndarray:
+    def _project(self, pts: np.ndarray, steps: int) -> np.ndarray:
         """Newton steps moving points onto the curve along the surface gradient."""
         for _ in range(steps):
             f = self.poly(pts)

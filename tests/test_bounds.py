@@ -100,6 +100,11 @@ class TestTailBound:
         with pytest.raises(ValueError, match="t must be >= 1"):
             tail_bound(3, 1, 1.0, 0.5)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(ValueError, match="t must be >= 1 and finite"):
+            tail_bound(3, 1, 1.0, t)
+
 
 class TestTubeRatioBound:
     def test_substitution_identity(self):

@@ -113,6 +113,20 @@ class TestBoundsCommand:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "tail", "--p", "3", "--d", "1", "--t", "nan"],
+        ["bounds", "tail", "--p", "3", "--d", "1", "--t", "nan", "--json"],
+        ["bounds", "tail", "--p", "3", "--d", "1", "--t", "inf"],
+        ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2", "--t-grid", "10,nan",
+         "--out", "{tmp}/t"],
+    ], ids=["nan", "nan-json", "inf", "estimate-grid-nan"])
+    def test_non_finite_t_is_a_usage_error(self, tmp_path, capsys, argv):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert err.startswith("error: t must be") and err.count("\n") == 1
+        assert out == ""
+        assert not any(tmp_path.iterdir())
+
     def test_missing_t(self, capsys):
         code, out, err = run(capsys, "bounds", "tail", "--p", "3", "--d", "1",
                              "--sigma", "1")

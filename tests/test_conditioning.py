@@ -19,7 +19,7 @@ from spherecond import (
     weyl_inner,
     weyl_norm,
 )
-from spherecond.conditioning import _expand, random_system_with_zero
+from spherecond.conditioning import _expand, _minus, _projected_svd, random_system_with_zero
 from weyl_rotation import rotate_system, sample_rotation
 
 
@@ -179,6 +179,37 @@ def random_poly(n, d, gen):
                           coefficients={a: float(gen.standard_normal()) for a in basis})
 
 
+def tangent_basis(zeta):
+    """Orthonormal basis of zeta^perp, as columns: the last n columns of a QR
+    completion of zeta (the reference that the projected Jacobian replaced)."""
+    n1 = zeta.size
+    q, _ = np.linalg.qr(np.column_stack([zeta, np.eye(n1)[:, : n1 - 1]]))
+    if np.dot(q[:, 0], zeta) < 0:
+        q = -q
+    return q[:, 1:]
+
+
+def mu_norm_by_basis(f, zeta):
+    """mu_norm from Df restricted to tangent_basis, inverted by a solve."""
+    m = f.jacobian(zeta.coords) @ tangent_basis(zeta.coords)
+    scaled = np.linalg.solve(m, np.diag(np.sqrt(np.array(f.degrees, dtype=float))))
+    return weyl_norm(f) * np.linalg.norm(scaled, 2)
+
+
+def mixed_system_with_zero(degrees, gen):
+    """Random system with the given degrees and a planted zero, as in random_system_with_zero."""
+    n = len(degrees)
+    zeta = SpherePoint.from_vector(gen.standard_normal(n + 1))
+    polys = []
+    for d in degrees:
+        f = random_poly(n, d, gen)
+        polys.append(_minus(f, _expand([zeta.coords] * d, n), f(zeta.coords)))
+    return PolySystem(tuple(polys)), zeta
+
+
+SYSTEM_SHAPES = [(n, d) for n in (1, 2, 3) for d in (1, 2, 3, 4)]
+
+
 class TestWeylPolynomial:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
@@ -301,6 +332,21 @@ class TestMuNorm:
             rzeta = SpherePoint.from_vector(rot @ zeta.coords)
             assert mu_norm(g, rzeta) == pytest.approx(base, rel=1e-8)
 
+    @pytest.mark.parametrize("n,d", SYSTEM_SHAPES)
+    def test_matches_tangent_basis_reference(self, n, d):
+        gen = np.random.default_rng(300 + 10 * n + d)
+        for _ in range(50):
+            f, zeta = random_system_with_zero(n, d, gen)
+            assert mu_norm(f, zeta) == pytest.approx(mu_norm_by_basis(f, zeta), rel=1e-10)
+
+    @pytest.mark.parametrize("degrees", [(1, 3), (4, 2), (1, 2, 4), (3, 1, 2)])
+    def test_mixed_degrees_match_tangent_basis_reference(self, degrees):
+        # unequal sqrt(d_i) weights tell u^T apart from u
+        gen = np.random.default_rng(sum(degrees) * 7 + len(degrees))
+        for _ in range(50):
+            f, zeta = mixed_system_with_zero(degrees, gen)
+            assert mu_norm(f, zeta) == pytest.approx(mu_norm_by_basis(f, zeta), rel=1e-10)
+
     def test_rejects_non_zero(self):
         with pytest.raises(ValueError):
             mu_norm(linear_system(2), SpherePoint.from_vector(np.array([0.0, 1.0, 0.0])))
@@ -332,6 +378,16 @@ class TestWitness:
         g = multiple_zero_witness(f, zeta)
         assert abs(weyl_norm(g) - 1.0) <= 1e-10
         assert np.linalg.norm(g(zeta.coords)) <= 1e-10
-        from spherecond.conditioning import restricted_jacobian
-        sg = np.linalg.svd(restricted_jacobian(g, zeta), compute_uv=False)
+        _, sg, _ = _projected_svd(g, zeta)
         assert sg[-1] <= 1e-10 * max(sg[0], 1.0)
+
+    @pytest.mark.parametrize("n,d", SYSTEM_SHAPES)
+    def test_tangent_direction_is_orthogonal_to_zeta(self, n, d):
+        # the witness bends f along w = vt[-1]; w must be a tangent vector at zeta
+        gen = np.random.default_rng(400 + 10 * n + d)
+        for _ in range(50):
+            f, zeta = random_system_with_zero(n, d, gen)
+            _, s, vt = _projected_svd(f, zeta)
+            assert np.max(np.abs(vt @ zeta.coords)) <= 1e-12
+            restricted = f.jacobian(zeta.coords) @ tangent_basis(zeta.coords)
+            assert s == pytest.approx(np.linalg.svd(restricted, compute_uv=False), rel=1e-10)
