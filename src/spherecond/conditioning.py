@@ -303,14 +303,16 @@ def multiple_zero_witness(f: PolySystem, zeta: SpherePoint) -> PolySystem:
 
     Subtracts from f the smallest rank-one correction that makes the
     restricted derivative at zeta singular, using polynomials that vanish
-    at zeta. The result is renormalized to unit norm.
-    """
+    at zeta. The result is renormalized to unit norm; ValueError where the
+    correction leaves the zero system (one linear form, n = d = 1)."""
     u, s, vt = _projected_svd(f, zeta)
     w = vt[-1]  # unit tangent direction at zeta
     polys = []
     for i, fi in enumerate(f.polys):
         corr = _expand([s[-1] * u[i, -1] * w] + [zeta.coords] * (fi.degree - 1), f.n)
         polys.append(_minus(fi, corr))
+    if weyl_norm(PolySystem(tuple(polys))) <= 1e-8 * weyl_norm(f):
+        raise ValueError("the rank-one correction leaves the zero system (n = d = 1)")
     return _unit_norm(polys)
 
 

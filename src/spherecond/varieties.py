@@ -1,12 +1,12 @@
 """Variety distance oracles, Monte Carlo tube estimates, and exact checks.
 
 Varieties are symmetric subsets of S^p with an attached projective
-distance evaluator: great subspheres (exact), rank-deficient matrices via
-the smallest singular value (exact), and plane curves on S^2 via a mesh of
-Newton-projected hemisphere lattice points with Newton refinement (upper
-bound on the true distance). The curve oracle finds each query's nearest
-mesh point in cache-sized row blocks against one reused buffer, and
-evaluates the polynomial from a multiply-only power table.
+distance evaluator: great subspheres (exact), rank-deficient matrices via the
+smallest singular value (exact: closed form for two columns, else LAPACK's SVD),
+and plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points
+with Newton refinement (upper bound on the true distance). The curve oracle
+finds each query's nearest mesh point in cache-sized row blocks against one
+reused buffer, and evaluates the polynomial from a multiply-only power table.
 """
 
 from __future__ import annotations
@@ -94,7 +94,12 @@ class SubsphereVariety(Variety):
 
 class DeterminantVariety(Variety):
     """Rank-deficient n x m matrices (n >= m; square if m is None) on S^{nm-1}, cut out
-    by the m x m minors; distance is the smallest singular value (Eckart-Young)."""
+    by the m x m minors; distance is the smallest singular value (Eckart-Young).
+
+    m = 2, columns a, b: P = s1 s2 = sqrt(sum_{i<j} (a_i b_j - a_j b_i)^2) (Cauchy-Binet),
+    s1^2 = (N + hypot(|a|^2 - |b|^2, 2 <a, b>)) / 2 with N = |a|^2 + |b|^2, s_min = P / s1.
+    Past the minors only sums of squares and a hypot: round-off of |A|, also at s1 = s2,
+    where (N - sqrt(N^2 - 4 P^2)) / 2 loses sqrt(eps). Other m: LAPACK's SVD."""
 
     def __init__(self, n: int, m: int | None = None):
         m = n if m is None else m
@@ -107,7 +112,13 @@ class DeterminantVariety(Variety):
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         mats = points.reshape(-1, self.n, self.m)
-        return np.linalg.svd(mats, compute_uv=False)[:, -1]
+        if self.m != 2:
+            return np.linalg.svd(mats, compute_uv=False)[:, -1]
+        a, b = mats[:, :, 0], mats[:, :, 1]
+        i, j = np.triu_indices(self.n, 1)
+        aa, bb, ab = np.sum(a * a, axis=1), np.sum(b * b, axis=1), np.sum(a * b, axis=1)
+        s1 = np.sqrt((aa + bb + np.hypot(aa - bb, 2.0 * ab)) / 2.0)
+        return np.linalg.norm(a[:, i] * b[:, j] - a[:, j] * b[:, i], axis=1) / s1
 
 
 # hemisphere lattice size; the mesh keeps about sqrt(2 _MESH_SIZE / pi) points per

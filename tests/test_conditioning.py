@@ -373,6 +373,14 @@ class TestWitness:
             assert mu * dist == pytest.approx(1.0, abs=1e-6)
             assert cntr_witness_check(f, zeta, g)
 
+    def test_single_linear_form_has_no_witness(self):
+        # for n = d = 1 the correction is all of f; its round-off is no witness
+        gen = np.random.default_rng(411)
+        for _ in range(50):
+            f, zeta = random_system_with_zero(1, 1, gen)
+            with pytest.raises(ValueError, match="leaves the zero system"):
+                multiple_zero_witness(f, zeta)
+
     def test_witness_zero_and_rank_drop(self):
         f, zeta = random_system_with_zero(1, 3, np.random.default_rng(20))
         g = multiple_zero_witness(f, zeta)

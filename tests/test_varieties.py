@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from spherecond import (
     WeylPolynomial,
     band_volume,
     clopper_pearson,
+    frobenius_condition,
     geodesic_sphere_mu,
     sample_uniform_sphere,
     sphere_volume,
@@ -147,6 +149,29 @@ class TestSubsphereVariety:
         assert SubsphereVariety(5, 2).degree == 1
 
 
+def planted_two_columns(n, singular_values, gen):
+    """Unit n x 2 matrices U diag(s) V^T, one per row of singular value pairs, as rows."""
+    u, _ = np.linalg.qr(gen.standard_normal((len(singular_values), n, 2)))
+    v, _ = np.linalg.qr(gen.standard_normal((len(singular_values), 2, 2)))
+    rows = ((u * singular_values[:, None, :]) @ np.swapaxes(v, 1, 2)).reshape(-1, 2 * n)
+    return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+
+def two_column_families(n, count, gen):
+    """Random unit n x 2 matrices, near-singular ones (sigma_min from 1e-14 to 1e-2)
+    and near-orthonormal ones (sigma_1 / sigma_2 - 1 from 1e-16 to 1e-2)."""
+    rows = gen.standard_normal((count, 2 * n))
+    small = 10.0 ** gen.uniform(-14, -2, count)
+    gap = 10.0 ** gen.uniform(-16, -2, count)
+    return {
+        "random": rows / np.linalg.norm(rows, axis=1, keepdims=True),
+        "near-singular": planted_two_columns(
+            n, np.stack([np.sqrt(1.0 - small ** 2), small], axis=1), gen),
+        "near-orthonormal": planted_two_columns(
+            n, np.stack([1.0 + gap, np.ones(count)], axis=1), gen),
+    }
+
+
 class TestDeterminantVariety:
     def test_scaled_identity(self):
         v = DeterminantVariety(2)
@@ -171,7 +196,54 @@ class TestDeterminantVariety:
         pts = sample_uniform_sphere(11, RngStream(3), size=50)
         d = DeterminantVariety(4, 3).distances(pts)
         ref = [np.linalg.svd(row.reshape(4, 3), compute_uv=False)[-1] for row in pts]
-        assert np.array_equal(d, ref)
+        assert np.array_equal(d, ref)  # m >= 3 is LAPACK's SVD itself
+        # m = 2 is a closed form: each side is within round-off of the true value
+        for n in (2, 5):
+            pts = sample_uniform_sphere(2 * n - 1, RngStream(3), size=50)
+            d = DeterminantVariety(n, 2).distances(pts)
+            ref = [np.linalg.svd(row.reshape(n, 2), compute_uv=False)[-1] for row in pts]
+            assert d == pytest.approx(ref, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_two_columns_match_mpmath(self, n):
+        # absolute error on unit matrices; over these families LAPACK's reaches 3.3e-16
+        gen = np.random.default_rng(700 + n)
+        for family, rows in two_column_families(n, 300, gen).items():
+            with mpmath.workdps(50):
+                exact = [float(min(mpmath.svd_r(mpmath.matrix(r.reshape(n, 2).tolist()),
+                                                compute_uv=False))) for r in rows]
+            err = np.max(np.abs(DeterminantVariety(n, 2).distances(rows) - exact))
+            assert err <= 4.5e-16, family
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_two_columns_need_no_svd(self, monkeypatch, n):
+        pts = sample_uniform_sphere(2 * n - 1, RngStream(5), size=20)
+        expected = DeterminantVariety(n, 2).distances(pts)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called for m = 2")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.array_equal(DeterminantVariety(n, 2).distances(pts), expected)
+        singular = np.zeros((1, 2 * n))
+        singular[0, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert DeterminantVariety(n, 2).distances(singular)[0] == 0.0
+
+    def test_condition_times_distance_is_one(self):
+        # kappa_F reads LAPACK's SVD, the distance the closed form. Both err by round-off
+        # of |A| = 1, so the product keeps 1e-12 for sigma_min down to about 1e-3.
+        gen = np.random.default_rng(17)
+        mats = gen.standard_normal((500, 2, 2))
+        mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+        small = 10.0 ** gen.uniform(-3, -1, 500)
+        near = planted_two_columns(2, np.stack([np.ones(500), small], axis=1), gen)
+        mats = np.concatenate([mats, near.reshape(-1, 2, 2)])
+        kappa = frobenius_condition(mats)
+        dist = DeterminantVariety(2).distances(mats.reshape(-1, 4))
+        assert np.min(dist) < 1.1e-3
+        assert np.max(np.abs(kappa * dist - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("shape", [(1,), (1, 1), (2, 3), (2, 0)])
     def test_shape_rejected(self, shape):
