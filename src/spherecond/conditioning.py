@@ -41,32 +41,36 @@ def frobenius_condition(a: np.ndarray):
     return kappa
 
 
-def eigenvalue_condition(a: np.ndarray, lam: float) -> float:
+def eigenvalue_condition(a: np.ndarray, lam):
     """kappa(A, lambda) = ||x|| ||y|| / |<x, y>| for right/left eigenvectors x, y.
 
     Infinite when the eigenvectors are numerically orthogonal (multiple
-    eigenvalue). Raises if lam fails the eigenvalue residual test.
+    eigenvalue). A stack (..., n, n) takes one lam per matrix and gives an
+    array; one matrix gives a float. Raises if any lam fails the eigenvalue
+    residual test.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ValueError("matrix must be square")
-    fro = np.linalg.norm(a)
-    u, _, vt = np.linalg.svd(a - lam * np.eye(a.shape[0]))
-    x = vt[-1]
-    y = u[:, -1]
-    if np.linalg.norm(a @ x - lam * x) > 1e-8 * max(fro, 1e-300):
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), a.shape[:-2])
+    fro = np.linalg.norm(a, axis=(-2, -1))
+    u, _, vt = np.linalg.svd(a - lam[..., None, None] * np.eye(a.shape[-1]))
+    x = vt[..., -1, :]
+    y = u[..., :, -1]
+    residual = np.linalg.norm(np.matmul(a, x[..., None])[..., 0] - lam[..., None] * x, axis=-1)
+    if np.any(residual > 1e-8 * np.maximum(fro, 1e-300)):
         raise ValueError("lam is not an eigenvalue of A (residual too large)")
-    dot = abs(float(np.dot(x, y)))
-    if dot <= 1e-12:
-        return math.inf
-    return 1.0 / dot
+    # a row times a column: np.dot's kernel, so one matrix keeps the bits it had alone
+    dot = np.abs(np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0])
+    kappa = np.divide(1.0, dot, out=np.full(dot.shape, math.inf), where=dot > 1e-12)
+    return float(kappa) if a.ndim == 2 else kappa
 
 
 # ---------------------------------------------------------------------------
 # distance to the set of matrices with a real multiple eigenvalue
 
 
-def discriminant_distance_2x2(a: np.ndarray) -> float:
+def discriminant_distance_2x2(a: np.ndarray):
     """Exact Frobenius distance from a 2x2 matrix to {(b11-b22)^2 + 4 b12 b21 = 0}.
 
     Matrices with a repeated real eigenvalue are exactly lam*I + r*u v^T with
@@ -77,16 +81,22 @@ def discriminant_distance_2x2(a: np.ndarray) -> float:
 
     where R = hypot((a12 + a21)/2, (a11 - a22)/2), D = |a12 - a21|/2 and
     disc = (a11 - a22)^2 + 4 a12 a21 = 4 (R^2 - D^2). The last form does not
-    cancel next to the quadric.
+    cancel next to the quadric. A stack (..., 2, 2) gives an array, one matrix
+    a float, and a stacked matrix gets the bits it gets alone. R is math.hypot's,
+    elementwise: np.hypot differs from it in the last bit about once in a thousand.
     """
     a = np.asarray(a, dtype=float)
-    if a.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    (a11, a12), (a21, a22) = a
-    r_plus_d = math.hypot((a12 + a21) / 2, (a11 - a22) / 2) + abs(a12 - a21) / 2
-    if r_plus_d == 0.0:  # A = lam*I lies on the quadric
-        return 0.0
-    return float(abs((a11 - a22) ** 2 + 4.0 * a12 * a21) / (4.0 * r_plus_d))
+    if a.shape[-2:] != (2, 2):
+        raise ValueError("expected a 2x2 matrix or a stack of them")
+    a11, a12, a21, a22 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    sym, diff = np.ravel((a12 + a21) / 2), np.ravel((a11 - a22) / 2)
+    r = np.array(list(map(math.hypot, sym.tolist(), diff.tolist()))).reshape(a11.shape)
+    r_plus_d = r + np.abs(a12 - a21) / 2
+    # float_power is libm's pow, as a float's ** 2 is; an array's ** 2 is x * x
+    disc = np.float_power(a11 - a22, 2) + 4.0 * a12 * a21
+    # r_plus_d = 0: A = lam*I lies on the quadric
+    dist = np.divide(np.abs(disc), 4.0 * r_plus_d, out=np.zeros(r.shape), where=r_plus_d != 0.0)
+    return float(dist) if a.ndim == 2 else dist
 
 
 # ---------------------------------------------------------------------------

@@ -94,18 +94,26 @@ def j_integral(p: int, k: int, alpha) -> float | np.ndarray:
     return float(out) if np.isscalar(alpha) else out
 
 
-def j_integral_quad(p: int, k: int, alpha: float) -> float:
-    """J_{p,k}(alpha) by adaptive quadrature; cross-check for j_integral."""
-    _check_jpk_args(p, k)
-    if not 0.0 <= alpha <= np.pi / 2 + 1e-12:
-        raise ValueError("alpha must lie in [0, pi/2]")
-    from scipy.integrate import quad  # slow to import; only verification needs it
+def j_integral_quad(p, k, alpha):
+    """J_{p,k}(alpha) by adaptive Gauss-Kronrod quadrature; cross-check for j_integral,
+    sharing nothing with its incomplete-beta closed form.
 
-    val, _ = quad(
-        lambda r: np.sin(r) ** (k - 1) * np.cos(r) ** (p - k),
-        0.0, alpha, epsabs=1e-12, epsrel=1e-12, limit=200,
-    )
-    return val
+    p, k and alpha broadcast together, and one vector-valued quad_vec call
+    integrates every point as alpha int_0^1 sin^{k-1}(alpha u) cos^{p-k}(alpha u) du,
+    to 1e-12 absolute or relative in the largest value (norm="max"). Scalar
+    inputs give a float.
+    """
+    p, k, alpha = np.broadcast_arrays(p, k, np.asarray(alpha, dtype=float))
+    if not np.all((p >= 1) & (k >= 1) & (k <= p)):
+        raise ValueError("need p >= 1 and 1 <= k <= p")
+    if not np.all((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12)):
+        raise ValueError("alpha must lie in [0, pi/2]")
+    from scipy.integrate import quad_vec  # slow to import; only verification needs it
+
+    a, sin_pow, cos_pow = alpha.ravel(), (k - 1).ravel(), (p - k).ravel()
+    val, _ = quad_vec(lambda u: a * np.sin(a * u) ** sin_pow * np.cos(a * u) ** cos_pow,
+                      0.0, 1.0, epsabs=1e-12, epsrel=1e-12, norm="max")
+    return float(val[0]) if alpha.ndim == 0 else val.reshape(alpha.shape)
 
 
 def subsphere_tube_volume(p: int, k: int, eps: float) -> float:

@@ -27,7 +27,7 @@ from .geometry import (
     sphere_volume,
     _log_binom,
 )
-from .sampling import RngStream, sample_uniform_cap, sample_uniform_sphere
+from .sampling import RngStream, sample_uniform_cap
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +134,12 @@ _CHUNK_ROWS = 4096
 _NEAREST_ROWS = 128
 
 
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (N, 3) arrays, column by column: the same bits as
+    np.sum(a * b, axis=1), without its reduction machinery."""
+    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+
+
 class CurveVariety(Variety):
     """Zero set on S^2 of the homogeneous polynomial `poly` in three variables.
 
@@ -177,17 +183,17 @@ class CurveVariety(Variety):
 
     def _tangential_grad(self, pts: np.ndarray) -> np.ndarray:
         g = self.poly.gradient(pts)
-        return g - pts * np.sum(g * pts, axis=1, keepdims=True)
+        return g - pts * _row_dot(g, pts)[:, None]
 
     def _project(self, pts: np.ndarray, steps: int) -> np.ndarray:
         """Newton steps moving points onto the curve along the surface gradient."""
         for _ in range(steps):
             f = self.poly(pts)
             g = self._tangential_grad(pts)
-            gn = np.sum(g * g, axis=1)
+            gn = _row_dot(g, g)
             gn = np.where(gn < 1e-30, 1.0, gn)
             pts = pts - (f / gn)[:, None] * g
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+            pts /= np.sqrt(_row_dot(pts, pts))[:, None]
         return pts
 
     def _build_mesh(self) -> np.ndarray:
@@ -199,7 +205,8 @@ class CurveVariety(Variety):
         phi = k * (math.pi * (3.0 - math.sqrt(5.0)))
         r = np.sqrt(1.0 - z * z)
         lattice = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-        slope = np.linalg.norm(self._tangential_grad(lattice), axis=1)
+        grad = self._tangential_grad(lattice)
+        slope = np.sqrt(_row_dot(grad, grad))
         near = np.abs(self.poly(lattice)) <= math.sqrt(2.0 * math.pi / _MESH_SIZE) * slope
         mesh = self._project(lattice[near], steps=16)
         return mesh[np.abs(self.poly(mesh)) < 1e-9]
@@ -219,20 +226,21 @@ class CurveVariety(Variety):
                 np.argmax(dots, axis=1, out=idx[s:s + rows.shape[0]])
             best = self._mesh[idx]
             # align hemispheres so the refinement target is the nearer antipode
-            flip = np.sum(best * chunk, axis=1) < 0
+            flip = _row_dot(best, chunk) < 0
             best[flip] *= -1.0
             for _ in range(_NEWTON_STEPS):
                 # slide along the curve tangent toward the query point
                 g = self._tangential_grad(best)
-                gn = np.linalg.norm(g, axis=1, keepdims=True)
+                gn = np.sqrt(_row_dot(g, g))[:, None]
                 gn = np.where(gn < 1e-30, 1.0, gn)
                 t = np.cross(best, g / gn)
-                step = np.sum((chunk - best) * t, axis=1)
+                step = _row_dot(chunk - best, t)
                 best = best + step[:, None] * t
-                best /= np.linalg.norm(best, axis=1, keepdims=True)
+                best /= np.sqrt(_row_dot(best, best))[:, None]
                 best = self._project(best, steps=3)
             # |best x z| = sin of the angle, accurate also next to the curve
-            out[start:start + _CHUNK_ROWS] = np.linalg.norm(np.cross(best, chunk), axis=1)
+            cross = np.cross(best, chunk)
+            out[start:start + _CHUNK_ROWS] = np.sqrt(_row_dot(cross, cross))
         return out
 
 
@@ -361,15 +369,20 @@ def kinematic_rhs_analytic(p: int, i: int, alpha: float) -> float:
 
 
 def _kinematic_block(args):
+    """(n, mean, M2) of cos^i delta over `count` uniform points of S^p, 0 where the
+    point's angle rho to S^{i+1} = {x_{i+2} = ... = x_p = 0} is alpha or more, and
+    cos delta = cos alpha / cos rho otherwise. A point is g / |g| for a standard
+    Gaussian g, and cos^2 rho = sum_{j < i+2} g_j^2 / |g|^2 does not depend on the
+    scale, so g is never normalised."""
     p, i, alpha, seed, index, count = args
-    z = sample_uniform_sphere(p, RngStream(seed, index + 1), size=count)
-    # distance to S^{i+1} = {x_{i+2} = ... = x_p = 0}
-    sin_rho = np.linalg.norm(z[:, i + 2:], axis=1)
-    cos_rho = np.sqrt(np.clip(1.0 - sin_rho**2, 0.0, 1.0))
-    inside = cos_rho > np.cos(alpha)
-    cos_delta = np.zeros(count)
-    cos_delta[inside] = np.cos(alpha) / cos_rho[inside]
-    return _moments(np.where(inside, cos_delta**i, 0.0))
+    sq = RngStream(seed, index + 1).generator.standard_normal((count, p + 1))
+    sq *= sq
+    near = np.sum(sq[:, :i + 2], axis=1)
+    cos2_rho = near / (near + np.sum(sq[:, i + 2:], axis=1))
+    cos2_alpha = math.cos(alpha) ** 2
+    inside = cos2_rho > cos2_alpha
+    ratio = np.divide(cos2_alpha, cos2_rho, out=np.zeros(count), where=inside)
+    return _moments(np.where(inside, ratio ** (0.5 * i), 0.0))
 
 
 def verify_kinematic(p: int, i: int, alpha: float, samples: int,

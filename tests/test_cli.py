@@ -19,6 +19,9 @@ from spherecond import (
     RngStream,
     SpherePoint,
     cli,
+    discriminant_distance_2x2,
+    eigenvalue_condition,
+    frobenius_condition,
     linear_tail_bound,
     log_tail_bound,
     tail_bound,
@@ -351,6 +354,9 @@ class TestEstimateCommand:
         ["logmean", "--problem", "matrix-inversion", "--n", "2", "--workers", "-2"],
         ["tail", "--problem", "moore-penrose", "--l", "1", "--m", "1"],
         *(argv for argv, _ in NAMED_FLAG_CASES),
+        # an empty grid: with no rows, "every row dominated" would hold unchecked
+        ["tail", "--problem", "matrix-inversion", "--n", "2", "--t-grid", "log:2:1000:0"],
+        ["tube", "--variety", "determinant:2", "--eps-grid", "log:0.05:0.8:0"],
     ])
     def test_bad_input_is_a_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         def no_sampling(*args, **kwargs):
@@ -363,8 +369,9 @@ class TestEstimateCommand:
         argv = [a.format(tmp=tmp_path) for a in argv]
         code, _, err = run(capsys, "estimate", *argv, "--out", str(out))
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "bad.csv").exists()
+        assert not (tmp_path / "bad.manifest.json").exists()
 
     @pytest.mark.parametrize("argv,flag", NAMED_FLAG_CASES)
     def test_usage_error_names_the_flag(self, tmp_path, capsys, argv, flag):
@@ -512,6 +519,7 @@ class TestVerifyCommand:
         ["kinematic", "--p", "3", "--alpha", "2.0"],
         ["wilkinson", "--trials", "-1"],
         ["eckart-young", "--seed", "-1"],
+        ["kinematic", "--samples", "1"],  # one sample's interval is [0, 1]
     ])
     def test_bad_input_is_a_usage_error(self, capsys, monkeypatch, argv):
         def no_suite(*args, **kwargs):
@@ -533,6 +541,88 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli, "verify_weyl_tube_bound", broken)
         with pytest.raises(ValueError, match="broken suite"):
             main(["verify", "weyltube"])
+
+
+# The per-trial loops that the batched eckart-young and wilkinson suites replaced, kept
+# as references: the matrices they check, in draw order, and their verdicts.
+def eckart_young_reference(seed, trials):
+    gen = RngStream(seed).generator
+    mats, trunc_ok, prod_ok = [], True, True
+    for _ in range(trials):
+        n = int(gen.integers(2, 6))
+        a = gen.standard_normal((n, n))
+        u, s, vt = np.linalg.svd(a)
+        s_trunc = s.copy()
+        s_trunc[-1] = 0.0
+        trunc_ok &= abs(np.linalg.norm(a - u @ np.diag(s_trunc) @ vt) - s[-1]) <= 1e-10
+        ahat = a / np.linalg.norm(a)
+        dist = DeterminantVariety(n).distances(ahat.reshape(1, -1))[0]
+        prod_ok &= abs(frobenius_condition(ahat) * dist - 1.0) <= 1e-8
+        mats.append(a)
+    return mats, trunc_ok and prod_ok
+
+
+def wilkinson_reference(seed, trials):
+    gen = RngStream(seed).generator
+    mats, eigs, ok = [], [], True
+    while len(mats) < trials:
+        a = gen.standard_normal((2, 2))
+        eig = np.linalg.eigvals(a)
+        if np.iscomplexobj(eig) and np.max(np.abs(eig.imag)) > 1e-12:
+            continue
+        eig = eig.real
+        if abs(eig[0] - eig[1]) < 1e-6 * np.linalg.norm(a):
+            continue
+        bound = math.sqrt(2.0) * np.linalg.norm(a) / discriminant_distance_2x2(a)
+        for lam in eig:
+            ok &= eigenvalue_condition(a, float(lam)) <= bound + 1e-6
+        mats.append(a)
+        eigs.append(eig)
+    return np.array(mats), np.array(eigs), ok
+
+
+BATCH_SEEDS = [1, 3, 53, 59, 101]
+
+
+class TestBatchedSuites:
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_eckart_young_sees_the_reference_matrices(self, capsys, seed):
+        mats, ok = eckart_young_reference(seed, 400)
+        stacks = cli._eckart_young_draws(seed, 400)
+        assert sorted(stacks) == sorted({m.shape[0] for m in mats})
+        for n, stack in stacks.items():
+            assert np.array_equal(stack, [m for m in mats if m.shape[0] == n])
+        code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "400",
+                           "--seed", str(seed))
+        assert ok and code == 0
+        rows = out.splitlines()
+        assert "(max err " in rows[0] and "(max |kappa dist - 1| " in rows[1]
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_wilkinson_sees_the_reference_matrices(self, capsys, monkeypatch, seed):
+        mats, eigs, ok = wilkinson_reference(seed, 300)
+        a, eig = cli._wilkinson_draws(seed, 300)
+        assert np.array_equal(a, mats) and np.array_equal(eig, eigs)
+        seen = []
+
+        def recording(a, lam):
+            seen.append((a, lam))
+            return eigenvalue_condition(a, lam)
+
+        monkeypatch.setattr(cli, "eigenvalue_condition", recording)
+        code, out, _ = run(capsys, "verify", "wilkinson", "--trials", "300", "--seed", str(seed))
+        assert ok and code == 0
+        assert [np.array_equal(m, mats) for m, _ in seen] == [True, True]
+        assert np.array_equal(seen[0][1], eigs[:, 0]) and np.array_equal(seen[1][1], eigs[:, 1])
+        assert "(300 matrices, max kappa/bound " in out
+
+    def test_wilkinson_margin_is_the_largest_ratio(self, capsys):
+        mats, eigs, _ = wilkinson_reference(7, 200)
+        bound = math.sqrt(2.0) * np.linalg.norm(mats, axis=(1, 2)) / discriminant_distance_2x2(mats)
+        ratio = max(eigenvalue_condition(a, float(lam)) / b
+                    for a, lams, b in zip(mats, eigs, bound) for lam in lams)
+        _, out, _ = run(capsys, "verify", "wilkinson", "--trials", "200", "--seed", "7")
+        assert f"max kappa/bound {ratio:.3f})" in out
 
 
 @pytest.mark.parametrize("argv,choices", [

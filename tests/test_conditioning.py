@@ -151,6 +151,92 @@ class TestDiscriminantDistance:
             checked += 1
 
 
+# The single-matrix implementations that the stacked ones replaced, kept as references.
+def eigenvalue_condition_reference(a, lam):
+    fro = np.linalg.norm(a)
+    u, _, vt = np.linalg.svd(a - lam * np.eye(a.shape[0]))
+    x, y = vt[-1], u[:, -1]
+    if np.linalg.norm(a @ x - lam * x) > 1e-8 * max(fro, 1e-300):
+        raise ValueError("lam is not an eigenvalue of A (residual too large)")
+    dot = abs(float(np.dot(x, y)))
+    return math.inf if dot <= 1e-12 else 1.0 / dot
+
+
+def discriminant_distance_reference(a):
+    (a11, a12), (a21, a22) = a
+    r_plus_d = math.hypot((a12 + a21) / 2, (a11 - a22) / 2) + abs(a12 - a21) / 2
+    if r_plus_d == 0.0:
+        return 0.0
+    return float(abs((a11 - a22) ** 2 + 4.0 * a12 * a21) / (4.0 * r_plus_d))
+
+
+def real_eigen_matrices(n, count, seed):
+    """Standard normal n x n matrices with real eigenvalues, and those eigenvalues."""
+    a = np.random.default_rng(seed).standard_normal((count, n, n))
+    eig = np.linalg.eigvals(a)
+    real = np.max(np.abs(eig.imag), axis=1) == 0.0
+    return a[real], eig[real].real
+
+
+class TestStackedEigenvalueCondition:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stack_matches_one_matrix_at_a_time(self, n):
+        a, eig = real_eigen_matrices(n, 3000, 31 + n)
+        for j in range(n):
+            stacked = eigenvalue_condition(a, eig[:, j])
+            single = [eigenvalue_condition(m, float(lam)) for m, lam in zip(a, eig[:, j])]
+            reference = [eigenvalue_condition_reference(m, float(lam))
+                         for m, lam in zip(a, eig[:, j])]
+            assert stacked.shape == (len(a),)
+            assert all(type(k) is float for k in single)
+            assert np.array_equal(stacked, single)
+            assert np.array_equal(stacked, reference)
+
+    def test_nested_stack_and_infinite_rows(self):
+        a, eig = real_eigen_matrices(2, 400, 37)
+        a, eig = a[:240], eig[:240]
+        a[5] = [[1.0, 1.0], [0.0, 1.0]]  # a Jordan block: orthogonal eigenvectors
+        eig[5] = 1.0
+        flat = eigenvalue_condition(a, eig[:, 0])
+        assert flat[5] == math.inf
+        nested = eigenvalue_condition(a.reshape(4, 60, 2, 2), eig[:, 0].reshape(4, 60))
+        assert np.array_equal(nested.ravel(), flat)
+
+    def test_one_bad_lambda_raises(self):
+        a, eig = real_eigen_matrices(2, 300, 41)
+        lam = eig[:, 0].copy()
+        lam[17] += 0.5
+        with pytest.raises(ValueError, match="not an eigenvalue"):
+            eigenvalue_condition(a, lam)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError):
+            eigenvalue_condition(np.ones((3, 2, 3)), np.zeros(3))
+
+
+class TestStackedDiscriminantDistance:
+    def test_stack_matches_one_matrix_at_a_time(self):
+        a = np.random.default_rng(43).standard_normal((20000, 2, 2))
+        a[:100] *= 1e-150
+        a[100:200] *= 1e150
+        a[200] = 3.0 * np.eye(2)  # on the quadric: distance 0
+        stacked = discriminant_distance_2x2(a)
+        single = [discriminant_distance_2x2(m) for m in a]
+        assert all(type(d) is float for d in single)
+        assert stacked[200] == 0.0
+        assert np.array_equal(stacked, single)
+        assert np.array_equal(stacked, [discriminant_distance_reference(m) for m in a])
+
+    def test_nested_stack(self):
+        a = np.random.default_rng(47).standard_normal((3, 5, 2, 2))
+        assert np.array_equal(discriminant_distance_2x2(a).ravel(),
+                              discriminant_distance_2x2(a.reshape(15, 2, 2)))
+
+    def test_rejects_other_shapes(self):
+        with pytest.raises(ValueError):
+            discriminant_distance_2x2(np.ones((4, 3, 3)))
+
+
 class TestRealEigenLower:
     def test_defective_matrix_is_huge(self):
         # a Jordan block lies on the quadric: distance 0, condition number infinite

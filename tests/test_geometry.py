@@ -144,6 +144,42 @@ class TestJIntegralReference:
             assert_relative(subsphere_tube_volume(p, k, sigma), ref)
 
 
+# the grid of `verify jintegrals`: p <= 20, 1 <= k <= p, 20 alphas
+SUITE_PK = [(p, k) for p in range(1, 21) for k in range(1, p + 1)]
+SUITE_ALPHAS = np.linspace(0.1, math.pi / 2, 20)
+
+
+class TestJIntegralQuad:
+    def test_array_matches_closed_form_on_the_suite_grid(self):
+        p, k = (np.array(v)[:, None] for v in zip(*SUITE_PK))
+        quad = j_integral_quad(p, k, SUITE_ALPHAS)
+        assert quad.shape == (len(SUITE_PK), 20)
+        exact = np.array([j_integral(pi, ki, SUITE_ALPHAS) for pi, ki in SUITE_PK])
+        assert np.max(np.abs(quad - exact)) <= 1e-13
+
+    @pytest.mark.parametrize("p,k,alpha", [(1, 1, 1e-3), (3, 2, 1e-3), (5, 1, 0.02),
+                                           (8, 4, 0.7), (20, 20, 1e-3), (20, 1, 1.5),
+                                           (12, 6, math.pi / 2)])
+    def test_scalar_matches_mpmath(self, p, k, alpha):
+        value, ref = j_integral_quad(p, k, alpha), float(j_reference(p, k, alpha))
+        assert type(value) is float
+        assert abs(value - ref) <= 1e-12 * ref
+
+    def test_broadcasts_like_numpy(self):
+        alphas = np.array([1e-3, 0.3, 1.2])
+        grid = j_integral_quad(np.array([[4], [6]]), 2, alphas)
+        assert grid.shape == (2, 3)
+        for row, p in zip(grid, (4, 6)):
+            assert np.allclose(row, j_integral(p, 2, alphas), rtol=1e-12, atol=1e-16)
+
+    @pytest.mark.parametrize("p,k,alpha", [(3, [1, 4], 0.5), ([0, 2], 1, 0.5),
+                                           (3, 1, [0.5, -0.1]), (3, 1, [0.5, 2.0]),
+                                           (3, 1, math.nan)])
+    def test_any_bad_point_raises(self, p, k, alpha):
+        with pytest.raises(ValueError):
+            j_integral_quad(p, k, alpha)
+
+
 class TestBallVolume:
     # the tube around S^0 = {+-e_0} is two geodesic balls: subsphere_tube_volume(p, p, sin a)
     def test_hemisphere_s2(self):

@@ -29,8 +29,10 @@ from spherecond.bounds import ProblemDescriptor
 from spherecond.varieties import (
     _BLOCK,
     Variety,
+    _kinematic_block,
     _merge_moments,
     _moments,
+    _row_dot,
     empirical_bernstein,
     kinematic_rhs_analytic,
     run_blocks,
@@ -437,6 +439,39 @@ class TestTubeEstimates:
 
         counts = tube_cap_counts(AtHalf(), Cap(north(2), 1.0), [0.25, 0.5], 100, seed=1)
         assert counts.tolist() == [0, 100]
+
+
+def kinematic_block_reference(args):
+    """The block before it skipped the normalisation: angles from normalised points."""
+    p, i, alpha, seed, index, count = args
+    z = sample_uniform_sphere(p, RngStream(seed, index + 1), size=count)
+    sin_rho = np.linalg.norm(z[:, i + 2:], axis=1)
+    cos_rho = np.sqrt(np.clip(1.0 - sin_rho**2, 0.0, 1.0))
+    inside = cos_rho > np.cos(alpha)
+    cos_delta = np.zeros(count)
+    cos_delta[inside] = np.cos(alpha) / cos_rho[inside]
+    return _moments(np.where(inside, cos_delta**i, 0.0))
+
+
+class TestKinematicBlock:
+    @pytest.mark.parametrize("p,i,alpha", [(2, 0, 0.6), (3, 0, 0.6), (3, 1, 0.6),
+                                           (4, 1, 0.6), (5, 2, 1.2), (6, 3, 0.2)])
+    @pytest.mark.parametrize("seed,index", [(1, 0), (3, 5), (101, 2)])
+    def test_moments_match_normalised_reference(self, p, i, alpha, seed, index):
+        block = (p, i, alpha, seed, index, _BLOCK)
+        n, mean, m2 = _kinematic_block(block)
+        n_ref, mean_ref, m2_ref = kinematic_block_reference(block)
+        assert n == n_ref
+        assert mean == pytest.approx(mean_ref, rel=1e-12)
+        assert m2 == pytest.approx(m2_ref, rel=1e-12)
+
+
+class TestRowDot:
+    def test_same_bits_as_numpy_reductions(self):
+        a, b = np.random.default_rng(53).standard_normal((2, 50_000, 3))
+        a[:100] *= 1e-150
+        assert np.array_equal(_row_dot(a, b), np.sum(a * b, axis=1))
+        assert np.array_equal(np.sqrt(_row_dot(a, a)), np.linalg.norm(a, axis=1))
 
 
 class TestGeodesicSphereIdentities:
