@@ -12,7 +12,7 @@ from .geometry import (
     sphere_volume,
     subsphere_tube_volume,
 )
-from .sampling import RngStream, sample_uniform_cap, sample_uniform_sphere
+from .sampling import RngStream, sample_uniform_cap
 from .bounds import (
     ProblemDescriptor,
     application_bound,

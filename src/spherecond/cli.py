@@ -39,8 +39,10 @@ from .conditioning import (
     discriminant_distance_2x2,
     eigenvalue_condition,
     frobenius_condition,
+    mu_norm,
     multiple_zero_witness,
-    random_system_with_zero,
+    planted_systems,
+    system_projective_distance,
     # weyl_norm stays bound here: benchmark/tracing.py patches cli.weyl_norm.
     weyl_norm,  # noqa: F401
 )
@@ -320,6 +322,7 @@ def _verify_jintegrals(args) -> int:
 
 
 def _verify_kinematic(args) -> int:
+    """Monte Carlo rows report |estimate - exact| / half-width on the exact side (<= 1: covered)."""
     analytic_ok = True
     for p in (2, 3, 4, 5):
         for i in range(p - 1):
@@ -329,8 +332,10 @@ def _verify_kinematic(args) -> int:
                 analytic_ok &= abs(lhs - rhs) <= 1e-10 * abs(lhs)
     rows = [("analytic slice-average identity", analytic_ok)]
     for p, i in [(2, 0), (3, 0), (3, 1), (4, 1)]:
-        lhs, _, lo, hi = verify_kinematic(p, i, 0.6, args.samples, args.seed, args.workers)
-        rows.append((f"monte carlo p={p} i={i} alpha=0.60", lo <= lhs <= hi))
+        lhs, est, lo, hi = verify_kinematic(p, i, 0.6, args.samples, args.seed, args.workers)
+        half = hi - est if lhs >= est else est - lo
+        rows.append((f"monte carlo p={p} i={i} alpha=0.60 "
+                     f"(|est - exact| / half-width {abs(est - lhs) / half:.2f})", lo <= lhs <= hi))
     return _report(rows)
 
 
@@ -405,26 +410,40 @@ def _wilkinson_draws(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _verify_wilkinson(args) -> int:
-    """kappa(A, lam) <= sqrt(2) |A| / dist(A, defective) for both eigenvalues of each of
-    `--trials` matrices, in one batch; the row reports the largest kappa / bound."""
+    """For both eigenvalues of `--trials` matrices, in one batch: the closed form
+    kappa(A, lam)^2 = |A - tr(A)/2 I|_F^2 / (lam1 - lam2)^2 + 1/2, to 1e-12 relative, and
+    kappa(A, lam) <= sqrt(2) |A| / dist(A, defective). Rows report their worst margin."""
     a, eig = _wilkinson_draws(args.seed, args.trials)
     bound = math.sqrt(2.0) * np.linalg.norm(a, axis=(1, 2)) / discriminant_distance_2x2(a)
     kappa = np.stack([eigenvalue_condition(a, eig[:, j]) for j in (0, 1)])
-    ok = bool(np.all(kappa <= bound + 1e-6))
-    return _report([(f"eigenvalue condition vs distance oracle ({len(a)} matrices, "
-                     f"max kappa/bound {float(np.max(kappa / bound)):.3f})", ok)])
+    deviation = (a[:, 0, 0] - a[:, 1, 1]) ** 2 / 2 + a[:, 0, 1] ** 2 + a[:, 1, 0] ** 2
+    exact = np.sqrt(deviation / (eig[:, 0] - eig[:, 1]) ** 2 + 0.5)
+    rel = float(np.max(np.abs(kappa / exact - 1.0)))  # a NaN stays and fails the row
+    return _report([
+        (f"eigenvalue condition vs closed form ({len(a)} matrices, max rel err {rel:.1e})",
+         rel <= 1e-12),
+        (f"eigenvalue condition vs distance oracle ({len(a)} matrices, "
+         f"max kappa/bound {float(np.max(kappa / bound)):.3f})",
+         bool(np.all(kappa <= bound + 1e-6))),
+    ])
 
 
 def _verify_cntr(args) -> int:
-    rng = RngStream(args.seed)
-    gen = rng.generator
-    ok = True
-    for k in range(args.trials):
-        d = (2, 3, 4)[k % 3]
-        f, zeta = random_system_with_zero(1, d, gen)
+    """mu(f, zeta) d_P(f, g) >= 1 for `--trials` systems f with a planted zero zeta and
+    their witnesses g, one batch per degree; the row reports the smallest product. Trial k
+    has degree d = (2, 3, 4)[k % 3] and draws zeta's 2 normals, then d + 1 coefficients;
+    one standard_normal call draws all trials, the values one call per trial gives."""
+    sizes = np.array([(2, 3, 4)[k % 3] + 3 for k in range(args.trials)])
+    normals = RngStream(args.seed).generator.standard_normal(int(sizes.sum()))
+    starts = np.cumsum(sizes) - sizes
+    ok, products = True, []
+    for k, d in enumerate((2, 3, 4)[:args.trials]):
+        f, zeta = planted_systems(1, d, normals[starts[k::3, None] + np.arange(d + 3)])
         g = multiple_zero_witness(f, zeta)
-        ok &= cntr_witness_check(f, zeta, g)
-    return _report([(f"witness products >= 1 ({args.trials} trials)", ok)])
+        ok &= bool(np.all(cntr_witness_check(f, zeta, g)))
+        products.append(mu_norm(f, zeta) * system_projective_distance(f, g))
+    return _report([(f"witness products >= 1 ({args.trials} trials, "
+                     f"min mu*d_P {np.min(np.concatenate(products)):.12g})", ok)])
 
 
 # ---------------------------------------------------------------------------

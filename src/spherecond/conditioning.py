@@ -4,17 +4,31 @@ Matrix inversion and Moore-Penrose conditioning via the SVD, eigenvalue
 conditioning via left/right eigenvectors, the exact distance from a 2x2
 matrix to the set with a real multiple eigenvalue, and the Shub-Smale
 condition number of polynomial systems under the orthogonally invariant
-inner product on homogeneous polynomials.
+inner product on homogeneous polynomials. Systems are dense coefficient
+stacks over one cached monomial table per (n, d), batched over systems.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SpherePoint
+
+
+def _out(x):
+    """One matrix's or system's value as a Python float or bool, a stack's as an array."""
+    return x.item() if np.ndim(x) == 0 else x
+
+
+def _sum(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over an axis, left to right: one row alone and in a batch get the same bits
+    (np.sum is pairwise along one contiguous row, sequential across a batch of rows)."""
+    return functools.reduce(np.add, np.moveaxis(x, axis, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +47,7 @@ def frobenius_condition(a: np.ndarray):
     if not fro.all():
         raise ValueError("zero matrix has no condition number")
     smin = np.linalg.svd(a, compute_uv=False)[..., -1]
-    if a.ndim == 2:
-        return math.inf if smin <= 1e-14 * fro else float(fro / smin)
-    kappa = np.full(fro.shape, math.inf)
-    finite = smin > 1e-14 * fro
-    kappa[finite] = fro[finite] / smin[finite]
-    return kappa
+    return _out(np.divide(fro, smin, out=np.full(fro.shape, math.inf), where=smin > 1e-14 * fro))
 
 
 def eigenvalue_condition(a: np.ndarray, lam):
@@ -62,8 +71,7 @@ def eigenvalue_condition(a: np.ndarray, lam):
         raise ValueError("lam is not an eigenvalue of A (residual too large)")
     # a row times a column: np.dot's kernel, so one matrix keeps the bits it had alone
     dot = np.abs(np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0])
-    kappa = np.divide(1.0, dot, out=np.full(dot.shape, math.inf), where=dot > 1e-12)
-    return float(kappa) if a.ndim == 2 else kappa
+    return _out(np.divide(1.0, dot, out=np.full(dot.shape, math.inf), where=dot > 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,7 @@ def discriminant_distance_2x2(a: np.ndarray):
     disc = np.float_power(a11 - a22, 2) + 4.0 * a12 * a21
     # r_plus_d = 0: A = lam*I lies on the quadric
     dist = np.divide(np.abs(disc), 4.0 * r_plus_d, out=np.zeros(r.shape), where=r_plus_d != 0.0)
-    return float(dist) if a.ndim == 2 else dist
+    return _out(dist)
 
 
 # ---------------------------------------------------------------------------
@@ -176,171 +184,148 @@ class WeylPolynomial:
         return np.array(g) if isinstance(zero, float) else np.stack(g, axis=1)
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _monomials(n: int, d: int) -> tuple:
+    """The M monomials of degree d in n+1 variables in combinations_with_replacement order:
+    exponents alpha (M, n+1), Weyl weights 1/multinomial(d; alpha), multinomials, the
+    exponents of alpha - e_j (n+1, M, n+1; a 0 stays 0) and multinomial(d-1; alpha - e_j)."""
+    combos = np.array(list(itertools.combinations_with_replacement(range(n + 1), d)))
+    exps = np.sum(combos[:, :, None] == np.arange(n + 1), axis=1)
+    multi = math.factorial(d) / np.prod(np.vectorize(math.factorial, otypes=[float])(exps), axis=1)
+    down = np.maximum(exps - np.eye(n + 1, dtype=int)[:, None, :], 0)
+    table = exps, 1.0 / multi, multi, down, multi * exps.T / d  # alpha_j (d; alpha) / d
+    for array in table:  # cached: every caller gets these very arrays
+        array.setflags(write=False)
+    return table
+
+
+def _monomial_values(x: np.ndarray, d: int):
+    """x^alpha (..., M) and x^(alpha - e_j) (..., n+1, M) over the monomials of degree d,
+    gathered from one table of powers of x (..., n+1) built by multiplication only."""
+    exps, _, _, down, _ = _monomials(x.shape[-1] - 1, d)
+    powers = [np.ones_like(x), x]
+    for _ in range(d - 1):
+        powers.append(powers[-1] * x)
+    powers, cols = np.stack(powers, axis=-1), np.arange(x.shape[-1])
+    return np.prod(powers[..., cols, exps], axis=-1), np.prod(powers[..., cols, down], axis=-1)
+
+
 class PolySystem:
-    """A square system: n homogeneous polynomials in n+1 variables."""
+    """A batch of square systems: n homogeneous polynomials in n+1 variables. Equation i
+    has degree degrees[i] and coefficients[i] (..., M_i) over its monomials; the leading
+    axes are the batch `shape`, () for one system. Built from n WeylPolynomials, or arrays."""
 
-    polys: tuple
-
-    def __post_init__(self):
-        polys = tuple(self.polys)
-        if not polys:
-            raise ValueError("empty system")
-        n = polys[0].n
-        if len(polys) != n or any(f.n != n for f in polys):
-            raise ValueError("need exactly n polynomials in n+1 variables")
-        object.__setattr__(self, "polys", polys)
-
-    @property
-    def n(self) -> int:
-        return self.polys[0].n
-
-    @property
-    def degrees(self) -> tuple:
-        return tuple(f.degree for f in self.polys)
+    def __init__(self, polys=None, *, degrees=(), coefficients=()):
+        if polys is not None:  # each dict once, in table order
+            degrees = [f.degree for f in polys]
+            coefficients = [[f.coefficients.get(a, 0.0) for a in map(tuple, _monomials(
+                f.n, f.degree)[0].tolist())] for f in polys]
+        self.n, self.degrees = len(degrees), tuple(int(d) for d in degrees)
+        self.coefficients = tuple(np.asarray(c, dtype=float) for c in coefficients)
+        self.shape = self.coefficients[0].shape[:-1] if self.coefficients else ()
+        if len(self.coefficients) != self.n or min(self.degrees, default=0) < 1 or any(
+                c.shape != self.shape + (math.comb(self.n + d, d),)
+                for d, c in zip(self.degrees, self.coefficients)):
+            raise ValueError("need n equations of degree >= 1 in n+1 variables, one batch shape")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.array([f(x) for f in self.polys])
+        """f(x), shape (..., n), at one point (n+1,) or one point per system (..., n+1)."""
+        return np.stack([_sum(c * _monomial_values(x, d)[0])
+                         for d, c in zip(self.degrees, self.coefficients)], axis=-1)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return np.stack([f.gradient(x) for f in self.polys])
+        """Df(x), (..., n, n+1): d f_i / d x_j = sum_alpha c_alpha alpha_j x^(alpha - e_j)."""
+        return np.stack([_sum(c[..., None, :] * _monomials(self.n, d)[0].T
+                              * _monomial_values(x, d)[1])
+                         for d, c in zip(self.degrees, self.coefficients)], axis=-2)
 
 
-def _multinomial(d: int, alpha) -> float:
-    out = math.factorial(d)
-    for e in alpha:
-        out //= math.factorial(e)
-    return float(out)
+def weyl_inner(f: PolySystem, g: PolySystem):
+    """Weyl inner product: orthogonally invariant, with weights 1/multinomial(d; alpha),
+    summed over the equations. A float for one system, an array for a batch."""
+    if f.degrees != g.degrees:
+        raise ValueError("system mismatch")
+    return _out(sum(_sum(a * b * _monomials(f.n, d)[1])
+                    for d, a, b in zip(f.degrees, f.coefficients, g.coefficients)))
 
 
-def weyl_inner(f, g) -> float:
-    """Inner product with inverse-multinomial weights; orthogonally invariant."""
-    if isinstance(f, PolySystem):
-        if not isinstance(g, PolySystem) or f.degrees != g.degrees or f.n != g.n:
-            raise ValueError("system mismatch")
-        return sum(weyl_inner(fi, gi) for fi, gi in zip(f.polys, g.polys))
-    if f.n != g.n or f.degree != g.degree:
-        raise ValueError("degree or variable-count mismatch")
-    total = 0.0
-    for alpha, c in f.coefficients.items():
-        if alpha in g.coefficients:
-            total += c * g.coefficients[alpha] / _multinomial(f.degree, alpha)
-    return total
+def weyl_norm(f):
+    return _out(np.sqrt(weyl_inner(f, f)))
 
 
-def weyl_norm(f) -> float:
-    return math.sqrt(weyl_inner(f, f))
+def system_projective_distance(f: PolySystem, g: PolySystem):
+    """sin of the angle between two systems under the Weyl product, per system."""
+    cosang = np.abs(weyl_inner(f, g)) / (weyl_norm(f) * weyl_norm(g))
+    return _out(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cosang) ** 2)))
 
 
-def system_projective_distance(f: PolySystem, g: PolySystem) -> float:
-    """sin of the angle between two unit-norm systems under the Weyl product."""
-    cosang = weyl_inner(f, g) / (weyl_norm(f) * weyl_norm(g))
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, abs(cosang)) ** 2)))
+def _projected_svd(f: PolySystem, zeta):
+    """zeta's coordinates z (a SpherePoint, or one unit vector per system) and the SVDs
+    (u, s, vt) of J = Df(z) - (Df(z) z) z^T. J z = 0: s is Df's on z^perp, where vt lies."""
+    z = zeta.coords if isinstance(zeta, SpherePoint) else np.asarray(zeta, dtype=float)
+    if z.shape != f.shape + (f.n + 1,):
+        raise ValueError("zeta must lie on S^n, one point per system")
+    jac = f.jacobian(z)
+    jz = _sum(jac * z[..., None, :])[..., None]
+    return z, *np.linalg.svd(jac - jz * z[..., None, :], full_matrices=False)
 
 
-def _projected_svd(f: PolySystem, zeta: SpherePoint):
-    """Thin SVD (u, s, vt) of J = Df(zeta) - (Df(zeta) zeta) zeta^T. J zeta = 0, so its n
-    singular values are those of Df restricted to zeta^perp, and the rows of vt lie there."""
-    jac = f.jacobian(zeta.coords)
-    return np.linalg.svd(jac - np.outer(jac @ zeta.coords, zeta.coords), full_matrices=False)
-
-
-def mu_norm(f: PolySystem, zeta: SpherePoint) -> float:
-    """Shub-Smale condition number of f at the zero zeta; inf at multiple zeros."""
-    if zeta.p != f.n:
-        raise ValueError("zeta must lie on S^n")
+def mu_norm(f: PolySystem, zeta):
+    """Shub-Smale condition number of f at the zero zeta, per system; inf at multiple zeros.
+    Raises if zeta fails the residual test for any system."""
+    z, u, s, _ = _projected_svd(f, zeta)
     norm_f = weyl_norm(f)
-    if np.linalg.norm(f(zeta.coords)) > 1e-8 * norm_f:
+    if np.any(np.linalg.norm(f(z), axis=-1) > 1e-8 * norm_f):
         raise ValueError("zeta is not a zero of f (residual too large)")
-    u, s, _ = _projected_svd(f, zeta)
-    if s[-1] <= 1e-12 * max(s[0], 1e-300):
-        return math.inf
+    multiple = s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1e-300)
+    s = np.where(multiple[..., None], 1.0, s)
     # the restricted inverse is vt^T diag(1/s) u^T, and vt^T has orthonormal columns
-    scaled = (u.T / s[:, None]) * np.sqrt(np.array(f.degrees, dtype=float))
-    return float(norm_f * np.linalg.norm(scaled, 2))
+    scaled = np.swapaxes(u, -1, -2) / s[..., :, None] * np.sqrt(np.array(f.degrees, dtype=float))
+    return _out(np.where(multiple, math.inf, norm_f * np.linalg.norm(scaled, 2, axis=(-2, -1))))
 
 
-def _expand(forms, n: int) -> dict:
-    """Coefficients of prod_k <v_k, X> in n+1 variables, keyed by multi-index in
-    the order of combinations_with_replacement over the variables."""
-    poly = {(0,) * (n + 1): 1.0}
-    for v in forms:
-        nxt: dict = {}
-        for alpha, c in poly.items():
-            for i in range(n + 1):
-                if v[i] != 0.0:
-                    beta = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-                    nxt[beta] = nxt.get(beta, 0.0) + c * v[i]
-        poly = nxt
-    return poly
+def planted_systems(n: int, d: int, normals: np.ndarray) -> tuple[PolySystem, np.ndarray]:
+    """Unit-norm systems of degree d with a planted zero on S^n, and the zeros (..., n+1).
+    A row of `normals` (..., n+1 + n M) holds zeta unnormalised, then each f_i's M
+    coefficients in table order. Equation i is f_i - f_i(zeta) <zeta, X>^d, which
+    vanishes at zeta; <zeta, X>^d has the coefficients multinomial(d; alpha) zeta^alpha."""
+    normals = np.asarray(normals, dtype=float)
+    v = normals[..., :n + 1]
+    # a row times a column: np.dot's kernel, so zeta gets SpherePoint.from_vector's bits
+    z = v / np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0])
+    raw = normals[..., n + 1:].reshape(normals.shape[:-1] + (n, math.comb(n + d, d)))
+    mono = _monomial_values(z, d)[0][..., None, :]
+    planted = np.moveaxis(raw - _sum(raw * mono)[..., None] * _monomials(n, d)[2] * mono, -2, 0)
+    norm = np.asarray(weyl_norm(PolySystem(degrees=(d,) * n, coefficients=planted)))
+    return PolySystem(degrees=(d,) * n, coefficients=planted / norm[..., None]), z
 
 
-def _minus(f: WeylPolynomial, g: dict, s: float = 1.0) -> WeylPolynomial:
-    """f - s*g, where g is a coefficient dict of the same degree."""
-    merged = dict(f.coefficients)
-    for alpha, c in g.items():
-        merged[alpha] = merged.get(alpha, 0.0) - s * c
-    return WeylPolynomial(n=f.n, degree=f.degree, coefficients=merged)
-
-
-def _unit_norm(polys) -> PolySystem:
-    """The system of `polys` divided by its Weyl norm."""
-    norm = weyl_norm(PolySystem(tuple(polys)))
-    if norm == 0.0:
-        raise ValueError("zero system cannot be normalized")
-    return PolySystem(tuple(
-        WeylPolynomial(n=f.n, degree=f.degree,
-                       coefficients={a: c / norm for a, c in f.coefficients.items()})
-        for f in polys))
-
-
-def random_system_with_zero(n: int, d: int, gen) -> tuple[PolySystem, SpherePoint]:
-    """Random unit-norm system with a planted zero on S^n: standard normal
-    coefficients f, minus f(zeta) <zeta, X>^d, which is f(zeta) at zeta."""
-    zeta = SpherePoint.from_vector(gen.standard_normal(n + 1))
-    basis = _expand([np.ones(n + 1)] * d, n)
-    power = _expand([zeta.coords] * d, n)
-    polys = []
-    for _ in range(n):
-        f = WeylPolynomial(n=n, degree=d,
-                           coefficients={alpha: float(gen.standard_normal()) for alpha in basis})
-        polys.append(_minus(f, power, f(zeta.coords)))
-    return _unit_norm(polys), zeta
-
-
-def multiple_zero_witness(f: PolySystem, zeta: SpherePoint) -> PolySystem:
-    """Nearby system with zeta as a multiple zero, by rank-drop surgery.
-
-    Subtracts from f the smallest rank-one correction that makes the
-    restricted derivative at zeta singular, using polynomials that vanish
-    at zeta. The result is renormalized to unit norm; ValueError where the
-    correction leaves the zero system (one linear form, n = d = 1)."""
-    u, s, vt = _projected_svd(f, zeta)
-    w = vt[-1]  # unit tangent direction at zeta
-    polys = []
-    for i, fi in enumerate(f.polys):
-        corr = _expand([s[-1] * u[i, -1] * w] + [zeta.coords] * (fi.degree - 1), f.n)
-        polys.append(_minus(fi, corr))
-    if weyl_norm(PolySystem(tuple(polys))) <= 1e-8 * weyl_norm(f):
+def multiple_zero_witness(f: PolySystem, zeta) -> PolySystem:
+    """Nearby unit-norm system with the multiple zero zeta, by the smallest rank-one
+    correction that makes Df(zeta) on zeta^perp singular: equation i loses <v_i, X>
+    <zeta, X>^(d_i - 1) = sum_j v_ij multinomial(d_i - 1; alpha - e_j) zeta^(alpha - e_j),
+    v_i = s_min u[i, -1] vt[-1]. ValueError if it leaves the zero system (n = d = 1)."""
+    z, u, s, vt = _projected_svd(f, zeta)
+    forms = (s[..., -1:] * u[..., :, -1])[..., :, None] * vt[..., -1:, :]
+    g = PolySystem(degrees=f.degrees, coefficients=[
+        c - _sum(forms[..., i, :, None] * _monomials(f.n, d)[4] * _monomial_values(z, d)[1], -2)
+        for i, (d, c) in enumerate(zip(f.degrees, f.coefficients))])
+    norm = np.asarray(weyl_norm(g))
+    if np.any(norm <= 1e-8 * np.asarray(weyl_norm(f))):
         raise ValueError("the rank-one correction leaves the zero system (n = d = 1)")
-    return _unit_norm(polys)
+    return PolySystem(degrees=f.degrees, coefficients=[c / norm[..., None] for c in g.coefficients])
 
 
-def cntr_witness_check(f: PolySystem, zeta: SpherePoint, g: PolySystem) -> bool:
-    """Check mu_norm(f, zeta) * d_P(f, g) >= 1 - 1e-6 for a witness g.
-
-    g must have zeta as a multiple zero. A False return signals a bug:
-    the product is bounded below by 1 for every valid witness.
-    """
-    if abs(weyl_norm(f) - 1.0) > 1e-8 or abs(weyl_norm(g) - 1.0) > 1e-8:
+def cntr_witness_check(f: PolySystem, zeta, g: PolySystem):
+    """mu_norm(f, zeta) * d_P(f, g) >= 1 - 1e-6 per system, for unit-norm f and g with the
+    multiple zero zeta (else ValueError). False is a bug: valid witnesses give >= 1."""
+    if np.any(np.abs(np.stack([weyl_norm(f), weyl_norm(g)]) - 1.0) > 1e-8):
         raise ValueError("f and g must have unit norm")
-    if np.linalg.norm(g(zeta.coords)) > 1e-8:
+    z, _, sg, _ = _projected_svd(g, zeta)
+    if np.any(np.linalg.norm(g(z), axis=-1) > 1e-8):
         raise ValueError("zeta is not a zero of the witness")
-    _, sg, _ = _projected_svd(g, zeta)
-    if sg[-1] > 1e-8 * max(sg[0], 1.0):
+    if np.any(sg[..., -1] > 1e-8 * np.maximum(sg[..., 0], 1.0)):
         raise ValueError("zeta is not a multiple zero of the witness")
-    mu = mu_norm(f, zeta)
-    dist = system_projective_distance(f, g)
-    if math.isinf(mu):
-        return True
-    return mu * dist >= 1.0 - 1e-6
+    mu = np.asarray(mu_norm(f, z))
+    product = np.where(np.isinf(mu), 1.0, mu) * system_projective_distance(f, g)
+    return _out(np.isinf(mu) | (product >= 1.0 - 1e-6))

@@ -33,15 +33,6 @@ class RngStream:
         self.generator = np.random.Generator(np.random.Philox(seq))
 
 
-def sample_uniform_sphere(p: int, rng: RngStream, size: int) -> np.ndarray:
-    """`size` uniform points on S^p, shape (size, p+1): normalized standard Gaussian vectors."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    g = rng.generator.standard_normal((size, p + 1))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    return g
-
-
 def _cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
     """n angular radii of uniform points on a cap of angular radius alpha in S^p.
 

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from scipy.special import betaincinv
 
-from .conditioning import WeylPolynomial
+from .conditioning import WeylPolynomial, _sum
 from .geometry import (
     Cap,
     j_integral,
@@ -377,11 +377,11 @@ def _kinematic_block(args):
     p, i, alpha, seed, index, count = args
     sq = RngStream(seed, index + 1).generator.standard_normal((count, p + 1))
     sq *= sq
-    near = np.sum(sq[:, :i + 2], axis=1)
-    cos2_rho = near / (near + np.sum(sq[:, i + 2:], axis=1))
+    near = _sum(sq[:, :i + 2])  # np.sum's bits on rows this short, without its strided pass
+    cos2_rho = near / (near + _sum(sq[:, i + 2:]))
     cos2_alpha = math.cos(alpha) ** 2
     inside = cos2_rho > cos2_alpha
-    ratio = np.divide(cos2_alpha, cos2_rho, out=np.zeros(count), where=inside)
+    ratio = cos2_alpha / np.maximum(cos2_rho, cos2_alpha)  # 1 outside the cap, then zeroed
     return _moments(np.where(inside, ratio ** (0.5 * i), 0.0))
 
 

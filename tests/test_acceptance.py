@@ -31,9 +31,8 @@ from spherecond import (
     tube_ratio_bound,
 )
 from spherecond.cli import main
-from spherecond.conditioning import random_system_with_zero
 from spherecond.varieties import tube_cap_counts
-from weyl_rotation import rotate_system, sample_rotation
+from weyl_rotation import random_system_with_zero, rotate_system, sample_rotation
 
 
 def north(p):

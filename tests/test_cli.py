@@ -27,7 +27,10 @@ from spherecond import (
     tail_bound,
 )
 from spherecond.cli import main
+from spherecond.conditioning import planted_systems
 from spherecond.varieties import _BLOCK, _cap_block, run_blocks
+
+import cntr_reference
 
 
 CONIC = {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
@@ -500,6 +503,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "cntr", "--trials", "30")
         assert code == 0
         assert "overall: pass" in out
+        assert "(30 trials, min mu*d_P " in out
+
+    @pytest.mark.parametrize("trials", ["1", "2", "4"])
+    def test_cntr_with_fewer_trials_than_degrees(self, capsys, trials):
+        code, out, _ = run(capsys, "verify", "cntr", "--trials", trials)
+        assert code == 0 and f"({trials} trials, " in out
+
+    def test_kinematic_rows_report_their_margin(self, capsys):
+        code, out, _ = run(capsys, "verify", "kinematic", "--samples", "20000", "--seed", "3")
+        assert code == 0
+        margins = re.findall(r"\(\|est - exact\| / half-width (\d+\.\d\d)\)", out)
+        assert len(margins) == 4 and all(float(m) <= 1.0 for m in margins)
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_nonpositive_workers_is_a_usage_error(self, capsys, monkeypatch, workers):
@@ -616,6 +631,20 @@ class TestBatchedSuites:
         assert np.array_equal(seen[0][1], eigs[:, 0]) and np.array_equal(seen[1][1], eigs[:, 1])
         assert "(300 matrices, max kappa/bound " in out
 
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_wilkinson_closed_form_row(self, capsys, seed):
+        mats, eigs, _ = wilkinson_reference(seed, 300)
+        # kappa^2 = |A - tr(A)/2 I|^2 / (lam1 - lam2)^2 + 1/2, the same for both eigenvalues
+        exact = [math.sqrt(np.linalg.norm(a - np.trace(a) / 2 * np.eye(2)) ** 2
+                           / (lams[0] - lams[1]) ** 2 + 0.5) for a, lams in zip(mats, eigs)]
+        kappa = [[eigenvalue_condition(a, float(lam)) for lam in lams]
+                 for a, lams in zip(mats, eigs)]
+        assert np.array(kappa) == pytest.approx(np.array([exact, exact]).T, rel=1e-12)
+        code, out, _ = run(capsys, "verify", "wilkinson", "--trials", "300", "--seed", str(seed))
+        assert code == 0
+        rel = re.search(r"closed form \(300 matrices, max rel err (\S+)\) +pass", out)
+        assert rel and float(rel.group(1)) <= 1e-12
+
     def test_wilkinson_margin_is_the_largest_ratio(self, capsys):
         mats, eigs, _ = wilkinson_reference(7, 200)
         bound = math.sqrt(2.0) * np.linalg.norm(mats, axis=(1, 2)) / discriminant_distance_2x2(mats)
@@ -623,6 +652,58 @@ class TestBatchedSuites:
                     for a, lams, b in zip(mats, eigs, bound) for lam in lams)
         _, out, _ = run(capsys, "verify", "wilkinson", "--trials", "200", "--seed", "7")
         assert f"max kappa/bound {ratio:.3f})" in out
+
+
+class TestBatchedCntr:
+    @pytest.mark.parametrize("seed", [1, 3, 61])
+    def test_cntr_sees_the_reference_systems(self, capsys, monkeypatch, seed):
+        # the former one-trial-at-a-time loop draws the same zeros and raw coefficients,
+        # bit for bit, and its products mu * d_P agree with the batches'
+        seen = []
+
+        def recording(n, d, normals):
+            seen.append((n, d, normals))
+            return planted_systems(n, d, normals)
+
+        monkeypatch.setattr(cli, "planted_systems", recording)
+        code, out, _ = run(capsys, "verify", "cntr", "--trials", "300", "--seed", str(seed))
+        rows = cntr_reference.verify_cntr(seed, 300)
+        assert code == 0 and min(row[3] for row in rows) >= 1.0 - 1e-6
+        assert [(n, d) for n, d, _ in seen] == [(1, 2), (1, 3), (1, 4)]
+        products = []
+        for _, d, normals in seen:
+            ref = [row for row in rows if row[0] == d]
+            assert normals.shape == (100, d + 3)
+            f, zeta = planted_systems(1, d, normals)
+            assert np.array_equal(zeta, [row[1].coords for row in ref])
+            assert np.array_equal(normals[:, 2:], [list(row[2][0].values()) for row in ref])
+            g = cli.multiple_zero_witness(f, zeta)
+            product = cli.mu_norm(f, zeta) * cli.system_projective_distance(f, g)
+            assert product == pytest.approx([row[3] for row in ref], rel=1e-9)
+            products.extend(product)
+        assert f"min mu*d_P {min(products):.12g})" in out
+
+    def test_cntr_checks_each_degree_in_one_batch(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(f, zeta, g):
+            seen.append(f.shape)
+            return check(f, zeta, g)
+
+        check = cli.cntr_witness_check
+        monkeypatch.setattr(cli, "cntr_witness_check", recording)
+        code, _, _ = run(capsys, "verify", "cntr", "--trials", "500")
+        assert code == 0 and seen == [(167,), (167,), (166,)]
+
+    def test_cntr_fails_when_a_check_fails(self, capsys, monkeypatch):
+        def one_false(f, zeta, g):
+            ok = np.ones(f.shape, dtype=bool)
+            ok[-1] = False
+            return ok
+
+        monkeypatch.setattr(cli, "cntr_witness_check", one_false)
+        code, out, _ = run(capsys, "verify", "cntr", "--trials", "30")
+        assert code == 1 and "overall: FAIL" in out
 
 
 @pytest.mark.parametrize("argv,choices", [

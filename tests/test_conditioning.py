@@ -19,8 +19,16 @@ from spherecond import (
     weyl_inner,
     weyl_norm,
 )
-from spherecond.conditioning import _expand, _minus, _projected_svd, random_system_with_zero
-from weyl_rotation import rotate_system, sample_rotation
+from spherecond.conditioning import (
+    _monomial_values,
+    _monomials,
+    _projected_svd,
+    _sum,
+    planted_systems,
+)
+import cntr_reference
+from cntr_reference import expand, minus
+from weyl_rotation import expand_forms, random_system_with_zero, rotate_system, sample_rotation
 
 
 class TestMatrixCondition:
@@ -260,7 +268,7 @@ def e0(n):
 
 
 def random_poly(n, d, gen):
-    basis = _expand([np.ones(n + 1)] * d, n)
+    basis = expand([np.ones(n + 1)] * d, n)
     return WeylPolynomial(n=n, degree=d,
                           coefficients={a: float(gen.standard_normal()) for a in basis})
 
@@ -289,7 +297,7 @@ def mixed_system_with_zero(degrees, gen):
     polys = []
     for d in degrees:
         f = random_poly(n, d, gen)
-        polys.append(_minus(f, _expand([zeta.coords] * d, n), f(zeta.coords)))
+        polys.append(minus(f, expand([zeta.coords] * d, n), f(zeta.coords)))
     return PolySystem(tuple(polys)), zeta
 
 
@@ -357,14 +365,17 @@ class TestWeylPolynomial:
                 f(x)
 
     def test_expand_is_the_product_of_forms(self):
+        # both expansions: the reference's dicts and the rotation helper's table rows
         gen = np.random.default_rng(3)
         forms = gen.standard_normal((3, 3))
-        f = WeylPolynomial(n=2, degree=3, coefficients=_expand(forms, 2))
+        f = WeylPolynomial(n=2, degree=3, coefficients=expand(forms, 2))
         x = gen.standard_normal((10, 3))
         assert np.allclose(f(x), np.prod(x @ forms.T, axis=1), rtol=1e-12, atol=0)
+        dense = PolySystem(degrees=(3, 3), coefficients=[expand_forms(forms, 2)] * 2)
+        assert np.allclose(dense(x)[:, 0], f(x), rtol=1e-12, atol=0)
 
     def test_expand_orders_monomials_as_combinations(self):
-        # random_system_with_zero draws one coefficient per key, in this order
+        # random_system_with_zero draws one coefficient per monomial, in this order
         from itertools import combinations_with_replacement
 
         for n in (1, 2, 3):
@@ -372,32 +383,34 @@ class TestWeylPolynomial:
                 expected = []
                 for combo in combinations_with_replacement(range(n + 1), d):
                     expected.append(tuple(combo.count(i) for i in range(n + 1)))
-                assert list(_expand([np.ones(n + 1)] * d, n)) == expected
+                assert list(map(tuple, _monomials(n, d)[0].tolist())) == expected
+                assert list(expand([np.ones(n + 1)] * d, n)) == expected
 
 
 class TestWeylInner:
     def test_monomial_weights(self):
         # <x0 x1, x0 x1> = 1/2 under the invariant product
-        f = WeylPolynomial(n=1, degree=2, coefficients={(1, 1): 1.0})
+        f = PolySystem((WeylPolynomial(n=1, degree=2, coefficients={(1, 1): 1.0}),))
         assert weyl_inner(f, f) == pytest.approx(0.5)
 
     def test_pure_power(self):
-        f = WeylPolynomial(n=1, degree=3, coefficients={(3, 0): 2.0})
+        f = PolySystem((WeylPolynomial(n=1, degree=3, coefficients={(3, 0): 2.0}),))
         assert weyl_norm(f) == pytest.approx(2.0)
 
     def test_orthogonal_invariance(self):
         f = WeylPolynomial(n=2, degree=3, coefficients={
             (3, 0, 0): 1.0, (1, 1, 1): -0.7, (0, 2, 1): 2.2, (0, 0, 3): 0.4})
+        system = PolySystem((f, f))
         for k in range(10):
             rot = sample_rotation(3, RngStream(100, k))
-            g = rotate_system(PolySystem((f, f)), rot)
-            assert weyl_norm(g.polys[0]) == pytest.approx(weyl_norm(f), rel=1e-10)
+            g = rotate_system(system, rot)
+            assert weyl_norm(g) == pytest.approx(weyl_norm(system), rel=1e-10)
 
     def test_mismatch_rejected(self):
         f = WeylPolynomial(n=1, degree=2, coefficients={(2, 0): 1.0})
         g = WeylPolynomial(n=1, degree=3, coefficients={(3, 0): 1.0})
         with pytest.raises(ValueError):
-            weyl_inner(f, g)
+            weyl_inner(PolySystem((f,)), PolySystem((g,)))
 
 
 class TestMuNorm:
@@ -472,7 +485,7 @@ class TestWitness:
         g = multiple_zero_witness(f, zeta)
         assert abs(weyl_norm(g) - 1.0) <= 1e-10
         assert np.linalg.norm(g(zeta.coords)) <= 1e-10
-        _, sg, _ = _projected_svd(g, zeta)
+        _, _, sg, _ = _projected_svd(g, zeta)
         assert sg[-1] <= 1e-10 * max(sg[0], 1.0)
 
     @pytest.mark.parametrize("n,d", SYSTEM_SHAPES)
@@ -481,7 +494,121 @@ class TestWitness:
         gen = np.random.default_rng(400 + 10 * n + d)
         for _ in range(50):
             f, zeta = random_system_with_zero(n, d, gen)
-            _, s, vt = _projected_svd(f, zeta)
+            _, _, s, vt = _projected_svd(f, zeta)
             assert np.max(np.abs(vt @ zeta.coords)) <= 1e-12
             restricted = f.jacobian(zeta.coords) @ tangent_basis(zeta.coords)
             assert s == pytest.approx(np.linalg.svd(restricted, compute_uv=False), rel=1e-10)
+
+
+def stack_systems(systems):
+    """One batch from single systems of one layout, in order."""
+    return PolySystem(degrees=systems[0].degrees,
+                      coefficients=[np.stack(c) for c in zip(*(f.coefficients for f in systems))])
+
+
+def planted_batch(degrees, count, seed):
+    """`count` unit-norm systems with a planted zero and the given degrees, singly and as
+    a batch."""
+    gen = np.random.default_rng(seed)
+    singles = []
+    for _ in range(count):
+        f, zeta = mixed_system_with_zero(degrees, gen)
+        unit = [c / weyl_norm(f) for c in f.coefficients]
+        singles.append((PolySystem(degrees=degrees, coefficients=unit), zeta))
+    return singles, stack_systems([f for f, _ in singles]), np.stack([z.coords for _, z in singles])
+
+
+BATCH_DEGREES = [(2,), (3,), (4,), (2, 2), (3, 1), (1, 2, 4), (3, 3, 3)]
+
+
+class TestDenseSystems:
+    @pytest.mark.parametrize("degrees", BATCH_DEGREES)
+    def test_batch_equals_one_system_at_a_time(self, degrees):
+        singles, f, zeta = planted_batch(degrees, 30, 500 + sum(degrees) * len(degrees))
+        mu, g = mu_norm(f, zeta), multiple_zero_witness(f, zeta)
+        check, dist = cntr_witness_check(f, zeta, g), system_projective_distance(f, g)
+        assert mu.shape == check.shape == dist.shape == (30,)
+        for k, (fk, zk) in enumerate(singles):
+            gk = multiple_zero_witness(fk, zk)
+            assert type(mu_norm(fk, zk)) is float and type(cntr_witness_check(fk, zk, gk)) is bool
+            assert mu[k] == mu_norm(fk, zk)
+            assert all(np.array_equal(a[k], b) for a, b in zip(g.coefficients, gk.coefficients))
+            assert check[k] == cntr_witness_check(fk, zk, gk)
+            assert dist[k] == system_projective_distance(fk, gk)
+
+    @pytest.mark.parametrize("degrees", BATCH_DEGREES)
+    def test_batched_mu_matches_tangent_basis_reference(self, degrees):
+        singles, f, zeta = planted_batch(degrees, 30, 600 + sum(degrees) * len(degrees))
+        expected = [mu_norm_by_basis(fk, zk) for fk, zk in singles]
+        assert mu_norm(f, zeta) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("n,d", SYSTEM_SHAPES)
+    def test_planted_batch_equals_one_system_at_a_time(self, n, d):
+        m = math.comb(n + d, d)
+        normals = np.random.default_rng(700 + 10 * n + d).standard_normal((3, 4, n + 1 + n * m))
+        f, zeta = planted_systems(n, d, normals)
+        assert f.shape == (3, 4) and zeta.shape == (3, 4, n + 1)
+        for idx in np.ndindex(3, 4):
+            fk, zk = planted_systems(n, d, normals[idx])
+            assert fk.shape == () and np.array_equal(zeta[idx], zk)
+            assert np.array_equal(zk, SpherePoint.from_vector(normals[idx][:n + 1]).coords)
+            assert all(np.array_equal(a[idx], b) for a, b in zip(f.coefficients, fk.coefficients))
+        assert np.all(np.abs(weyl_norm(f) - 1.0) <= 1e-14)
+        assert np.max(np.abs(f(zeta))) <= 1e-14
+
+    @pytest.mark.parametrize("n,d", SYSTEM_SHAPES)
+    def test_power_and_correction_closed_forms(self, n, d):
+        # <zeta, X>^d and <w, X> <zeta, X>^(d-1) against the expanded products of forms
+        gen = np.random.default_rng(800 + 10 * n + d)
+        zeta, w = gen.standard_normal((2, n + 1))
+        exps, _, multi, _, lowered = _monomials(n, d)
+        mono, down = _monomial_values(zeta, d)
+        rows = [tuple(a) for a in exps.tolist()]
+        power = expand([zeta] * d, n)
+        correction = expand([w] + [zeta] * (d - 1), n)
+        assert multi * mono == pytest.approx([power.get(a, 0.0) for a in rows], rel=1e-13)
+        assert _sum(w[:, None] * lowered * down, 0) == pytest.approx(
+            [correction.get(a, 0.0) for a in rows], rel=1e-12, abs=1e-14)
+
+    def test_conversion_from_weyl_polynomials(self):
+        gen = np.random.default_rng(901)
+        polys = (random_poly(2, 3, gen), random_poly(2, 1, gen))
+        f = PolySystem(polys)
+        assert f.shape == () and f.degrees == (3, 1) and f.n == 2
+        x = gen.standard_normal((25, 3))
+        assert f(x) == pytest.approx(np.stack([p(x) for p in polys], axis=1), rel=1e-12)
+        assert f.jacobian(x) == pytest.approx(
+            np.stack([p.gradient(x) for p in polys], axis=1), rel=1e-12)
+        assert weyl_norm(f) == pytest.approx(math.sqrt(cntr_reference.inner(polys, polys)),
+                                             rel=1e-14)
+
+    def test_nested_batch_equals_flat(self):
+        _, f, zeta = planted_batch((2, 3), 12, 903)
+        nested = PolySystem(degrees=f.degrees,
+                            coefficients=[c.reshape(3, 4, -1) for c in f.coefficients])
+        assert np.array_equal(mu_norm(nested, zeta.reshape(3, 4, 3)).ravel(), mu_norm(f, zeta))
+
+    def test_one_bad_zero_in_a_batch_raises(self):
+        _, f, zeta = planted_batch((2, 2), 10, 905)
+        zeta[7] = np.roll(zeta[7], 1)
+        with pytest.raises(ValueError, match="not a zero"):
+            mu_norm(f, zeta)
+
+    def test_batch_of_linear_forms_has_no_witness(self):
+        normals = np.random.default_rng(907).standard_normal((20, 4))
+        f, zeta = planted_systems(1, 1, normals)
+        with pytest.raises(ValueError, match="leaves the zero system"):
+            multiple_zero_witness(f, zeta)
+
+    def test_rejects_bad_layouts(self):
+        with pytest.raises(ValueError):
+            PolySystem(degrees=(2,), coefficients=[np.ones(4)])  # 3 monomials, not 4
+        with pytest.raises(ValueError):
+            PolySystem(degrees=(2, 2), coefficients=[np.ones((5, 6)), np.ones((4, 6))])
+        with pytest.raises(ValueError):
+            PolySystem(degrees=(0,), coefficients=[np.ones(1)])
+        with pytest.raises(ValueError):
+            PolySystem(())
+        f, zeta = random_system_with_zero(2, 2, np.random.default_rng(909))
+        with pytest.raises(ValueError, match="one point per system"):
+            mu_norm(f, np.stack([zeta.coords] * 2))

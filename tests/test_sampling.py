@@ -7,10 +7,11 @@ import pytest
 from scipy import stats
 from scipy.special import betainc, hyp2f1
 
-from spherecond import Cap, RngStream, SpherePoint, sample_uniform_cap, sample_uniform_sphere
+from spherecond import Cap, RngStream, SpherePoint, sample_uniform_cap
 from spherecond.geometry import j_integral
 from spherecond.sampling import _cap_radii
 from spherecond.varieties import SubsphereVariety, tube_cap_counts
+from sphere_sampling import sample_uniform_sphere
 from weyl_rotation import sample_rotation
 
 

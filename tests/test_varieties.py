@@ -18,7 +18,6 @@ from spherecond import (
     clopper_pearson,
     frobenius_condition,
     geodesic_sphere_mu,
-    sample_uniform_sphere,
     sphere_volume,
     subsphere_tube_volume,
     verify_kinematic,
@@ -38,6 +37,7 @@ from spherecond.varieties import (
     run_blocks,
     tube_cap_counts,
 )
+from sphere_sampling import sample_uniform_sphere
 
 
 def north(p):
@@ -453,7 +453,30 @@ def kinematic_block_reference(args):
     return _moments(np.where(inside, cos_delta**i, 0.0))
 
 
+def kinematic_block_summed(args):
+    """The block before its columns were added one by one: row sums over strided slices,
+    and the cap's rows selected by a masked division."""
+    p, i, alpha, seed, index, count = args
+    sq = RngStream(seed, index + 1).generator.standard_normal((count, p + 1))
+    sq *= sq
+    near = np.sum(sq[:, :i + 2], axis=1)
+    cos2_rho = near / (near + np.sum(sq[:, i + 2:], axis=1))
+    cos2_alpha = math.cos(alpha) ** 2
+    inside = cos2_rho > cos2_alpha
+    ratio = np.divide(cos2_alpha, cos2_rho, out=np.zeros(count), where=inside)
+    return _moments(np.where(inside, ratio ** (0.5 * i), 0.0))
+
+
 class TestKinematicBlock:
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("alpha", [0.2, 0.6, 1.2])
+    @pytest.mark.parametrize("seed", [1, 3, 101])
+    def test_same_bits_as_summed_reference(self, p, alpha, seed):
+        for i in range(p - 1):
+            for index in (0, 4, 9):
+                block = (p, i, alpha, seed, index, 4096)
+                assert _kinematic_block(block) == kinematic_block_summed(block)
+
     @pytest.mark.parametrize("p,i,alpha", [(2, 0, 0.6), (3, 0, 0.6), (3, 1, 0.6),
                                            (4, 1, 0.6), (5, 2, 1.2), (6, 3, 0.2)])
     @pytest.mark.parametrize("seed,index", [(1, 0), (3, 5), (101, 2)])
