@@ -10,7 +10,6 @@ from .geometry import (
     j_integral_quad,
     kinematic_constant,
     sphere_volume,
-    subsphere_tube_volume,
 )
 from .sampling import RngStream, sample_uniform_cap
 from .bounds import (
@@ -29,6 +28,7 @@ from .conditioning import (
     PolySystem,
     WeylPolynomial,
     cntr_witness_check,
+    cntr_witness_product,
     discriminant_distance_2x2,
     eigenvalue_condition,
     frobenius_condition,

@@ -12,9 +12,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .geometry import _log_O, _log_binom
+
+
+def _logsumexp(a) -> float:
+    """ln sum exp(a) for finite a: the max, plus the log of the sum of the shifted exps."""
+    top = np.max(a)
+    return float(top + np.log(np.sum(np.exp(np.subtract(a, top)))))
 
 
 def _check_range(p: int, d: int, sigma: float, eps: float | None = None,
@@ -45,12 +50,12 @@ def _log_tail_core(p: int, d: int, ratio: float) -> float:
             + (p - k) * np.log1p(ratio)
             + k * log_r
         )
-        terms.append(logsumexp(logs))
+        terms.append(_logsumexp(logs))
     last = (
         math.log(2.0 * p) + _log_O(p) - _log_O(p - 1) + p * (log_2d + log_r)
     )
     terms.append(last)
-    return float(logsumexp(terms))
+    return _logsumexp(terms)
 
 
 def log_tail_bound(p: int, d: int, sigma: float, t: float) -> float:
@@ -101,7 +106,7 @@ def smooth_tube_bound(p: int, d: int, sigma: float, eps: float) -> float:
         + _log_binom(p, k) + k * (log_d + log_e) + (p - k) * log_s
     )
     last = math.log(2.0) + _log_O(p) + p * (log_d + log_e)
-    return float(np.exp(logsumexp(np.append(logs, last))))
+    return float(np.exp(_logsumexp(np.append(logs, last))))
 
 
 def curvature_integral_bound(p: int, d: int, sigma: float, i: int) -> float:

@@ -280,8 +280,12 @@ def mu_norm(f: PolySystem, zeta):
     multiple = s[..., -1] <= 1e-12 * np.maximum(s[..., 0], 1e-300)
     s = np.where(multiple[..., None], 1.0, s)
     # the restricted inverse is vt^T diag(1/s) u^T, and vt^T has orthonormal columns
-    scaled = np.swapaxes(u, -1, -2) / s[..., :, None] * np.sqrt(np.array(f.degrees, dtype=float))
-    return _out(np.where(multiple, math.inf, norm_f * np.linalg.norm(scaled, 2, axis=(-2, -1))))
+    if len(set(f.degrees)) == 1:  # u is orthogonal: |diag(1/s) u^T sqrt(d)|_2 = sqrt(d) / s_min
+        inverse = math.sqrt(f.degrees[0]) / s[..., -1]
+    else:
+        scaled = np.swapaxes(u, -1, -2) / s[..., :, None] * np.sqrt(np.array(f.degrees, dtype=float))
+        inverse = np.linalg.norm(scaled, 2, axis=(-2, -1))
+    return _out(np.where(multiple, math.inf, norm_f * inverse))
 
 
 def planted_systems(n: int, d: int, normals: np.ndarray) -> tuple[PolySystem, np.ndarray]:
@@ -316,9 +320,10 @@ def multiple_zero_witness(f: PolySystem, zeta) -> PolySystem:
     return PolySystem(degrees=f.degrees, coefficients=[c / norm[..., None] for c in g.coefficients])
 
 
-def cntr_witness_check(f: PolySystem, zeta, g: PolySystem):
-    """mu_norm(f, zeta) * d_P(f, g) >= 1 - 1e-6 per system, for unit-norm f and g with the
-    multiple zero zeta (else ValueError). False is a bug: valid witnesses give >= 1."""
+def cntr_witness_product(f: PolySystem, zeta, g: PolySystem):
+    """mu_norm(f, zeta) * d_P(f, g) per system, inf where zeta is a multiple zero of f, for
+    unit-norm f and g with the multiple zero zeta (else ValueError). Valid witnesses give
+    >= 1 (the condition number theorem); multiple_zero_witness's give 1 up to round-off."""
     if np.any(np.abs(np.stack([weyl_norm(f), weyl_norm(g)]) - 1.0) > 1e-8):
         raise ValueError("f and g must have unit norm")
     z, _, sg, _ = _projected_svd(g, zeta)
@@ -327,5 +332,11 @@ def cntr_witness_check(f: PolySystem, zeta, g: PolySystem):
     if np.any(sg[..., -1] > 1e-8 * np.maximum(sg[..., 0], 1.0)):
         raise ValueError("zeta is not a multiple zero of the witness")
     mu = np.asarray(mu_norm(f, z))
-    product = np.where(np.isinf(mu), 1.0, mu) * system_projective_distance(f, g)
-    return _out(np.isinf(mu) | (product >= 1.0 - 1e-6))
+    multiple = np.isinf(mu)
+    product = np.where(multiple, 1.0, mu) * system_projective_distance(f, g)
+    return _out(np.where(multiple, math.inf, product))
+
+
+def cntr_witness_check(f: PolySystem, zeta, g: PolySystem):
+    """cntr_witness_product(f, zeta, g) >= 1 - 1e-6 per system. False is a bug."""
+    return _out(np.asarray(cntr_witness_product(f, zeta, g)) >= 1.0 - 1e-6)

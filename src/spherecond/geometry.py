@@ -1,18 +1,18 @@
 """Exact spherical geometry on the unit sphere S^p.
 
-Points and caps, volumes of spheres and of tubes around great subspheres
-(a geodesic ball is half the tube around S^0), the trigonometric moment
-integrals that generate them (in closed form through the regularized
-incomplete beta function), and the constants of the principal kinematic
-formula.
+Points and caps, volumes of spheres, the trigonometric moment integrals
+that generate the volumes of tubes around great subspheres (in closed form
+through the regularized incomplete beta function), and the constants of the
+principal kinematic formula. Only the moment integrals need scipy, which they
+import when first called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, betaln, gammaln
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ def j_integral(p: int, k: int, alpha) -> float | np.ndarray:
     arrays are evaluated elementwise.
     """
     _check_jpk_args(p, k)
+    from scipy.special import betainc, betaln  # slow to import; `bounds` needs neither
+
     a = np.asarray(alpha, dtype=float)
     if np.any(a < -1e-15) or np.any(a > np.pi / 2 + 1e-12):
         raise ValueError("alpha must lie in [0, pi/2]")
@@ -116,14 +118,6 @@ def j_integral_quad(p, k, alpha):
     return float(val[0]) if alpha.ndim == 0 else val.reshape(alpha.shape)
 
 
-def subsphere_tube_volume(p: int, k: int, eps: float) -> float:
-    """Volume of the eps-neighborhood of the great subsphere S^{p-k} in S^p."""
-    _check_jpk_args(p, k)
-    if not 0.0 < eps <= 1.0:
-        raise ValueError("eps must lie in (0, 1]")
-    return sphere_volume(p - k) * sphere_volume(k - 1) * j_integral(p, k, float(np.arcsin(eps)))
-
-
 def kinematic_constant(p: int, i: int) -> float:
     """Constant relating a curvature integral to its average over subsphere slices."""
     if p < 2 or not 0 <= i < p - 1:
@@ -134,9 +128,15 @@ def kinematic_constant(p: int, i: int) -> float:
 
 
 def _log_O(p: int) -> float:
-    return np.log(2.0) + 0.5 * (p + 1) * np.log(np.pi) - gammaln(0.5 * (p + 1))
+    return math.log(2.0) + 0.5 * (p + 1) * math.log(math.pi) - math.lgamma(0.5 * (p + 1))
+
+
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def _log_binom(n: int, k):
+    """ln C(n, k), with math.lgamma mapped over an array k."""
+    if np.ndim(k) == 0:
+        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     k = np.asarray(k, dtype=float)
-    return gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+    return math.lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)

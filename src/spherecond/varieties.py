@@ -14,10 +14,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .conditioning import WeylPolynomial, _sum
 from .geometry import (
@@ -38,6 +36,8 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.99):
     """Clopper-Pearson interval for a binomial proportion; integer counts only."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    from scipy.special import betaincinv  # slow to import; only `estimate` needs it
+
     a = 1.0 - level
     if successes <= 0.0:
         lo = 0.0
@@ -263,6 +263,8 @@ def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
               for idx, start in enumerate(range(0, samples, _BLOCK))]
     workers = min(workers, len(blocks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run starts no pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(kernel, blocks))
     else:

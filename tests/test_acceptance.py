@@ -27,11 +27,11 @@ from spherecond import (
     clopper_pearson,
     mu_norm,
     sphere_volume,
-    subsphere_tube_volume,
     tube_ratio_bound,
 )
 from spherecond.cli import main
 from spherecond.varieties import tube_cap_counts
+from subsphere_tube import subsphere_tube_volume
 from weyl_rotation import random_system_with_zero, rotate_system, sample_rotation
 
 

@@ -19,8 +19,8 @@ from spherecond import (
     tail_bound,
     tube_ratio_bound,
 )
-from spherecond.bounds import PROBLEM_KINDS
-from spherecond.geometry import sphere_volume
+from spherecond.bounds import PROBLEM_KINDS, _logsumexp
+from spherecond.geometry import _log_binom, _log_O, sphere_volume
 
 
 def brute_tail(p, d, sigma, t):
@@ -104,6 +104,69 @@ class TestTailBound:
     def test_rejects_non_finite_t(self, t):
         with pytest.raises(ValueError, match="t must be >= 1 and finite"):
             tail_bound(3, 1, 1.0, t)
+
+
+# the log-space grid: p up to a few hundred, sigma down to 1e-3, t up to 1e6
+GRID_P = (3, 8, 24, 63, 120, 399)
+GRID_D = (1, 2, 5, 20)
+GRID_SIGMA = (1.0, 0.25, 1e-3)
+GRID_T = (1.0, 10.0, 1e3, 1e6)
+
+
+def mp_log_O(k):
+    """ln O_k, the volume of S^k, in mpmath."""
+    return mpmath.log(2) + (k + 1) / mpmath.mpf(2) * mpmath.log(mpmath.pi) \
+        - mpmath.loggamma(mpmath.mpf(k + 1) / 2)
+
+
+def mp_log_tail_core(p, d, ratio):
+    """ln of the tail sum at r = ratio, at 50 digits. By the binomial theorem,
+    sum_{0<k<p} C(p,k) (2d r)^k (1+r)^{p-k} = (1 + r + 2d r)^p - (1+r)^p - (2d r)^p;
+    the difference loses at most 7 of the 50 digits on the grid."""
+    with mpmath.workdps(50):
+        r = mpmath.mpf(ratio)
+        x = 2 * d * r
+        total = 4 * ((1 + r + x) ** p - (1 + r) ** p - x**p)
+        total += 2 * p * mpmath.exp(mp_log_O(p) - mp_log_O(p - 1)) * x**p
+        return mpmath.log(total)
+
+
+class TestLogSpaceAccuracy:
+    """The log-gamma and log-sum-exp behind the bounds, against 50-digit mpmath: within
+    1e-12 absolute in ln over the whole grid."""
+
+    @pytest.mark.parametrize("p", GRID_P)
+    def test_log_sphere_volume_and_binomials(self, p):
+        with mpmath.workdps(50):
+            for q in (p - 1, p):
+                assert abs(_log_O(q) - float(mp_log_O(q))) <= 1e-12
+            ks = np.arange(p + 1)
+            ref = [float(mpmath.log(mpmath.binomial(p, k))) for k in ks.tolist()]
+        assert np.max(np.abs(_log_binom(p, ks) - ref)) <= 1e-12
+        assert all(abs(_log_binom(p, k) - r) <= 1e-12 for k, r in zip(ks.tolist(), ref))
+
+    @pytest.mark.parametrize("p", GRID_P)
+    def test_log_bounds_over_the_grid(self, p):
+        for d in GRID_D:
+            for sigma in GRID_SIGMA:
+                for t in GRID_T:
+                    ref = float(mp_log_tail_core(p, d, 1.0 / (t * sigma)))
+                    assert abs(log_tail_bound(p, d, sigma, t) - ref) <= 1e-12, (d, sigma, t)
+                    eps = 1.0 / t
+                    ref = float(mp_log_tail_core(p, d, eps / sigma))
+                    assert abs(log_tube_ratio_bound(p, d, sigma, eps) - ref) <= 1e-12, \
+                        (d, sigma, eps)
+
+    @pytest.mark.parametrize("spread", [1e-3, 1.0, 30.0, 1e3])
+    def test_logsumexp_matches_scipy(self, spread):
+        from scipy.special import logsumexp
+
+        gen = np.random.default_rng(int(spread * 1000))
+        for size in (1, 2, 7, 400):
+            for _ in range(50):
+                a = gen.uniform(-spread, spread, size) + gen.normal(0.0, 1e3)
+                ref = logsumexp(a)
+                assert abs(_logsumexp(a) - ref) <= 4 * np.spacing(abs(ref))
 
 
 class TestTubeRatioBound:

@@ -19,11 +19,14 @@ from spherecond import (
     RngStream,
     SpherePoint,
     cli,
+    conditioning,
     discriminant_distance_2x2,
     eigenvalue_condition,
     frobenius_condition,
     linear_tail_bound,
     log_tail_bound,
+    mu_norm,
+    system_projective_distance,
     tail_bound,
 )
 from spherecond.cli import main
@@ -678,7 +681,7 @@ class TestBatchedCntr:
             assert np.array_equal(zeta, [row[1].coords for row in ref])
             assert np.array_equal(normals[:, 2:], [list(row[2][0].values()) for row in ref])
             g = cli.multiple_zero_witness(f, zeta)
-            product = cli.mu_norm(f, zeta) * cli.system_projective_distance(f, g)
+            product = mu_norm(f, zeta) * system_projective_distance(f, g)
             assert product == pytest.approx([row[3] for row in ref], rel=1e-9)
             products.extend(product)
         assert f"min mu*d_P {min(products):.12g})" in out
@@ -688,22 +691,45 @@ class TestBatchedCntr:
 
         def recording(f, zeta, g):
             seen.append(f.shape)
-            return check(f, zeta, g)
+            return product(f, zeta, g)
 
-        check = cli.cntr_witness_check
-        monkeypatch.setattr(cli, "cntr_witness_check", recording)
+        product = cli.cntr_witness_product
+        monkeypatch.setattr(cli, "cntr_witness_product", recording)
         code, _, _ = run(capsys, "verify", "cntr", "--trials", "500")
         assert code == 0 and seen == [(167,), (167,), (166,)]
 
     def test_cntr_fails_when_a_check_fails(self, capsys, monkeypatch):
-        def one_false(f, zeta, g):
-            ok = np.ones(f.shape, dtype=bool)
-            ok[-1] = False
-            return ok
+        for low in (1.0 - 2e-6, math.nan):
+            def one_low(f, zeta, g):
+                products = np.ones(f.shape)
+                products[-1] = low
+                return products
 
-        monkeypatch.setattr(cli, "cntr_witness_check", one_false)
+            monkeypatch.setattr(cli, "cntr_witness_product", one_low)
+            code, out, _ = run(capsys, "verify", "cntr", "--trials", "30")
+            assert code == 1 and "overall: FAIL" in out
+
+    def test_cntr_product_computes_mu_once_per_degree(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(f, zeta):
+            calls.append(f.shape)
+            return mu(f, zeta)
+
+        mu = conditioning.mu_norm
+        monkeypatch.setattr(conditioning, "mu_norm", counting)
+        code, _, _ = run(capsys, "verify", "cntr", "--trials", "30")
+        assert code == 0 and calls == [(10,), (10,), (10,)]
+
+    def test_an_infinite_mu_passes_and_leaves_the_margin_finite(self, capsys, monkeypatch):
+        def one_multiple(f, zeta, g):
+            products = np.full(f.shape, 1.5)
+            products[0] = math.inf
+            return products
+
+        monkeypatch.setattr(cli, "cntr_witness_product", one_multiple)
         code, out, _ = run(capsys, "verify", "cntr", "--trials", "30")
-        assert code == 1 and "overall: FAIL" in out
+        assert code == 0 and "min mu*d_P 1.5)" in out
 
 
 @pytest.mark.parametrize("argv,choices", [
@@ -800,11 +826,63 @@ class TestOutputFormat:
         assert len(bound.replace(".", "").replace("-", "").lstrip("0")) >= 10
 
 
-def test_import_loads_no_slow_scipy_module():
-    # `import spherecond.cli` is the start-up cost of every command
-    slow = ["scipy.optimize", "scipy.integrate", "scipy.stats", "scipy.spatial"]
-    code = f"import sys, spherecond.cli; print([m for m in {slow!r} if m in sys.modules])"
+# a fresh interpreter runs `steps` and prints, per step, the listed modules then loaded
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+watched, steps = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+report = []
+for step in steps:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if step == "import":
+            import spherecond
+        elif step == "parser":
+            from spherecond import cli
+            cli.build_parser()
+        else:
+            try:
+                cli.main(step)
+            except SystemExit:  # --help
+                pass
+    report.append([step, [m for m in watched if m in sys.modules]])
+print(json.dumps(report))
+"""
+SLOW_MODULES = ["scipy.special", "scipy.integrate", "scipy.stats", "scipy.optimize",
+                "scipy.spatial", "concurrent.futures.process"]
+
+
+def _modules_after(watched, steps):
     env = {**os.environ, "PYTHONPATH": str(Path(spherecond.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(watched),
+                           json.dumps(steps)], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return json.loads(done.stdout)
+
+
+def test_import_loads_no_slow_scipy_module():
+    # `import spherecond`, the parser, usage errors and every `bounds` mode are the cold
+    # start of a command: numpy and the standard library only
+    steps = ["import", "parser",
+             ["bounds", "tail", "--p", "3", "--d", "1", "--sigma", "1", "--t", "10"],
+             ["bounds", "tube", "--p", "3", "--d", "2", "--sigma", "0.5", "--eps", "0.01"],
+             ["bounds", "expectation", "--p", "8", "--d", "3", "--sigma", "0.25"],
+             ["bounds", "linear", "--p", "8", "--d", "2", "--eps", "1e-4", "--json"],
+             ["bounds", "expectation", "--problem", "matrix-inversion", "--n", "3"],
+             ["bounds", "tail", "--problem", "polysys", "--degrees", "2,3", "--t", "1e3"],
+             ["bounds", "tube", "--problem", "moore-penrose", "--l", "4", "--m", "3",
+              "--eps", "1e-3", "--json"],
+             ["bounds", "tail", "--p", "3", "--d", "1"],  # usage error: no --t
+             ["estimate", "tail", "--problem", "matrix-inversion", "--n", "0", "--out", "x"],
+             ["bounds", "tail", "--help"]]
+    report = _modules_after(SLOW_MODULES, steps)
+    assert [step for step, _ in report] == steps
+    assert all(loaded == [] for _, loaded in report), report
+
+
+def test_serial_estimate_starts_no_process_pool(tmp_path):
+    out = str(tmp_path / "serial")
+    steps = ["import", "parser",
+             ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2", "--samples",
+              "20000", "--workers", "1", "--out", out]]
+    report = _modules_after(["concurrent.futures.process"], steps)
+    assert all(loaded == [] for _, loaded in report), report
+    assert (tmp_path / "serial.csv").exists()

@@ -10,6 +10,7 @@ from spherecond import (
     SpherePoint,
     WeylPolynomial,
     cntr_witness_check,
+    cntr_witness_product,
     discriminant_distance_2x2,
     eigenvalue_condition,
     frobenius_condition,
@@ -290,6 +291,14 @@ def mu_norm_by_basis(f, zeta):
     return weyl_norm(f) * np.linalg.norm(scaled, 2)
 
 
+def mu_norm_by_two_norm(f, zeta):
+    """mu_norm's path for mixed degrees, taken for any degrees: |f| times the spectral norm
+    of diag(sqrt d_i / s) u^T from the projected Jacobian's SVD."""
+    _, u, s, _ = _projected_svd(f, zeta)
+    scaled = np.swapaxes(u, -1, -2) / s[..., :, None] * np.sqrt(np.array(f.degrees, dtype=float))
+    return weyl_norm(f) * np.linalg.norm(scaled, 2, axis=(-2, -1))
+
+
 def mixed_system_with_zero(degrees, gen):
     """Random system with the given degrees and a planted zero, as in random_system_with_zero."""
     n = len(degrees)
@@ -446,6 +455,15 @@ class TestMuNorm:
             f, zeta = mixed_system_with_zero(degrees, gen)
             assert mu_norm(f, zeta) == pytest.approx(mu_norm_by_basis(f, zeta), rel=1e-10)
 
+    @pytest.mark.parametrize("degrees", [(1, 1), (2,), (3,), (4,), (2, 2), (3, 3, 3),
+                                         (2, 2, 2, 2)])
+    def test_equal_degrees_closed_form_matches_two_norm(self, degrees):
+        # equal degrees: sqrt(d) / s_min in place of a second SVD, to 1e-13 relative
+        _, f, zeta = planted_batch(degrees, 60, 700 + 10 * len(degrees) + degrees[0])
+        mu = mu_norm(f, zeta)
+        assert np.all(np.isfinite(mu))
+        assert np.max(np.abs(mu / mu_norm_by_two_norm(f, zeta) - 1.0)) <= 1e-13
+
     def test_rejects_non_zero(self):
         with pytest.raises(ValueError):
             mu_norm(linear_system(2), SpherePoint.from_vector(np.array([0.0, 1.0, 0.0])))
@@ -471,6 +489,35 @@ class TestWitness:
             # lower bound mu * dist >= 1 is attained with equality
             assert mu * dist == pytest.approx(1.0, abs=1e-6)
             assert cntr_witness_check(f, zeta, g)
+
+    @pytest.mark.parametrize("degrees", [(2,), (3,), (2, 2), (3, 1)])
+    def test_product_is_mu_times_distance(self, degrees):
+        _, f, zeta = planted_batch(degrees, 20, 950 + sum(degrees) * len(degrees))
+        g = multiple_zero_witness(f, zeta)
+        product = cntr_witness_product(f, zeta, g)
+        assert np.array_equal(product, mu_norm(f, zeta) * system_projective_distance(f, g))
+        assert np.array_equal(cntr_witness_check(f, zeta, g), product >= 1.0 - 1e-6)
+
+    def test_product_is_inf_at_a_multiple_zero(self):
+        # x0 x1^2 - x1^3 / 2: e0 is a multiple zero of f, and f is its own witness
+        f = WeylPolynomial(n=1, degree=3, coefficients={(1, 2): 1.0, (0, 3): -0.5})
+        f = PolySystem((f,))
+        unit = PolySystem(degrees=f.degrees, coefficients=[c / weyl_norm(f) for c in f.coefficients])
+        assert mu_norm(unit, e0(1)) == math.inf
+        assert cntr_witness_product(unit, e0(1), unit) == math.inf
+        assert cntr_witness_check(unit, e0(1), unit) is True
+
+    def test_product_checks_the_witness(self):
+        f, zeta = random_system_with_zero(1, 3, np.random.default_rng(21))
+        f = PolySystem(degrees=f.degrees, coefficients=[c / weyl_norm(f) for c in f.coefficients])
+        with pytest.raises(ValueError, match="multiple zero"):
+            cntr_witness_product(f, zeta, f)
+        g = multiple_zero_witness(f, zeta)
+        twice = PolySystem(degrees=g.degrees, coefficients=[2.0 * c for c in g.coefficients])
+        with pytest.raises(ValueError, match="unit norm"):
+            cntr_witness_product(f, zeta, twice)
+        with pytest.raises(ValueError, match="not a zero"):
+            cntr_witness_product(f, SpherePoint.from_vector(np.roll(zeta.coords, 1)), g)
 
     def test_single_linear_form_has_no_witness(self):
         # for n = d = 1 the correction is all of f; its round-off is no witness

@@ -14,8 +14,8 @@ from spherecond import (
     j_integral_quad,
     kinematic_constant,
     sphere_volume,
-    subsphere_tube_volume,
 )
+from subsphere_tube import subsphere_tube_volume
 
 
 def unit(v):

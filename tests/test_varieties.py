@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import tracemalloc
 import warnings
@@ -19,7 +20,6 @@ from spherecond import (
     frobenius_condition,
     geodesic_sphere_mu,
     sphere_volume,
-    subsphere_tube_volume,
     verify_kinematic,
     verify_weyl_tube_bound,
 )
@@ -38,6 +38,7 @@ from spherecond.varieties import (
     tube_cap_counts,
 )
 from sphere_sampling import sample_uniform_sphere
+from subsphere_tube import subsphere_tube_volume
 
 
 def north(p):
@@ -601,7 +602,8 @@ class TestRunBlocks:
         (64, 3 * _BLOCK, 3), (2, 3 * _BLOCK, 2), (64, _BLOCK, None), (2, 1, None),
     ])
     def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, workers, samples, size):
-        monkeypatch.setattr(varieties, "ProcessPoolExecutor", _SerialPool)
+        # run_blocks imports the pool class from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
         monkeypatch.setattr(_SerialPool, "sizes", [])
         total = run_blocks(_block_id, (), samples, workers)
         assert _SerialPool.sizes == ([] if size is None else [size])
