@@ -200,7 +200,7 @@ def _resolve_variety(spec: str):
 
 
 def _write_outputs(args, header: list[str], rows: list[list], params: dict,
-                   t0: float) -> None:
+                   distance_kind: str, t0: float) -> None:
     import platform  # only manifests need these: kept off the import path of a cold `bounds`
 
     import scipy
@@ -214,6 +214,7 @@ def _write_outputs(args, header: list[str], rows: list[list], params: dict,
     manifest = {
         "command_line": " ".join(["spherecond", *args.argv]),
         "parameters": params,
+        "distance_kind": distance_kind,
         "master_seed": args.seed,
         "worker_count": args.workers,
         "sample_count": args.samples,
@@ -272,7 +273,7 @@ def cmd_estimate(args) -> int:
     violation = not all(row[-1] for row in rows)
     params = {k: v for k, v in vars(args).items()
               if k not in ("func", "which", "argv") and v is not None}
-    _write_outputs(args, header, rows, params, t0)
+    _write_outputs(args, header, rows, params, variety.distance_kind, t0)
     if violation:
         print("bound violation detected (dominated=false rows present)", file=sys.stderr)
         return EXIT_BOUND_VIOLATION
@@ -340,7 +341,9 @@ def _verify_kinematic(args) -> int:
 
 
 def _verify_weyltube(args) -> int:
-    rows = []
+    """Band volume <= Weyl's tube bound, with equality at alpha = pi/2; a last row reports
+    the largest lhs/rhs of the inequality rows and |lhs - rhs|/rhs of the equality rows."""
+    rows, ratios, deviations = [], [], []
     for p in (2, 3, 4, 6):
         for a in np.arange(0.2, np.pi / 2 + 1e-9, 0.2).tolist() + [np.pi / 2]:
             a = min(a, np.pi / 2)
@@ -348,11 +351,18 @@ def _verify_weyltube(args) -> int:
                 b = frac * a
                 lhs, rhs, ok = verify_weyl_tube_bound(p, a, b)
                 if abs(a - np.pi / 2) < 1e-12:
+                    deviations.append(abs(lhs - rhs) / rhs)
                     ok &= abs(lhs - rhs) <= 1e-12 * rhs
                     label = f"p={p} alpha=pi/2 beta={frac}a (equality)"
                 else:
+                    ratios.append(lhs / rhs)
                     label = f"p={p} alpha={a:.2f} beta={frac}a"
                 rows.append((label, bool(ok)))
+    # np.max keeps a NaN, which then fails the row
+    ratio, deviation = float(np.max(ratios)), float(np.max(deviations))
+    rows.append((f"worst margin (max lhs/rhs {ratio:.6g}, "
+                 f"max |lhs - rhs|/rhs at equality {deviation:.1e})",
+                 ratio <= 1.0 + 1e-12 and deviation <= 1e-12))
     return _report(rows)
 
 
@@ -370,24 +380,35 @@ def _eckart_young_draws(seed: int, trials: int) -> dict:
 def _verify_eckart_young(args) -> int:
     """Eckart-Young on `--trials` Gaussian matrices, in one batch per n: zeroing the
     smallest singular value moves A by exactly sigma_min, and kappa_F(B) dist(B) = 1
-    for B = A / |A|. Each row reports its largest deviation."""
+    for B = A / |A|, square and 4 x 3. kappa_F reads LAPACK's SVD, so the 4 x 3 row
+    checks the Jacobi distance against it. Each row reports its largest deviation."""
+
+    def product_error(a):
+        unit = a / np.linalg.norm(a, axis=(1, 2))[:, None, None]
+        dist = DeterminantVariety(*a.shape[1:]).distances(unit.reshape(len(a), -1))
+        return np.abs(frobenius_condition(unit) * dist - 1.0)
+
     trunc_err, prod_err = [], []
-    for n, a in _eckart_young_draws(args.seed, args.trials).items():
+    for a in _eckart_young_draws(args.seed, args.trials).values():
         u, s, vt = np.linalg.svd(a)
         s_trunc = s.copy()
         s_trunc[:, -1] = 0.0
         a_trunc = u @ (s_trunc[..., None] * vt)
         trunc_err.append(np.abs(np.linalg.norm(a - a_trunc, axis=(1, 2)) - s[:, -1]))
-        unit = a / np.linalg.norm(a, axis=(1, 2))[:, None, None]
-        dist = DeterminantVariety(n).distances(unit.reshape(len(a), -1))
-        prod_err.append(np.abs(frobenius_condition(unit) * dist - 1.0))
+        prod_err.append(product_error(a))
+    # a stream of its own leaves the square matrices, and so their rows, as they were
+    tall_err = product_error(RngStream(args.seed, 1).generator.standard_normal(
+        (args.trials, 4, 3)))
     # np.max keeps a NaN, which then fails its row
-    trunc, prod = (float(np.max(np.concatenate(e))) for e in (trunc_err, prod_err))
+    trunc, prod, tall = (float(np.max(np.concatenate(e)))
+                         for e in (trunc_err, prod_err, [tall_err]))
     return _report([
         (f"svd truncation distance equals smallest singular value (max err {trunc:.1e})",
          trunc <= 1e-10),
         (f"condition number times variety distance equals one (max |kappa dist - 1| {prod:.1e})",
          prod <= 1e-8),
+        (f"4 x 3: condition number times variety distance equals one "
+         f"(max |kappa dist - 1| {tall:.1e})", tall <= 1e-8),
     ])
 
 

@@ -2,11 +2,13 @@
 
 Varieties are symmetric subsets of S^p with an attached projective
 distance evaluator: great subspheres (exact), rank-deficient matrices via the
-smallest singular value (exact: closed form for two columns, else LAPACK's SVD),
-and plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points
-with Newton refinement (upper bound on the true distance). The curve oracle
-finds each query's nearest mesh point in cache-sized row blocks against one
-reused buffer, and evaluates the polynomial from a multiply-only power table.
+smallest singular value (exact: a closed form for two columns, Gram-Schmidt plus
+one-sided Jacobi for three, LAPACK's SVD from four on, where Jacobi's m(m - 1)/2
+rotations per sweep lose to it), and plane curves on S^2 via a mesh of
+Newton-projected hemisphere lattice points with Newton refinement (upper bound
+on the true distance). The curve oracle finds each query's nearest mesh point in
+cache-sized row blocks against one reused buffer, and evaluates the polynomial
+from a multiply-only power table.
 """
 
 from __future__ import annotations
@@ -92,6 +94,70 @@ class SubsphereVariety(Variety):
         return np.linalg.norm(points[:, self.m + 1:], axis=1)
 
 
+def _dot(x: list, y: list) -> np.ndarray:
+    """Row-wise dot product of two lists of component arrays, summed left to right."""
+    return functools.reduce(np.add, map(np.multiply, x, y))
+
+
+# A row rotates while |<c_i, c_j>| > _JACOBI_TOL |c_i| |c_j|. At tol = eps some rows
+# still rotated after 30 sweeps; at 4 eps no row of 3.2e6 (random and hard families)
+# rotated in more than 5 sweeps, so reaching _JACOBI_SWEEPS means something is wrong.
+_JACOBI_TOL = 4.0 * np.finfo(float).eps
+_JACOBI_SWEEPS = 30
+
+
+def _three_column_smin(mats: np.ndarray) -> np.ndarray:
+    """Smallest singular values of a stack (N, n, 3) of n x 3 matrices, n >= 3.
+
+    Modified Gram-Schmidt reduces each matrix to its 3 x 3 triangular factor R, which is
+    backward stable (Bjorck and Paige 1992), and cyclic one-sided Jacobi orthogonalises
+    R's columns (Demmel and Veselic 1992); the result is the smallest final column norm.
+    Each column is a list of component arrays of length N. Every rotation recomputes its
+    three dot products: carrying the norms by updates (alpha - t gamma) lost 3.4e-14 on
+    random rows and did not converge in 30 sweeps at tiny s_min. A row that passes the
+    test gets t = 0, an exact identity, so its bits do not depend on the rest of the
+    batch; the loop ends after a sweep in which no row rotates."""
+    a, b, c = (list(col) for col in np.ascontiguousarray(mats.transpose(2, 1, 0)))
+
+    def unit(x):
+        r = np.sqrt(_dot(x, x))
+        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)  # r = 0 at E_11
+        return r, [xk * inv for xk in x]
+
+    r00, q = unit(a)
+    r01, r02 = _dot(q, b), _dot(q, c)
+    b = [bk - r01 * qk for bk, qk in zip(b, q)]
+    c = [ck - r02 * qk for ck, qk in zip(c, q)]
+    r11, q = unit(b)
+    r12 = _dot(q, c)
+    c = [ck - r12 * qk for ck, qk in zip(c, q)]
+    zero = np.zeros_like(r00)
+    cols = [[r00, zero, zero], [r01, r11, zero], [r02, r12, np.sqrt(_dot(c, c))]]
+    for _ in range(_JACOBI_SWEEPS):
+        moved = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            x, y = cols[i], cols[j]
+            alpha, beta, gamma = _dot(x, x), _dot(y, y), _dot(x, y)
+            g2 = gamma * gamma
+            rot = g2 > _JACOBI_TOL ** 2 * (alpha * beta)
+            if not rot.any():
+                continue
+            moved = True
+            # t = tan of the rotation angle, the root of t^2 + (beta - alpha) t / gamma = 1
+            # of smaller modulus; its denominator is 0 only on rows that do not rotate
+            d = beta - alpha
+            den = d + np.copysign(np.sqrt(d * d + 4.0 * g2), d)
+            t = np.divide(2.0 * gamma, den, out=np.zeros_like(d), where=rot)
+            cs = 1.0 / np.sqrt(1.0 + t * t)
+            sn = cs * t
+            cols[i] = [cs * xk - sn * yk for xk, yk in zip(x, y)]
+            cols[j] = [sn * xk + cs * yk for xk, yk in zip(x, y)]
+        if not moved:
+            sq = [_dot(col, col) for col in cols]
+            return np.sqrt(np.minimum(np.minimum(sq[0], sq[1]), sq[2]))
+    raise np.linalg.LinAlgError(f"one-sided Jacobi did not converge in {_JACOBI_SWEEPS} sweeps")
+
+
 class DeterminantVariety(Variety):
     """Rank-deficient n x m matrices (n >= m; square if m is None) on S^{nm-1}, cut out
     by the m x m minors; distance is the smallest singular value (Eckart-Young).
@@ -99,7 +165,15 @@ class DeterminantVariety(Variety):
     m = 2, columns a, b: P = s1 s2 = sqrt(sum_{i<j} (a_i b_j - a_j b_i)^2) (Cauchy-Binet),
     s1^2 = (N + hypot(|a|^2 - |b|^2, 2 <a, b>)) / 2 with N = |a|^2 + |b|^2, s_min = P / s1.
     Past the minors only sums of squares and a hypot: round-off of |A|, also at s1 = s2,
-    where (N - sqrt(N^2 - 4 P^2)) / 2 loses sqrt(eps). Other m: LAPACK's SVD."""
+    where (N - sqrt(N^2 - 4 P^2)) / 2 loses sqrt(eps).
+
+    m = 3: Gram-Schmidt to R, then one-sided Jacobi on R (`_three_column_smin`), about
+    3x faster than LAPACK on 4 x 3 and within 1e-15 of a 50-digit SVD on unit matrices,
+    also at near-double, near-triple and tiny singular values.
+
+    m >= 4: LAPACK's SVD. The same kernel, taken to m columns, was 1.6x faster on 4 x 4,
+    even on 5 x 5 and 2.4x slower on 8 x 8: a sweep has m(m - 1)/2 rotations of m
+    components each."""
 
     def __init__(self, n: int, m: int | None = None):
         m = n if m is None else m
@@ -112,6 +186,8 @@ class DeterminantVariety(Variety):
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         mats = points.reshape(-1, self.n, self.m)
+        if self.m == 3:
+            return _three_column_smin(mats)
         if self.m != 2:
             return np.linalg.svd(mats, compute_uv=False)[:, -1]
         a, b = mats[:, :, 0], mats[:, :, 1]

@@ -28,8 +28,9 @@ from spherecond import (
     mu_norm,
     system_projective_distance,
     tail_bound,
+    varieties,
 )
-from spherecond.cli import main
+from spherecond.cli import EXIT_VERIFY_FAIL, main
 from spherecond.conditioning import planted_systems
 from spherecond.varieties import _BLOCK, _cap_block, run_blocks
 
@@ -266,6 +267,37 @@ class TestEstimateCommand:
         assert manifest["command_line"] == " ".join(["spherecond", *argv])
         assert "argv" not in manifest["parameters"]
 
+    @pytest.mark.parametrize("argv,kind", [
+        (["tail", "--problem", "matrix-inversion", "--n", "3"], "exact"),
+        (["logmean", "--problem", "moore-penrose", "--l", "4", "--m", "3"], "exact"),
+        (["tube", "--variety", "subsphere:3,1"], "exact"),
+        (["tube", "--variety", "curve:{tmp}/conic.json"], "mesh-newton"),
+    ])
+    def test_manifest_records_distance_kind(self, tmp_path, capsys, argv, kind):
+        (tmp_path / "conic.json").write_text(json.dumps(
+            {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
+                                                {"alpha": [0, 2, 0], "coeff": -1.0}]}))
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        code, _, _ = run(capsys, "estimate", *argv, "--samples", "500",
+                         "--out", str(tmp_path / "dk"))
+        assert code == 0
+        manifest = json.loads((tmp_path / "dk.manifest.json").read_text())
+        assert manifest["distance_kind"] == kind
+        assert "distance_kind" not in manifest["parameters"]
+        assert kind not in (tmp_path / "dk.csv").read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--problem", "matrix-inversion", "--n", "3", "--sigma", "0.5"],
+        ["tail", "--problem", "moore-penrose", "--l", "6", "--m", "3"],
+        ["logmean", "--problem", "moore-penrose", "--l", "4", "--m", "3", "--sigma", "0.25"],
+    ])
+    def test_three_column_worker_count_invariance(self, tmp_path, capsys, argv):
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "estimate", *argv, "--samples", "20000", "--seed", "3",
+                             "--workers", workers, "--out", str(tmp_path / f"w{workers}"))
+            assert code == 0
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
     def test_worker_count_invariance(self, tmp_path, capsys):
         a, b = tmp_path / "w1", tmp_path / "w4"
         run(capsys, "estimate", "tail", "--problem", "matrix-inversion", "--n", "2",
@@ -492,6 +524,26 @@ class TestVerifyCommand:
         assert code == 0
         assert "overall: pass" in out
 
+    def test_weyltube_reports_its_worst_margin(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "verify", "weyltube")
+        rows = out.splitlines()
+        ratio, deviation = re.fullmatch(
+            r"worst margin \(max lhs/rhs (\S+), max \|lhs - rhs\|/rhs at equality (\S+)\)"
+            r"\s+pass", rows[-2]).groups()
+        assert code == 0 and len(rows) == 4 * 8 * 3 + 2
+        assert 0.9 < float(ratio) < 1.0 and float(deviation) <= 1e-12
+        bound = cli.verify_weyl_tube_bound
+
+        def one_percent_over(p, a, b):
+            rhs = bound(p, a, b)[1]
+            return 1.01 * rhs, rhs, False
+
+        monkeypatch.setattr(cli, "verify_weyl_tube_bound", one_percent_over)
+        code, out, _ = run(capsys, "verify", "weyltube")
+        rows = out.splitlines()
+        assert code == EXIT_VERIFY_FAIL
+        assert rows[-2].startswith("worst margin (max lhs/rhs 1.01, ") and rows[-2].endswith("FAIL")
+
     def test_eckart_young(self, capsys):
         code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "100")
         assert code == 0
@@ -615,6 +667,34 @@ class TestBatchedSuites:
         assert ok and code == 0
         rows = out.splitlines()
         assert "(max err " in rows[0] and "(max |kappa dist - 1| " in rows[1]
+
+    @pytest.mark.parametrize("seed", BATCH_SEEDS)
+    def test_eckart_young_checks_four_by_three_matrices(self, capsys, monkeypatch, seed):
+        # the 4 x 3 matrices come from stream 1 of the seed; the square ones keep stream 0
+        tall = RngStream(seed, 1).generator.standard_normal((400, 4, 3))
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return frobenius_condition(a)
+
+        monkeypatch.setattr(cli, "frobenius_condition", recording)
+        code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "400",
+                           "--seed", str(seed))
+        assert np.array_equal(seen[-1], tall / np.linalg.norm(tall, axis=(1, 2))[:, None, None])
+        assert [a.shape[1:] for a in seen[:-1]] == [(n, n) for n in
+                                                    cli._eckart_young_draws(seed, 400)]
+        row = out.splitlines()[2]
+        margin = float(re.search(r"4 x 3: .*\(max \|kappa dist - 1\| (\S+)\)", row)[1])
+        assert code == 0 and row.endswith("pass") and margin <= 1e-8
+        # a distance 1e-7 too large fails the row
+        kernel = varieties._three_column_smin
+        monkeypatch.setattr(varieties, "_three_column_smin",
+                            lambda mats: kernel(mats) * (1.0 + 1e-7))
+        code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "400",
+                           "--seed", str(seed))
+        assert code == EXIT_VERIFY_FAIL and out.splitlines()[2].endswith("FAIL")
+        assert out.splitlines()[0].endswith("pass")
 
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_wilkinson_sees_the_reference_matrices(self, capsys, monkeypatch, seed):

@@ -152,11 +152,13 @@ class TestSubsphereVariety:
         assert SubsphereVariety(5, 2).degree == 1
 
 
-def planted_two_columns(n, singular_values, gen):
-    """Unit n x 2 matrices U diag(s) V^T, one per row of singular value pairs, as rows."""
-    u, _ = np.linalg.qr(gen.standard_normal((len(singular_values), n, 2)))
-    v, _ = np.linalg.qr(gen.standard_normal((len(singular_values), 2, 2)))
-    rows = ((u * singular_values[:, None, :]) @ np.swapaxes(v, 1, 2)).reshape(-1, 2 * n)
+def planted_columns(n, singular_values, gen):
+    """Unit n x k matrices U diag(s) V^T, one per row of the (count, k) singular values,
+    as rows."""
+    count, k = singular_values.shape
+    u, _ = np.linalg.qr(gen.standard_normal((count, n, k)))
+    v, _ = np.linalg.qr(gen.standard_normal((count, k, k)))
+    rows = ((u * singular_values[:, None, :]) @ np.swapaxes(v, 1, 2)).reshape(-1, k * n)
     return rows / np.linalg.norm(rows, axis=1, keepdims=True)
 
 
@@ -168,11 +170,46 @@ def two_column_families(n, count, gen):
     gap = 10.0 ** gen.uniform(-16, -2, count)
     return {
         "random": rows / np.linalg.norm(rows, axis=1, keepdims=True),
-        "near-singular": planted_two_columns(
+        "near-singular": planted_columns(
             n, np.stack([np.sqrt(1.0 - small ** 2), small], axis=1), gen),
-        "near-orthonormal": planted_two_columns(
+        "near-orthonormal": planted_columns(
             n, np.stack([1.0 + gap, np.ones(count)], axis=1), gen),
     }
+
+
+def three_column_families(n, count, gen):
+    """Unit n x 3 matrices: random ones; random ones whose first column is scaled by
+    1e-12 to 1e-2; and planted singular values with a tiny s_min (1e-12 to 1e-2), near
+    rank 1 (two of them from 1e-12 to 1e-2), or a near-double smallest pair, a
+    near-double largest pair or a near-triple (relative gaps from 1e-16 to 1e-2)."""
+    def powers(lo, hi):
+        return 10.0 ** gen.uniform(lo, hi, count)
+
+    one, mid = np.ones(count), gen.uniform(0.05, 0.95, count)
+    small, gap = powers(-12, -2), powers(-16, -2)
+    planted = {
+        "tiny s_min": [one, mid, small],
+        "near-rank-1": [one, small, powers(-12, -2)],
+        "near-double smallest": [one, mid * (1.0 + gap), mid],
+        "near-double largest": [one + gap, one, mid],
+        "near-triple": [one + gap, one + powers(-16, -2), one],
+    }
+    scale = np.stack([powers(-12, -2), one, one], axis=1)[:, None, :]
+    families = {
+        "random": gen.standard_normal((count, 3 * n)),
+        "tiny first column": (gen.standard_normal((count, n, 3)) * scale).reshape(count, -1),
+    }
+    families = {name: r / np.linalg.norm(r, axis=1, keepdims=True)
+                for name, r in families.items()}
+    families.update({name: planted_columns(n, np.stack(s, axis=1), gen)
+                     for name, s in planted.items()})
+    return families
+
+
+def mpmath_smallest_singular_values(rows, n, m):
+    with mpmath.workdps(50):
+        return np.array([float(min(mpmath.svd_r(mpmath.matrix(r.reshape(n, m).tolist()),
+                                                compute_uv=False))) for r in rows])
 
 
 class TestDeterminantVariety:
@@ -196,10 +233,14 @@ class TestDeterminantVariety:
         assert (v.p, v.degree) == ProblemDescriptor("moore-penrose", l=l, m=m).ambient_dim_and_degree()
 
     def test_rectangular_distance_is_smallest_singular_value(self):
+        pts = sample_uniform_sphere(19, RngStream(3), size=50)
+        d = DeterminantVariety(5, 4).distances(pts)
+        ref = [np.linalg.svd(row.reshape(5, 4), compute_uv=False)[-1] for row in pts]
+        assert np.array_equal(d, ref)  # m >= 4 is LAPACK's SVD itself
+        # m = 3 is Gram-Schmidt plus Jacobi: within round-off of a 50-digit SVD
         pts = sample_uniform_sphere(11, RngStream(3), size=50)
         d = DeterminantVariety(4, 3).distances(pts)
-        ref = [np.linalg.svd(row.reshape(4, 3), compute_uv=False)[-1] for row in pts]
-        assert np.array_equal(d, ref)  # m >= 3 is LAPACK's SVD itself
+        assert d == pytest.approx(mpmath_smallest_singular_values(pts, 4, 3), rel=0.0, abs=1e-15)
         # m = 2 is a closed form: each side is within round-off of the true value
         for n in (2, 5):
             pts = sample_uniform_sphere(2 * n - 1, RngStream(3), size=50)
@@ -234,6 +275,61 @@ class TestDeterminantVariety:
             warnings.simplefilter("error")
             assert DeterminantVariety(n, 2).distances(singular)[0] == 0.0
 
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_three_columns_match_mpmath(self, n):
+        # absolute error on unit matrices; over these families LAPACK's reaches 4e-15
+        gen = np.random.default_rng(900 + n)
+        for family, rows in three_column_families(n, 60, gen).items():
+            err = np.abs(DeterminantVariety(n, 3).distances(rows)
+                         - mpmath_smallest_singular_values(rows, n, 3))
+            assert np.max(err) <= 1e-15, family
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_three_columns_need_no_svd(self, monkeypatch, n):
+        pts = sample_uniform_sphere(3 * n - 1, RngStream(5), size=20)
+        expected = DeterminantVariety(n, 3).distances(pts)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd called for m = 3")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.array_equal(DeterminantVariety(n, 3).distances(pts), expected)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_three_columns_singular_rows(self, n):
+        gen = np.random.default_rng(40 + n)
+        e11 = np.zeros((n, 3))
+        e11[0, 0] = 1.0  # the `north` cap centre: Gram-Schmidt meets r_11 = r_22 = 0
+        zero_column, equal_columns = gen.standard_normal((2, n, 3))
+        zero_column[:, 1] = 0.0
+        equal_columns[:, 2] = equal_columns[:, 0]
+        mats = np.stack([e11, zero_column, equal_columns])
+        mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = DeterminantVariety(n, 3).distances(mats.reshape(3, -1))
+        assert d[0] == 0.0
+        assert np.all(d[1:] <= 1e-15)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_three_column_rows_do_not_interact(self, n):
+        # rows converge after different numbers of sweeps; a converged row stays as it is
+        gen = np.random.default_rng(60 + n)
+        rows = np.concatenate(list(three_column_families(n, 40, gen).values()))
+        v = DeterminantVariety(n, 3)
+        d = v.distances(rows)
+        assert np.array_equal(v.distances(rows[::-1]), d[::-1])
+        pieces = [v.distances(rows[s]) for s in (slice(0, 1), slice(1, 97), slice(97, None))]
+        assert np.array_equal(np.concatenate(pieces), d)
+        assert np.array_equal([v.distances(row[None])[0] for row in rows[::23]], d[::23])
+
+    def test_jacobi_sweep_cap_raises(self, monkeypatch):
+        # random 4 x 3 rows need four sweeps with rotations and one without
+        pts = sample_uniform_sphere(11, RngStream(5), size=200)
+        monkeypatch.setattr(varieties, "_JACOBI_SWEEPS", 2)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 2 sweeps"):
+            DeterminantVariety(4, 3).distances(pts)
+
     def test_condition_times_distance_is_one(self):
         # kappa_F reads LAPACK's SVD, the distance the closed form. Both err by round-off
         # of |A| = 1, so the product keeps 1e-12 for sigma_min down to about 1e-3.
@@ -241,7 +337,7 @@ class TestDeterminantVariety:
         mats = gen.standard_normal((500, 2, 2))
         mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
         small = 10.0 ** gen.uniform(-3, -1, 500)
-        near = planted_two_columns(2, np.stack([np.ones(500), small], axis=1), gen)
+        near = planted_columns(2, np.stack([np.ones(500), small], axis=1), gen)
         mats = np.concatenate([mats, near.reshape(-1, 2, 2)])
         kappa = frobenius_condition(mats)
         dist = DeterminantVariety(2).distances(mats.reshape(-1, 4))
