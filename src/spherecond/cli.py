@@ -380,8 +380,9 @@ def _eckart_young_draws(seed: int, trials: int) -> dict:
 def _verify_eckart_young(args) -> int:
     """Eckart-Young on `--trials` Gaussian matrices, in one batch per n: zeroing the
     smallest singular value moves A by exactly sigma_min, and kappa_F(B) dist(B) = 1
-    for B = A / |A|, square and 4 x 3. kappa_F reads LAPACK's SVD, so the 4 x 3 row
-    checks the Jacobi distance against it. Each row reports its largest deviation."""
+    for B = A / |A|, square, 4 x 3 and 20 x 2. kappa_F reads LAPACK's SVD, so the 4 x 3
+    and 20 x 2 rows check the Gram-Schmidt distance against it. Each row reports its
+    largest deviation."""
 
     def product_error(a):
         unit = a / np.linalg.norm(a, axis=(1, 2))[:, None, None]
@@ -396,20 +397,21 @@ def _verify_eckart_young(args) -> int:
         a_trunc = u @ (s_trunc[..., None] * vt)
         trunc_err.append(np.abs(np.linalg.norm(a - a_trunc, axis=(1, 2)) - s[:, -1]))
         prod_err.append(product_error(a))
-    # a stream of its own leaves the square matrices, and so their rows, as they were
-    tall_err = product_error(RngStream(args.seed, 1).generator.standard_normal(
-        (args.trials, 4, 3)))
     # np.max keeps a NaN, which then fails its row
-    trunc, prod, tall = (float(np.max(np.concatenate(e)))
-                         for e in (trunc_err, prod_err, [tall_err]))
-    return _report([
+    trunc, prod = (float(np.max(np.concatenate(e))) for e in (trunc_err, prod_err))
+    rows = [
         (f"svd truncation distance equals smallest singular value (max err {trunc:.1e})",
          trunc <= 1e-10),
         (f"condition number times variety distance equals one (max |kappa dist - 1| {prod:.1e})",
          prod <= 1e-8),
-        (f"4 x 3: condition number times variety distance equals one "
-         f"(max |kappa dist - 1| {tall:.1e})", tall <= 1e-8),
-    ])
+    ]
+    # stream 1 leaves the square matrices as they were; its 20 x 2 draws follow the 4 x 3
+    gen = RngStream(args.seed, 1).generator
+    for n, m in ((4, 3), (20, 2)):
+        err = float(np.max(product_error(gen.standard_normal((args.trials, n, m)))))
+        rows.append((f"{n} x {m}: condition number times variety distance equals one "
+                     f"(max |kappa dist - 1| {err:.1e})", err <= 1e-8))
+    return _report(rows)
 
 
 def _wilkinson_draws(seed: int, trials: int) -> tuple[np.ndarray, np.ndarray]:

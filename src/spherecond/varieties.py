@@ -2,13 +2,12 @@
 
 Varieties are symmetric subsets of S^p with an attached projective
 distance evaluator: great subspheres (exact), rank-deficient matrices via the
-smallest singular value (exact: a closed form for two columns, Gram-Schmidt plus
-one-sided Jacobi for three, LAPACK's SVD from four on, where Jacobi's m(m - 1)/2
-rotations per sweep lose to it), and plane curves on S^2 via a mesh of
-Newton-projected hemisphere lattice points with Newton refinement (upper bound
-on the true distance). The curve oracle finds each query's nearest mesh point in
-cache-sized row blocks against one reused buffer, and evaluates the polynomial
-from a multiply-only power table.
+smallest singular value (exact: Gram-Schmidt to R, finished by |R| for one column, a
+closed form for two and one-sided Jacobi for three; LAPACK's SVD from four on), and
+plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points with
+Newton refinement (upper bound on the true distance). The curve oracle finds each
+query's nearest mesh point in cache-sized row blocks against one reused buffer, and
+evaluates the polynomial from a multiply-only power table.
 """
 
 from __future__ import annotations
@@ -106,33 +105,40 @@ _JACOBI_TOL = 4.0 * np.finfo(float).eps
 _JACOBI_SWEEPS = 30
 
 
-def _three_column_smin(mats: np.ndarray) -> np.ndarray:
-    """Smallest singular values of a stack (N, n, 3) of n x 3 matrices, n >= 3.
+def _gram_schmidt_smin(mats: np.ndarray) -> np.ndarray:
+    """Smallest singular values of a stack (N, n, m) of n x m matrices, n >= m, m <= 3.
 
-    Modified Gram-Schmidt reduces each matrix to its 3 x 3 triangular factor R, which is
-    backward stable (Bjorck and Paige 1992), and cyclic one-sided Jacobi orthogonalises
-    R's columns (Demmel and Veselic 1992); the result is the smallest final column norm.
-    Each column is a list of component arrays of length N. Every rotation recomputes its
-    three dot products: carrying the norms by updates (alpha - t gamma) lost 3.4e-14 on
-    random rows and did not converge in 30 sweeps at tiny s_min. A row that passes the
-    test gets t = 0, an exact identity, so its bits do not depend on the rest of the
-    batch; the loop ends after a sweep in which no row rotates."""
-    a, b, c = (list(col) for col in np.ascontiguousarray(mats.transpose(2, 1, 0)))
-
-    def unit(x):
-        r = np.sqrt(_dot(x, x))
-        inv = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)  # r = 0 at E_11
-        return r, [xk * inv for xk in x]
-
-    r00, q = unit(a)
-    r01, r02 = _dot(q, b), _dot(q, c)
-    b = [bk - r01 * qk for bk, qk in zip(b, q)]
-    c = [ck - r02 * qk for ck, qk in zip(c, q)]
-    r11, q = unit(b)
-    r12 = _dot(q, c)
-    c = [ck - r12 * qk for ck, qk in zip(c, q)]
-    zero = np.zeros_like(r00)
-    cols = [[r00, zero, zero], [r01, r11, zero], [r02, r12, np.sqrt(_dot(c, c))]]
+    Modified Gram-Schmidt, on columns held as lists of length-N component arrays, gives
+    the m x m triangular factor R and is backward stable (Bjorck and Paige 1992); q = 0
+    where r_kk = 0 (E_11). The finish: r_11 for m = 1. For m = 2, r_11 r_22 / s_1 with
+    2 s_1^2 = alpha + beta + |(alpha - beta, 2 gamma)| for R^T R = [[alpha, gamma],
+    [gamma, beta]]: sums of squares only, so s_1 = s_2 costs no accuracy, where
+    (T - sqrt(T^2 - 4 D)) / 2 loses sqrt(eps). For m = 3, cyclic one-sided Jacobi
+    orthogonalises R's columns (Demmel and Veselic 1992), and s_min is the smallest final
+    column norm. Every rotation recomputes its three dot products: carrying the norms by
+    updates (alpha - t gamma) lost 3.4e-14 on random rows and did not converge in 30
+    sweeps at tiny s_min. A row that passes the test gets t = 0, an exact identity, so
+    its bits do not depend on the rest of the batch; the loop ends after a sweep in which
+    no row rotates."""
+    a = [list(col) for col in np.ascontiguousarray(mats.transpose(2, 1, 0))]
+    m, zero = len(a), np.zeros(len(mats))
+    cols = [[zero] * m for _ in range(m)]  # R's columns: cols[j][k] = R_kj
+    for k in range(m):
+        rkk = cols[k][k] = np.sqrt(_dot(a[k], a[k]))
+        if k + 1 == m:
+            break
+        inv = np.divide(1.0, rkk, out=np.zeros_like(zero), where=rkk > 0.0)
+        q = [ai * inv for ai in a[k]]
+        for j in range(k + 1, m):
+            rkj = cols[j][k] = _dot(q, a[j])
+            a[j] = [ai - rkj * qi for ai, qi in zip(a[j], q)]
+    if m == 1:
+        return cols[0][0]
+    if m == 2:
+        (r11, _), (r12, r22) = cols
+        alpha, beta, gamma = r11 * r11, r12 * r12 + r22 * r22, r11 * r12
+        d, g = alpha - beta, 2.0 * gamma  # np.hypot(d, g) took 5x as long, same errors
+        return r11 * r22 / np.sqrt((alpha + beta + np.sqrt(d * d + g * g)) / 2.0)
     for _ in range(_JACOBI_SWEEPS):
         moved = False
         for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -162,17 +168,13 @@ class DeterminantVariety(Variety):
     """Rank-deficient n x m matrices (n >= m; square if m is None) on S^{nm-1}, cut out
     by the m x m minors; distance is the smallest singular value (Eckart-Young).
 
-    m = 2, columns a, b: P = s1 s2 = sqrt(sum_{i<j} (a_i b_j - a_j b_i)^2) (Cauchy-Binet),
-    s1^2 = (N + hypot(|a|^2 - |b|^2, 2 <a, b>)) / 2 with N = |a|^2 + |b|^2, s_min = P / s1.
-    Past the minors only sums of squares and a hypot: round-off of |A|, also at s1 = s2,
-    where (N - sqrt(N^2 - 4 P^2)) / 2 loses sqrt(eps).
+    m <= 3: Gram-Schmidt to R, then r_11, a closed form or Jacobi (`_gram_schmidt_smin`):
+    O(n) per matrix, within 4.5e-16 (m = 2, n <= 200) or 1e-15 (m = 3) of a 50-digit SVD
+    on unit matrices, also at near-equal and tiny singular values. 4 x 3 is about 3x
+    faster than LAPACK.
 
-    m = 3: Gram-Schmidt to R, then one-sided Jacobi on R (`_three_column_smin`), about
-    3x faster than LAPACK on 4 x 3 and within 1e-15 of a 50-digit SVD on unit matrices,
-    also at near-double, near-triple and tiny singular values.
-
-    m >= 4: LAPACK's SVD. The same kernel, taken to m columns, was 1.6x faster on 4 x 4,
-    even on 5 x 5 and 2.4x slower on 8 x 8: a sweep has m(m - 1)/2 rotations of m
+    m >= 4: LAPACK's SVD. The Jacobi finish, taken to m columns, was 1.6x faster on
+    4 x 4, even on 5 x 5 and 2.4x slower on 8 x 8: a sweep has m(m - 1)/2 rotations of m
     components each."""
 
     def __init__(self, n: int, m: int | None = None):
@@ -186,15 +188,9 @@ class DeterminantVariety(Variety):
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         mats = points.reshape(-1, self.n, self.m)
-        if self.m == 3:
-            return _three_column_smin(mats)
-        if self.m != 2:
-            return np.linalg.svd(mats, compute_uv=False)[:, -1]
-        a, b = mats[:, :, 0], mats[:, :, 1]
-        i, j = np.triu_indices(self.n, 1)
-        aa, bb, ab = np.sum(a * a, axis=1), np.sum(b * b, axis=1), np.sum(a * b, axis=1)
-        s1 = np.sqrt((aa + bb + np.hypot(aa - bb, 2.0 * ab)) / 2.0)
-        return np.linalg.norm(a[:, i] * b[:, j] - a[:, j] * b[:, i], axis=1) / s1
+        if self.m <= 3:
+            return _gram_schmidt_smin(mats)
+        return np.linalg.svd(mats, compute_uv=False)[:, -1]
 
 
 # hemisphere lattice size; the mesh keeps about sqrt(2 _MESH_SIZE / pi) points per

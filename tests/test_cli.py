@@ -298,6 +298,15 @@ class TestEstimateCommand:
             assert code == 0
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
+    def test_two_hundred_by_two_worker_count_invariance(self, tmp_path, capsys):
+        # p = 399, two 8192-row blocks
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "estimate", "tail", "--problem", "moore-penrose",
+                             "--l", "200", "--m", "2", "--samples", "16384", "--seed", "3",
+                             "--workers", workers, "--out", str(tmp_path / f"w{workers}"))
+            assert code == 0
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
     def test_worker_count_invariance(self, tmp_path, capsys):
         a, b = tmp_path / "w1", tmp_path / "w4"
         run(capsys, "estimate", "tail", "--problem", "matrix-inversion", "--n", "2",
@@ -670,8 +679,10 @@ class TestBatchedSuites:
 
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_eckart_young_checks_four_by_three_matrices(self, capsys, monkeypatch, seed):
-        # the 4 x 3 matrices come from stream 1 of the seed; the square ones keep stream 0
-        tall = RngStream(seed, 1).generator.standard_normal((400, 4, 3))
+        # the 4 x 3 matrices come from stream 1 of the seed, then the 20 x 2 ones; the
+        # square ones keep stream 0
+        gen = RngStream(seed, 1).generator
+        tall = [gen.standard_normal((400, 4, 3)), gen.standard_normal((400, 20, 2))]
         seen = []
 
         def recording(a):
@@ -681,20 +692,22 @@ class TestBatchedSuites:
         monkeypatch.setattr(cli, "frobenius_condition", recording)
         code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "400",
                            "--seed", str(seed))
-        assert np.array_equal(seen[-1], tall / np.linalg.norm(tall, axis=(1, 2))[:, None, None])
-        assert [a.shape[1:] for a in seen[:-1]] == [(n, n) for n in
+        for a, b in zip(seen[-2:], tall, strict=True):
+            assert np.array_equal(a, b / np.linalg.norm(b, axis=(1, 2))[:, None, None])
+        assert [a.shape[1:] for a in seen[:-2]] == [(n, n) for n in
                                                     cli._eckart_young_draws(seed, 400)]
-        row = out.splitlines()[2]
-        margin = float(re.search(r"4 x 3: .*\(max \|kappa dist - 1\| (\S+)\)", row)[1])
-        assert code == 0 and row.endswith("pass") and margin <= 1e-8
-        # a distance 1e-7 too large fails the row
-        kernel = varieties._three_column_smin
-        monkeypatch.setattr(varieties, "_three_column_smin",
+        for row, shape in zip(out.splitlines()[2:4], ("4 x 3", "20 x 2")):
+            margin = float(re.search(shape + r": .*\(max \|kappa dist - 1\| (\S+)\)", row)[1])
+            assert code == 0 and row.endswith("pass") and margin <= 1e-8
+        # a distance 1e-7 too large fails both rows
+        kernel = varieties._gram_schmidt_smin
+        monkeypatch.setattr(varieties, "_gram_schmidt_smin",
                             lambda mats: kernel(mats) * (1.0 + 1e-7))
         code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "400",
                            "--seed", str(seed))
-        assert code == EXIT_VERIFY_FAIL and out.splitlines()[2].endswith("FAIL")
-        assert out.splitlines()[0].endswith("pass")
+        rows = out.splitlines()
+        assert code == EXIT_VERIFY_FAIL and rows[2].endswith("FAIL") and rows[3].endswith("FAIL")
+        assert rows[0].endswith("pass")
 
     @pytest.mark.parametrize("seed", BATCH_SEEDS)
     def test_wilkinson_sees_the_reference_matrices(self, capsys, monkeypatch, seed):

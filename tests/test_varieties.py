@@ -1,5 +1,8 @@
 import concurrent.futures
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -206,10 +209,63 @@ def three_column_families(n, count, gen):
     return families
 
 
+def mpmath_two_column_smallest_singular_values(rows):
+    """50-digit s_min of n x 2 matrices, from the Gram matrix [[a, g], [g, b]]: the
+    smallest eigenvalue 2 D / (T + sqrt(T^2 - 4 D)), the cancellation-free form of
+    (T - sqrt(T^2 - 4 D)) / 2, with T = a + b and D = a b - g^2."""
+    out = []
+    with mpmath.workdps(50):
+        for r in rows:
+            a, b = r[0::2].tolist(), r[1::2].tolist()
+            aa, bb, ab = mpmath.fdot(a, a), mpmath.fdot(b, b), mpmath.fdot(a, b)
+            t, d = aa + bb, aa * bb - ab * ab
+            out.append(float(mpmath.sqrt(2 * d / (t + mpmath.sqrt(t * t - 4 * d)))))
+    return np.array(out)
+
+
 def mpmath_smallest_singular_values(rows, n, m):
     with mpmath.workdps(50):
         return np.array([float(min(mpmath.svd_r(mpmath.matrix(r.reshape(n, m).tolist()),
                                                 compute_uv=False))) for r in rows])
+
+
+def check_singular_rows(n, m, seed):
+    gen = np.random.default_rng(seed)
+    e11 = np.zeros((n, m))
+    e11[0, 0] = 1.0  # the `north` cap centre: Gram-Schmidt meets r_22 = 0 (and r_33 = 0)
+    zero_column, equal_columns = gen.standard_normal((2, n, m))
+    zero_column[:, 1] = 0.0
+    equal_columns[:, -1] = equal_columns[:, 0]
+    mats = np.stack([e11, zero_column, equal_columns])
+    mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = DeterminantVariety(n, m).distances(mats.reshape(3, -1))
+    assert d[0] == 0.0
+    assert np.all(d[1:] <= 1e-15)
+
+
+def check_rows_do_not_interact(v, rows):
+    # reversed, split and single rows give the same bits as the whole batch
+    d = v.distances(rows)
+    assert np.array_equal(v.distances(rows[::-1]), d[::-1])
+    pieces = [v.distances(rows[s]) for s in (slice(0, 1), slice(1, 97), slice(97, None))]
+    assert np.array_equal(np.concatenate(pieces), d)
+    assert np.array_equal([v.distances(row[None])[0] for row in rows[::23]], d[::23])
+
+
+# a fresh interpreter prints the kB that one 8192-row 200 x 2 block adds to its peak RSS
+_BLOCK_RSS_PROBE = """
+import resource
+import numpy as np
+from spherecond import DeterminantVariety
+pts = np.random.default_rng(0).standard_normal((8192, 400))
+pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+DeterminantVariety(200, 2).distances(pts)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(varieties.__file__)))
 
 
 class TestDeterminantVariety:
@@ -241,39 +297,48 @@ class TestDeterminantVariety:
         pts = sample_uniform_sphere(11, RngStream(3), size=50)
         d = DeterminantVariety(4, 3).distances(pts)
         assert d == pytest.approx(mpmath_smallest_singular_values(pts, 4, 3), rel=0.0, abs=1e-15)
-        # m = 2 is a closed form: each side is within round-off of the true value
+        # m = 2 is Gram-Schmidt plus a closed form: each side is within round-off
         for n in (2, 5):
             pts = sample_uniform_sphere(2 * n - 1, RngStream(3), size=50)
             d = DeterminantVariety(n, 2).distances(pts)
             ref = [np.linalg.svd(row.reshape(n, 2), compute_uv=False)[-1] for row in pts]
             assert d == pytest.approx(ref, rel=0.0, abs=1e-15)
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 3, 5, 20, 200])
     def test_two_columns_match_mpmath(self, n):
-        # absolute error on unit matrices; over these families LAPACK's reaches 3.3e-16
+        # absolute error on unit matrices; over these families LAPACK's reaches 3.3e-16.
+        # Fewer rows at n = 200, where each 50-digit Gram matrix takes 3.5 ms
         gen = np.random.default_rng(700 + n)
-        for family, rows in two_column_families(n, 300, gen).items():
-            with mpmath.workdps(50):
-                exact = [float(min(mpmath.svd_r(mpmath.matrix(r.reshape(n, 2).tolist()),
-                                                compute_uv=False))) for r in rows]
-            err = np.max(np.abs(DeterminantVariety(n, 2).distances(rows) - exact))
-            assert err <= 4.5e-16, family
+        for family, rows in two_column_families(n, 300 if n <= 20 else 60, gen).items():
+            err = np.abs(DeterminantVariety(n, 2).distances(rows)
+                         - mpmath_two_column_smallest_singular_values(rows))
+            assert np.max(err) <= 4.5e-16, family
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_two_columns_need_no_svd(self, monkeypatch, n):
-        pts = sample_uniform_sphere(2 * n - 1, RngStream(5), size=20)
-        expected = DeterminantVariety(n, 2).distances(pts)
+    def test_two_column_reference_is_the_svd(self):
+        # the Gram-matrix reference gives the same doubles as a 50-digit SVD
+        rows = np.concatenate(list(two_column_families(4, 20, np.random.default_rng(3)).values()))
+        assert np.array_equal(mpmath_two_column_smallest_singular_values(rows),
+                              mpmath_smallest_singular_values(rows, 4, 2))
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (5, 1), (40, 1), (2, 2), (3, 2), (5, 2),
+                                     (3, 3), (4, 3), (6, 3)])
+    def test_gram_schmidt_needs_no_svd(self, monkeypatch, n, m):
+        pts = sample_uniform_sphere(n * m - 1, RngStream(5), size=20)
+        expected = DeterminantVariety(n, m).distances(pts)
 
         def no_svd(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called for m = 2")
+            raise AssertionError(f"np.linalg.svd called for m = {m}")
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert np.array_equal(DeterminantVariety(n, 2).distances(pts), expected)
-        singular = np.zeros((1, 2 * n))
+        assert np.array_equal(DeterminantVariety(n, m).distances(pts), expected)
+        if m == 1:  # R = (|a|): the row norm, summed in another order
+            norm = np.linalg.norm(pts, axis=1)
+            assert np.all(np.abs(expected - norm) <= np.spacing(norm))
+        singular = np.zeros((1, m * n))
         singular[0, 0] = 1.0
-        with warnings.catch_warnings():
+        with warnings.catch_warnings():  # E_11: singular unless it is n x 1
             warnings.simplefilter("error")
-            assert DeterminantVariety(n, 2).distances(singular)[0] == 0.0
+            assert DeterminantVariety(n, m).distances(singular)[0] == (1.0 if m == 1 else 0.0)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_three_columns_match_mpmath(self, n):
@@ -285,43 +350,34 @@ class TestDeterminantVariety:
             assert np.max(err) <= 1e-15, family
 
     @pytest.mark.parametrize("n", [3, 4, 6])
-    def test_three_columns_need_no_svd(self, monkeypatch, n):
-        pts = sample_uniform_sphere(3 * n - 1, RngStream(5), size=20)
-        expected = DeterminantVariety(n, 3).distances(pts)
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("np.linalg.svd called for m = 3")
-
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
-        assert np.array_equal(DeterminantVariety(n, 3).distances(pts), expected)
-
-    @pytest.mark.parametrize("n", [3, 4, 6])
     def test_three_columns_singular_rows(self, n):
-        gen = np.random.default_rng(40 + n)
-        e11 = np.zeros((n, 3))
-        e11[0, 0] = 1.0  # the `north` cap centre: Gram-Schmidt meets r_11 = r_22 = 0
-        zero_column, equal_columns = gen.standard_normal((2, n, 3))
-        zero_column[:, 1] = 0.0
-        equal_columns[:, 2] = equal_columns[:, 0]
-        mats = np.stack([e11, zero_column, equal_columns])
-        mats /= np.linalg.norm(mats, axis=(1, 2), keepdims=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            d = DeterminantVariety(n, 3).distances(mats.reshape(3, -1))
-        assert d[0] == 0.0
-        assert np.all(d[1:] <= 1e-15)
+        check_singular_rows(n, 3, 40 + n)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_two_columns_singular_rows(self, n):
+        check_singular_rows(n, 2, 20 + n)
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_three_column_rows_do_not_interact(self, n):
         # rows converge after different numbers of sweeps; a converged row stays as it is
         gen = np.random.default_rng(60 + n)
-        rows = np.concatenate(list(three_column_families(n, 40, gen).values()))
-        v = DeterminantVariety(n, 3)
-        d = v.distances(rows)
-        assert np.array_equal(v.distances(rows[::-1]), d[::-1])
-        pieces = [v.distances(rows[s]) for s in (slice(0, 1), slice(1, 97), slice(97, None))]
-        assert np.array_equal(np.concatenate(pieces), d)
-        assert np.array_equal([v.distances(row[None])[0] for row in rows[::23]], d[::23])
+        check_rows_do_not_interact(
+            DeterminantVariety(n, 3),
+            np.concatenate(list(three_column_families(n, 40, gen).values())))
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_two_column_rows_do_not_interact(self, n):
+        gen = np.random.default_rng(80 + n)
+        check_rows_do_not_interact(
+            DeterminantVariety(n, 2),
+            np.concatenate(list(two_column_families(n, 40, gen).values())))
+
+    def test_two_hundred_by_two_block_memory(self):
+        # O(n) memory per matrix: all n(n - 1)/2 minors of each row would take about 5 GB
+        done = subprocess.run([sys.executable, "-c", _BLOCK_RSS_PROBE], capture_output=True,
+                              text=True, timeout=120, check=True,
+                              env={**os.environ, "PYTHONPATH": SRC_DIR})
+        assert int(done.stdout) <= 64 * 1024  # kB
 
     def test_jacobi_sweep_cap_raises(self, monkeypatch):
         # random 4 x 3 rows need four sweeps with rotations and one without
