@@ -3,7 +3,9 @@
 Tail and log-expectation bounds driven by the ambient dimension p, the
 degree d of the polynomials cutting out the ill-posed set, the cap
 radius sigma, and the threshold t (or tube radius eps). All sums are
-evaluated in log space so that large p and d stay finite.
+evaluated in log space so that large p and d stay finite, and a bound
+beyond the double range is inf. Scalar arithmetic on the standard library
+only: `import spherecond` and every `spherecond bounds` mode load no numpy.
 """
 
 from __future__ import annotations
@@ -11,15 +13,29 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
-from .geometry import _log_O, _log_binom
+def _log_O(p: int) -> float:
+    """ln O_p, the volume of S^p."""
+    return math.log(2.0) + 0.5 * (p + 1) * math.log(math.pi) - math.lgamma(0.5 * (p + 1))
+
+
+def _log_binom(n: int, k: int) -> float:
+    """ln C(n, k)."""
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _logsumexp(a) -> float:
     """ln sum exp(a) for finite a: the max, plus the log of the sum of the shifted exps."""
-    top = np.max(a)
-    return float(top + np.log(np.sum(np.exp(np.subtract(a, top)))))
+    top = max(a)
+    return float(top + math.log(math.fsum(math.exp(x - top) for x in a)))
+
+
+def _exp(log_value: float) -> float:
+    """exp of a log bound: inf, without a warning, beyond the double range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def _check_range(p: int, d: int, sigma: float, eps: float | None = None,
@@ -40,17 +56,13 @@ def _log_tail_core(p: int, d: int, ratio: float) -> float:
     """ln of 4 sum_k C(p,k)(2d)^k (1+r)^{p-k} r^k + (2p O_p/O_{p-1}) (2d)^p r^p."""
     log_r = math.log(ratio)
     log_2d = math.log(2.0 * d)
+    log_1r = math.log1p(ratio)
     terms = []
     if p >= 2:
-        k = np.arange(1, p)
-        logs = (
-            math.log(4.0)
-            + _log_binom(p, k)
-            + k * log_2d
-            + (p - k) * np.log1p(ratio)
-            + k * log_r
-        )
-        terms.append(_logsumexp(logs))
+        terms.append(_logsumexp([
+            math.log(4.0) + _log_binom(p, k) + k * log_2d + (p - k) * log_1r + k * log_r
+            for k in range(1, p)
+        ]))
     last = (
         math.log(2.0 * p) + _log_O(p) - _log_O(p - 1) + p * (log_2d + log_r)
     )
@@ -69,8 +81,7 @@ def log_tail_bound(p: int, d: int, sigma: float, t: float) -> float:
 def tail_bound(p: int, d: int, sigma: float, t: float) -> float:
     """Upper bound on Prob{C(z) >= t} for z uniform on a cap of radius sigma;
     inf, without a warning, beyond the double range."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_tail_bound(p, d, sigma, t)))
+    return _exp(log_tail_bound(p, d, sigma, t))
 
 
 def log_tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
@@ -82,8 +93,7 @@ def log_tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
 def tube_ratio_bound(p: int, d: int, sigma: float, eps: float) -> float:
     """Upper bound on vol(T(W,eps) cap B(a,sigma)) / vol B(a,sigma); inf beyond
     the double range."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_tube_ratio_bound(p, d, sigma, eps)))
+    return _exp(log_tube_ratio_bound(p, d, sigma, eps))
 
 
 def expectation_bound(p: int, d: int, sigma: float) -> float:
@@ -96,30 +106,31 @@ def smooth_tube_bound(p: int, d: int, sigma: float, eps: float) -> float:
     """Absolute-volume bound on the normal tube around a smooth hypersurface patch.
 
     (4 O_{p-1}/p) sum_{k<p} C(p,k) d^k eps^k sigma^{p-k} + 2 O_p d^p eps^p.
-    Stated for even degree d; odd d is accepted for exploratory use.
+    Stated for even degree d; odd d is accepted for exploratory use. inf beyond
+    the double range.
     """
     _check_range(p, d, sigma, eps, min_p=2)
     log_d, log_e, log_s = math.log(d), math.log(eps), math.log(sigma)
-    k = np.arange(1, p)
-    logs = (
+    logs = [
         math.log(4.0) + _log_O(p - 1) - math.log(p)
         + _log_binom(p, k) + k * (log_d + log_e) + (p - k) * log_s
-    )
-    last = math.log(2.0) + _log_O(p) + p * (log_d + log_e)
-    return float(np.exp(_logsumexp(np.append(logs, last))))
+        for k in range(1, p)
+    ]
+    logs.append(math.log(2.0) + _log_O(p) + p * (log_d + log_e))
+    return _exp(_logsumexp(logs))
 
 
 def curvature_integral_bound(p: int, d: int, sigma: float, i: int) -> float:
     """Degree bound on the i-th absolute curvature integral over a cap patch:
 
-    2 C(p-1,i) O_{p-1} d^{i+1} sigma^{p-i-1}.
+    2 C(p-1,i) O_{p-1} d^{i+1} sigma^{p-i-1}, inf beyond the double range.
     """
     if not 0 <= i <= p - 1 or d < 1 or not 0.0 < sigma <= 1.0:
         raise ValueError("need 0 <= i <= p-1, d >= 1, sigma in (0, 1]")
-    return float(np.exp(
+    return _exp(
         math.log(2.0) + _log_binom(p - 1, i) + _log_O(p - 1)
         + (i + 1) * math.log(d) + (p - i - 1) * math.log(sigma)
-    ))
+    )
 
 
 def linear_tail_bound(p: int, d: int, sigma: float, eps: float) -> float | None:

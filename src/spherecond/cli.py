@@ -7,6 +7,11 @@ Subcommands, each split into modes that declare only the flags they read:
 
 Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 bound violation.
 A usage error, argparse's own included, prints one "error: ..." line to stderr.
+
+At import this module loads only the standard library and `bounds`, so `bounds`,
+usage errors and --help start without numpy. `estimate` and `verify` call
+`_library()` first, which imports numpy and the library and binds `np` and the
+_LIBRARY names here; reading such a name as `cli.<name>` does the same.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import math
 import os
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .bounds import (
@@ -33,42 +36,51 @@ from .bounds import (
     tail_bound,
     tube_ratio_bound,
 )
-from .conditioning import (
-    # cntr_witness_check and weyl_norm stay bound here: benchmark/tracing.py patches them.
-    cntr_witness_check,  # noqa: F401
-    cntr_witness_product,
-    discriminant_distance_2x2,
-    eigenvalue_condition,
-    frobenius_condition,
-    multiple_zero_witness,
-    planted_systems,
-    weyl_norm,  # noqa: F401
-)
-from .geometry import (
-    Cap,
-    SpherePoint,
-    j_integral,
-    j_integral_quad,
-    sphere_volume,
-)
-# sample_uniform_cap stays bound here: benchmark/tracing.py patches cli.sample_uniform_cap.
-from .sampling import RngStream, sample_uniform_cap  # noqa: F401
-from .varieties import (
-    _BLOCK,
-    DeterminantVariety,
-    SubsphereVariety,
-    _cap_block,
-    _merge_moments,
-    _moments,
-    clopper_pearson,
-    geodesic_sphere_mu,
-    kinematic_rhs_analytic,
-    load_curve,
-    run_blocks,
-    tube_cap_counts,
-    verify_kinematic,
-    verify_weyl_tube_bound,
-)
+
+# the names that estimate and verify call, bound into this module by _library; a
+# function sent to a worker must live in the library, since a spawned worker imports
+# this module without calling _library
+_LIBRARY = {
+    # cntr_witness_check, weyl_norm and sample_uniform_cap are not called here:
+    # benchmark/tracing.py patches them as cli attributes
+    "conditioning": ("cntr_witness_check", "cntr_witness_product",
+                     "discriminant_distance_2x2", "eigenvalue_condition",
+                     "frobenius_condition", "multiple_zero_witness", "planted_systems",
+                     "weyl_norm"),
+    "geometry": ("Cap", "SpherePoint", "j_integral", "j_integral_quad", "sphere_volume"),
+    "sampling": ("RngStream", "sample_uniform_cap"),
+    "varieties": ("_BLOCK", "DeterminantVariety", "SubsphereVariety", "_cap_block",
+                  "_log_moments", "_merge_moments", "clopper_pearson", "geodesic_sphere_mu",
+                  "kinematic_rhs_analytic", "load_curve", "run_blocks", "tube_cap_counts",
+                  "verify_kinematic", "verify_weyl_tube_bound"),
+}
+
+
+@functools.cache
+def _library() -> None:
+    """Import numpy and the library modules, once, and bind `np` and the _LIBRARY names
+    here. `bounds`, usage errors and --help never call it, so a cold start loads only
+    the standard library. A name already bound, e.g. patched, is kept."""
+    import importlib
+
+    import numpy
+
+    names = globals()
+    names.setdefault("np", numpy)
+    for module, attrs in _LIBRARY.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for attr in attrs:
+            names.setdefault(attr, getattr(mod, attr))
+
+
+def __getattr__(name: str):
+    # getattr(cli, name), and so patching it, works before any command has run
+    if not name.startswith("__"):
+        _library()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -77,7 +89,7 @@ EXIT_BOUND_VIOLATION = 3
 
 
 def _fmt6(x: float) -> str:
-    return np.format_float_positional(x, precision=6, unique=False, fractional=False)
+    return f"{x:#.6g}"
 
 
 def _fmt17(x) -> str:
@@ -175,11 +187,6 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
     return SpherePoint.from_vector(v)
 
 
-def _log_moments(d: np.ndarray) -> tuple[int, float, float]:
-    """(n, mean, M2) of lk = ln C = -ln sigma_min over one block."""
-    return _moments(-np.log(np.maximum(d, 1e-300)))
-
-
 # estimate --problem: each kind's ill-posed set; a unit matrix has C = 1/sigma_min = 1/dist
 PROBLEM_VARIETIES = {
     "matrix-inversion": lambda problem: DeterminantVariety(problem.n),
@@ -237,6 +244,9 @@ def cmd_estimate(args) -> int:
     t0 = time.time()
     columns = ["ci_low", "ci_high", "bound", "dominated"]
     try:
+        if args.which != "tube":  # a bad problem size fails before numpy loads
+            problem = ProblemDescriptor(args.problem, args.n, args.l, args.m)
+        _library()
         # each branch evaluates its bounds before sampling, so a bad grid fails at once
         if args.which == "tube":
             variety = _resolve_variety(args.variety)
@@ -245,7 +255,6 @@ def cmd_estimate(args) -> int:
                       for eps in grid]
             header = ["eps", "empirical_ratio", *columns]
         else:
-            problem = ProblemDescriptor(args.problem, args.n, args.l, args.m)
             variety = PROBLEM_VARIETIES[args.problem](problem)
             if args.which == "tail":
                 grid = _parse_grid(args.t_grid)
@@ -283,6 +292,11 @@ def cmd_estimate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+
+
+def cmd_verify(args) -> int:
+    _library()
+    return args.suite(args)
 
 
 def _report(rows: list[tuple[str, bool]]) -> int:
@@ -554,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
             pv.add_argument(name, type=kind, default=default)
         # every suite takes --seed, so one seed serves all; weyltube and jintegrals draw none
         pv.add_argument("--seed", type=seed, default=7)
-        pv.set_defaults(func=suite)
+        pv.set_defaults(func=cmd_verify, suite=suite)
 
     return parser
 

@@ -4,15 +4,17 @@ Points and caps, volumes of spheres, the trigonometric moment integrals
 that generate the volumes of tubes around great subspheres (in closed form
 through the regularized incomplete beta function), and the constants of the
 principal kinematic formula. Only the moment integrals need scipy, which they
-import when first called.
+import when first called. The log-gamma helpers `_log_O` and `_log_binom` live in
+`bounds`, whose closed forms need no numpy.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .bounds import _log_binom, _log_O
 
 
 @dataclass(frozen=True)
@@ -126,17 +128,3 @@ def kinematic_constant(p: int, i: int) -> float:
     den = _log_O(i) + _log_O(i + 1) + _log_O(p - i - 2)
     return float(np.exp(num - den))
 
-
-def _log_O(p: int) -> float:
-    return math.log(2.0) + 0.5 * (p + 1) * math.log(math.pi) - math.lgamma(0.5 * (p + 1))
-
-
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
-
-
-def _log_binom(n: int, k):
-    """ln C(n, k), with math.lgamma mapped over an array k."""
-    if np.ndim(k) == 0:
-        return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    k = np.asarray(k, dtype=float)
-    return math.lgamma(n + 1) - _lgamma(k + 1) - _lgamma(n - k + 1)

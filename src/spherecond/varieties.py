@@ -18,14 +18,9 @@ import math
 
 import numpy as np
 
+from .bounds import _log_binom
 from .conditioning import WeylPolynomial, _sum
-from .geometry import (
-    Cap,
-    j_integral,
-    kinematic_constant,
-    sphere_volume,
-    _log_binom,
-)
+from .geometry import Cap, j_integral, kinematic_constant, sphere_volume
 from .sampling import RngStream, sample_uniform_cap
 
 
@@ -348,6 +343,12 @@ def _moments(x: np.ndarray) -> tuple[int, float, float]:
     """(n, mean, M2) of one block; M2 = sum (x - mean)^2."""
     mean = float(np.mean(x))
     return x.size, mean, float(np.sum((x - mean) ** 2))
+
+
+def _log_moments(d: np.ndarray) -> tuple[int, float, float]:
+    """(n, mean, M2) of lk = ln C = -ln sigma_min over one block: the `reduce` that
+    `estimate logmean` sends to workers, so it lives where its names are imported."""
+    return _moments(-np.log(np.maximum(d, 1e-300)))
 
 
 def _merge_moments(parts: list) -> tuple[int, float, float]:

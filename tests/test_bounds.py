@@ -19,8 +19,8 @@ from spherecond import (
     tail_bound,
     tube_ratio_bound,
 )
-from spherecond.bounds import PROBLEM_KINDS, _logsumexp
-from spherecond.geometry import _log_binom, _log_O, sphere_volume
+from spherecond.bounds import PROBLEM_KINDS, _log_binom, _log_O, _logsumexp
+from spherecond.geometry import sphere_volume
 
 
 def brute_tail(p, d, sigma, t):
@@ -140,10 +140,8 @@ class TestLogSpaceAccuracy:
         with mpmath.workdps(50):
             for q in (p - 1, p):
                 assert abs(_log_O(q) - float(mp_log_O(q))) <= 1e-12
-            ks = np.arange(p + 1)
-            ref = [float(mpmath.log(mpmath.binomial(p, k))) for k in ks.tolist()]
-        assert np.max(np.abs(_log_binom(p, ks) - ref)) <= 1e-12
-        assert all(abs(_log_binom(p, k) - r) <= 1e-12 for k, r in zip(ks.tolist(), ref))
+            ref = [float(mpmath.log(mpmath.binomial(p, k))) for k in range(p + 1)]
+        assert all(abs(_log_binom(p, k) - r) <= 1e-12 for k, r in enumerate(ref))
 
     @pytest.mark.parametrize("p", GRID_P)
     def test_log_bounds_over_the_grid(self, p):
@@ -255,6 +253,18 @@ class TestCurvatureBound:
         assert curvature_integral_bound(4, 3, 0.5, 0) == pytest.approx(
             2 * sphere_volume(3) * 3 * 0.5**3
         )
+
+
+@pytest.mark.parametrize("bound, args", [
+    (smooth_tube_bound, (399, 400, 1.0, 1.0)),
+    (smooth_tube_bound, (600, 100, 1.0, 1.0)),
+    (curvature_integral_bound, (399, 400, 1.0, 398)),
+])
+def test_overflow_is_inf_without_a_warning(bound, args):
+    # as tail_bound: a bound beyond the double range is inf, not an overflow error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bound(*args) == math.inf
 
 
 class TestLinearTail:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -28,6 +29,7 @@ from spherecond import (
     mu_norm,
     system_projective_distance,
     tail_bound,
+    tube_ratio_bound,
     varieties,
 )
 from spherecond.cli import EXIT_VERIFY_FAIL, main
@@ -35,6 +37,10 @@ from spherecond.conditioning import planted_systems
 from spherecond.varieties import _BLOCK, _cap_block, run_blocks
 
 import cntr_reference
+
+# cli binds numpy and the library on the first estimate or verify; tests below also
+# call its private helpers directly, so bind them now
+cli._library()
 
 
 CONIC = {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
@@ -918,6 +924,15 @@ class TestOutputFormat:
         assert float(bound) == float(f"{float(bound):.17g}")
         assert len(bound.replace(".", "").replace("-", "").lstrip("0")) >= 10
 
+    def test_bounds_print_six_significant_digits(self):
+        # %#.6g: the documented examples and inf read as before; trailing zeros stay,
+        # and values outside [1e-4, 1e6) print in scientific notation
+        assert cli._fmt6(tail_bound(3, 1, 1.0, 10.0)) == "3.50740"
+        assert cli._fmt6(tube_ratio_bound(3, 2, 1.0, 0.1)) == "8.52319"
+        assert cli._fmt6(math.inf) == "inf"
+        assert [cli._fmt6(x) for x in (0.25, 0.2, 2.8242e11, 1e-5)] == \
+            ["0.250000", "0.200000", "2.82420e+11", "1.00000e-05"]
+
 
 # a fresh interpreter runs `steps` and prints, per step, the listed modules then loaded
 _MODULE_PROBE = """
@@ -943,31 +958,44 @@ SLOW_MODULES = ["scipy.special", "scipy.integrate", "scipy.stats", "scipy.optimi
                 "scipy.spatial", "concurrent.futures.process"]
 
 
-def _modules_after(watched, steps):
+def _run_probe(code: str, *argv: str) -> str:
+    """The last stdout line of a fresh interpreter that runs `code` with `argv` and this
+    spherecond."""
     env = {**os.environ, "PYTHONPATH": str(Path(spherecond.__file__).resolve().parents[1])}
-    done = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(watched),
-                           json.dumps(steps)], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    return json.loads(done.stdout)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=120, check=True).stdout.splitlines()[-1]
+
+
+def _modules_after(watched, steps):
+    return json.loads(_run_probe(_MODULE_PROBE, json.dumps(watched), json.dumps(steps)))
+
+
+# `import spherecond`, the parser, usage errors and every `bounds` mode are the cold
+# start of a command: the standard library only
+COLD_STEPS = [
+    "import", "parser",
+    ["bounds", "tail", "--p", "3", "--d", "1", "--sigma", "1", "--t", "10"],
+    ["bounds", "tube", "--p", "3", "--d", "2", "--sigma", "0.5", "--eps", "0.01"],
+    ["bounds", "expectation", "--p", "8", "--d", "3", "--sigma", "0.25"],
+    ["bounds", "linear", "--p", "8", "--d", "2", "--eps", "1e-4", "--json"],
+    ["bounds", "expectation", "--problem", "matrix-inversion", "--n", "3"],
+    ["bounds", "tail", "--problem", "polysys", "--degrees", "2,3", "--t", "1e3"],
+    ["bounds", "tube", "--problem", "moore-penrose", "--l", "4", "--m", "3",
+     "--eps", "1e-3", "--json"],
+    ["bounds", "tail", "--p", "3", "--d", "1"],  # usage error: no --t
+    ["estimate", "tail", "--problem", "matrix-inversion", "--n", "0", "--out", "x"],
+    ["bounds", "tail", "--help"]]
 
 
 def test_import_loads_no_slow_scipy_module():
-    # `import spherecond`, the parser, usage errors and every `bounds` mode are the cold
-    # start of a command: numpy and the standard library only
-    steps = ["import", "parser",
-             ["bounds", "tail", "--p", "3", "--d", "1", "--sigma", "1", "--t", "10"],
-             ["bounds", "tube", "--p", "3", "--d", "2", "--sigma", "0.5", "--eps", "0.01"],
-             ["bounds", "expectation", "--p", "8", "--d", "3", "--sigma", "0.25"],
-             ["bounds", "linear", "--p", "8", "--d", "2", "--eps", "1e-4", "--json"],
-             ["bounds", "expectation", "--problem", "matrix-inversion", "--n", "3"],
-             ["bounds", "tail", "--problem", "polysys", "--degrees", "2,3", "--t", "1e3"],
-             ["bounds", "tube", "--problem", "moore-penrose", "--l", "4", "--m", "3",
-              "--eps", "1e-3", "--json"],
-             ["bounds", "tail", "--p", "3", "--d", "1"],  # usage error: no --t
-             ["estimate", "tail", "--problem", "matrix-inversion", "--n", "0", "--out", "x"],
-             ["bounds", "tail", "--help"]]
-    report = _modules_after(SLOW_MODULES, steps)
-    assert [step for step, _ in report] == steps
+    report = _modules_after(SLOW_MODULES, COLD_STEPS)
+    assert [step for step, _ in report] == COLD_STEPS
+    assert all(loaded == [] for _, loaded in report), report
+
+
+def test_cold_start_loads_no_numpy():
+    report = _modules_after(["numpy"], COLD_STEPS)
+    assert [step for step, _ in report] == COLD_STEPS
     assert all(loaded == [] for _, loaded in report), report
 
 
@@ -979,3 +1007,87 @@ def test_serial_estimate_starts_no_process_pool(tmp_path):
     report = _modules_after(["concurrent.futures.process"], steps)
     assert all(loaded == [] for _, loaded in report), report
     assert (tmp_path / "serial.csv").exists()
+
+
+# the public names, by the submodule that defines them
+EXPORTS = {
+    "geometry": ["Cap", "SpherePoint", "j_integral", "j_integral_quad", "kinematic_constant",
+                 "sphere_volume"],
+    "sampling": ["RngStream", "sample_uniform_cap"],
+    "bounds": ["ProblemDescriptor", "application_bound", "curvature_integral_bound",
+               "expectation_bound", "linear_tail_bound", "log_tail_bound",
+               "log_tube_ratio_bound", "smooth_tube_bound", "tail_bound", "tube_ratio_bound"],
+    "conditioning": ["PolySystem", "WeylPolynomial", "cntr_witness_check",
+                     "cntr_witness_product", "discriminant_distance_2x2",
+                     "eigenvalue_condition", "frobenius_condition", "mu_norm",
+                     "multiple_zero_witness", "system_projective_distance", "weyl_inner",
+                     "weyl_norm"],
+    "varieties": ["CurveVariety", "DeterminantVariety", "SubsphereVariety", "band_volume",
+                  "clopper_pearson", "geodesic_sphere_mu", "verify_kinematic",
+                  "verify_weyl_tube_bound"],
+}
+
+
+class TestLazyBindings:
+    def test_exports_are_the_submodules_own_objects(self):
+        names = [name for group in EXPORTS.values() for name in group]
+        assert len(names) == 38 and sorted(spherecond.__all__) == sorted(names)
+        for module, group in EXPORTS.items():
+            owner = importlib.import_module(f"spherecond.{module}")
+            assert all(getattr(spherecond, name) is getattr(owner, name) for name in group)
+        assert {*names, "__version__"} <= set(dir(spherecond))
+
+    def test_unknown_name_is_an_attribute_error(self):
+        for module in (spherecond, cli):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name
+        with pytest.raises(ImportError):
+            from spherecond import no_such_name  # noqa: F401
+
+    def test_traced_cli_names_resolve_before_any_command(self):
+        # benchmark/tracing.py reads and patches these as cli attributes
+        probe = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from tracing import _TARGETS
+from spherecond import cli
+names = [attr for owner, attr in _TARGETS if owner == "cli"]
+assert "np" not in vars(cli)
+print(sum(callable(getattr(cli, name)) for name in names), len(names))
+"""
+        out = _run_probe(probe, str(Path(__file__).resolve().parents[1] / "benchmark"))
+        resolved, total = map(int, out.split())
+        assert resolved == total > 0
+
+    @pytest.mark.parametrize("which", ["logmean", "tail"])
+    def test_spawned_workers_match_a_serial_run(self, tmp_path, which):
+        # a spawned worker imports cli fresh and never loads the library there, so every
+        # function sent to it must find its names without _library()
+        probe = """
+import multiprocessing, sys
+from spherecond import cli
+multiprocessing.set_start_method("spawn")
+argv = ["estimate", sys.argv[1], "--problem", "matrix-inversion", "--n", "2",
+        "--sigma", "0.5", "--samples", "20000"]
+if sys.argv[1] == "tail":
+    argv += ["--t-grid", "2,10"]
+codes = [cli.main([*argv, "--workers", w, "--out", sys.argv[2] + w]) for w in ("1", "2")]
+print(*codes)
+"""
+        out = str(tmp_path / which)
+        assert _run_probe(probe, which, out).split() == ["0", "0"]
+        assert Path(out + "1.csv").read_bytes() == Path(out + "2.csv").read_bytes()
+
+    def test_a_patch_before_the_first_command_is_called(self, tmp_path):
+        # cli.clopper_pearson is patched before the library loads, as the tracer does
+        probe = """
+import sys
+from spherecond import cli
+calls = []
+original = cli.clopper_pearson
+cli.clopper_pearson = lambda *args: calls.append(args) or original(*args)
+code = cli.main(["estimate", "tail", "--problem", "matrix-inversion", "--n", "2",
+                 "--t-grid", "2,10,100", "--samples", "5000", "--out", sys.argv[1]])
+print(code, len(calls))
+"""
+        assert _run_probe(probe, str(tmp_path / "patched")).split() == ["0", "3"]
