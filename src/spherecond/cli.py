@@ -311,7 +311,7 @@ def _report(rows: list[tuple[str, bool]]) -> int:
 
 def _verify_jintegrals(args) -> int:
     """J_{p,k} on p <= 20, 1 <= k <= p and 20 alphas in [0.1, pi/2]: the closed form
-    against one adaptive quadrature of all 4200 points, the moment inequalities, and
+    against the Gauss-Legendre quadrature of all 4200 points, the moment inequalities, and
     the equality J_{p,p}(pi/2) = O_p / (2 O_{p-1})."""
     alphas = np.linspace(0.1, np.pi / 2, 20)
     eps = np.sin(alphas)
@@ -337,7 +337,8 @@ def _verify_jintegrals(args) -> int:
 
 
 def _verify_kinematic(args) -> int:
-    """Monte Carlo rows report |estimate - exact| / half-width on the exact side (<= 1: covered)."""
+    """Monte Carlo rows report |estimate - exact| / half-width on the exact side (<= 1: covered).
+    The four cases share one Gaussian draw per block."""
     analytic_ok = True
     for p in (2, 3, 4, 5):
         for i in range(p - 1):
@@ -346,8 +347,11 @@ def _verify_kinematic(args) -> int:
                 rhs = kinematic_rhs_analytic(p, i, a)
                 analytic_ok &= abs(lhs - rhs) <= 1e-10 * abs(lhs)
     rows = [("analytic slice-average identity", analytic_ok)]
-    for p, i in [(2, 0), (3, 0), (3, 1), (4, 1)]:
-        lhs, est, lo, hi = verify_kinematic(p, i, 0.6, args.samples, args.seed, args.workers)
+    cases = [(2, 0), (3, 0), (3, 1), (4, 1)]
+    # samples by keyword: benchmark/tracing.py reads it from the call's keywords
+    results = verify_kinematic(cases, 0.6, samples=args.samples, seed=args.seed,
+                               workers=args.workers)
+    for (p, i), (lhs, est, lo, hi) in zip(cases, results):
         half = hi - est if lhs >= est else est - lo
         rows.append((f"monte carlo p={p} i={i} alpha=0.60 "
                      f"(|est - exact| / half-width {abs(est - lhs) / half:.2f})", lo <= lhs <= hi))

@@ -134,31 +134,29 @@ class WeylPolynomial:
         object.__setattr__(self, "coefficients", clean)
 
     def _powers(self, x):
-        """Power table [1, xi, xi*xi, ...] up to `degree` for each coordinate, and a zero.
-
-        Python floats for one point (n+1,), contiguous columns for rows (N, n+1).
-        Powers are built by repeated multiplication only, so one point and a row
-        of a batch go through the same correctly rounded operations.
-        """
+        """The power table of `_table` for one point (n+1,), as Python floats, or for rows
+        (N, n+1), as contiguous columns; and the zero that sums start from."""
         x = np.asarray(x, dtype=float)
         if x.shape == (self.n + 1,):
-            cols, zero = x.tolist(), 0.0
-        elif x.ndim == 2 and x.shape[1] == self.n + 1:
-            cols, zero = list(np.ascontiguousarray(x.T)), np.zeros(x.shape[0])
-        else:
-            raise ValueError(f"expected shape ({self.n + 1},) or (N, {self.n + 1}), got {x.shape}")
+            return self._table(x.tolist()), 0.0
+        if x.ndim == 2 and x.shape[1] == self.n + 1:
+            return self._table(list(np.ascontiguousarray(x.T))), np.zeros(x.shape[0])
+        raise ValueError(f"expected shape ({self.n + 1},) or (N, {self.n + 1}), got {x.shape}")
+
+    def _table(self, cols) -> list:
+        """Power table [1, xi, xi*xi, ...] up to `degree` for each coordinate xi. Powers
+        are built by repeated multiplication only, so one point and a row of a batch go
+        through the same correctly rounded operations."""
         table = []
         for xi in cols:
             row = [1.0, xi]
             for _ in range(self.degree - 1):
                 row.append(row[-1] * xi)
             table.append(row)
-        return table, zero
+        return table
 
-    def __call__(self, x: np.ndarray):
-        """f at one point (a float) or at each row of an (N, n+1) array; terms are summed
-        in coefficient order as ((c x0^a0) x1^a1) ...."""
-        table, total = self._powers(x)
+    def _value(self, table, total):
+        # terms are summed in coefficient order as ((c x0^a0) x1^a1) ...
         for alpha, c in self.coefficients.items():
             term = c
             for row, e in zip(table, alpha):
@@ -167,9 +165,7 @@ class WeylPolynomial:
             total = total + term
         return total
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient at one point, shape (n+1,), or at each row, shape (N, n+1)."""
-        table, zero = self._powers(x)
+    def _gradient(self, table, zero) -> list:
         g = [zero] * (self.n + 1)
         for alpha, c in self.coefficients.items():
             for i, e in enumerate(alpha):
@@ -181,7 +177,25 @@ class WeylPolynomial:
                     if pw:
                         term = term * table[j][pw]
                 g[i] = g[i] + term
+        return g
+
+    def __call__(self, x: np.ndarray):
+        """f at one point (a float) or at each row of an (N, n+1) array; terms are summed
+        in coefficient order as ((c x0^a0) x1^a1) ...."""
+        return self._value(*self._powers(x))
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient at one point, shape (n+1,), or at each row, shape (N, n+1)."""
+        table, zero = self._powers(x)
+        g = self._gradient(table, zero)
         return np.array(g) if isinstance(zero, float) else np.stack(g, axis=1)
+
+    def value_and_gradient(self, cols) -> tuple:
+        """(f, [df/dx_0, ..., df/dx_n]) at N points given by their n+1 coordinate columns,
+        each an array of length N, from one power table: the bits of `__call__` and
+        `gradient` on the rows those columns stack to."""
+        table, zero = self._table(cols), np.zeros(len(cols[0]))
+        return self._value(table, zero), self._gradient(table, zero)
 
 
 @functools.cache

@@ -3,13 +3,15 @@
 Points and caps, volumes of spheres, the trigonometric moment integrals
 that generate the volumes of tubes around great subspheres (in closed form
 through the regularized incomplete beta function), and the constants of the
-principal kinematic formula. Only the moment integrals need scipy, which they
-import when first called. The log-gamma helpers `_log_O` and `_log_binom` live in
-`bounds`, whose closed forms need no numpy.
+principal kinematic formula. Only the closed-form moment integrals need scipy,
+which they import when first called; their quadrature cross-check and the band
+volumes share one Gauss-Legendre rule. The log-gamma helpers `_log_O` and
+`_log_binom` live in `bounds`, whose closed forms need no numpy.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,25 +100,43 @@ def j_integral(p: int, k: int, alpha) -> float | np.ndarray:
     return float(out) if np.isscalar(alpha) else out
 
 
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1]."""
+    from numpy.polynomial.legendre import leggauss  # not loaded by `import numpy`
+
+    return leggauss(32)
+
+
 def j_integral_quad(p, k, alpha):
-    """J_{p,k}(alpha) by adaptive Gauss-Kronrod quadrature; cross-check for j_integral,
+    """J_{p,k}(alpha) by composite Gauss-Legendre quadrature; cross-check for j_integral,
     sharing nothing with its incomplete-beta closed form.
 
-    p, k and alpha broadcast together, and one vector-valued quad_vec call
-    integrates every point as alpha int_0^1 sin^{k-1}(alpha u) cos^{p-k}(alpha u) du,
-    to 1e-12 absolute or relative in the largest value (norm="max"). Scalar
-    inputs give a float.
+    p, k and alpha broadcast together. Each point integrates sin^{k-1} cos^{p-k} over
+    [0, alpha] with the 32-point rule on 1 + floor(max((p-1) alpha, k-1) / 16) equal
+    panels of width w: (p-1) w <= 16, as in band_volume, resolves the cosine's decay,
+    and (k-1) w / alpha <= 16 the growth of sin^{k-1} toward alpha, whose scale is
+    alpha / (k-1) for any alpha. Where J is a normal double it was within 2.1e-14
+    relative of a 50-digit reference on sampled (p, k, alpha) up to p = 400, and within
+    5.3e-15 on the whole grid of `verify jintegrals`. Points are integrated
+    panel by panel, so memory stays at one (points, 32) array. Scalar inputs give a
+    float.
     """
     p, k, alpha = np.broadcast_arrays(p, k, np.asarray(alpha, dtype=float))
     if not np.all((p >= 1) & (k >= 1) & (k <= p)):
         raise ValueError("need p >= 1 and 1 <= k <= p")
     if not np.all((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12)):
         raise ValueError("alpha must lie in [0, pi/2]")
-    from scipy.integrate import quad_vec  # slow to import; only verification needs it
-
-    a, sin_pow, cos_pow = alpha.ravel(), (k - 1).ravel(), (p - k).ravel()
-    val, _ = quad_vec(lambda u: a * np.sin(a * u) ** sin_pow * np.cos(a * u) ** cos_pow,
-                      0.0, 1.0, epsabs=1e-12, epsrel=1e-12, norm="max")
+    x, w = _gauss_legendre()
+    a, sin_pow, cos_pow = alpha.ravel(), (k - 1).ravel()[:, None], (p - k).ravel()[:, None]
+    panels = 1 + (np.maximum((p.ravel() - 1) * a, sin_pow[:, 0]) // 16.0).astype(int)
+    half = a / (2.0 * panels)  # half a panel's width
+    val = np.zeros(a.shape)
+    for j in range(int(panels.max(initial=1))):
+        rows = np.flatnonzero(panels > j)
+        r = half[rows, None] * ((2 * j + 1) + x)
+        f = np.sin(r) ** sin_pow[rows] * np.cos(r) ** cos_pow[rows]
+        val[rows] += half[rows] * (f @ w)
     return float(val[0]) if alpha.ndim == 0 else val.reshape(alpha.shape)
 
 

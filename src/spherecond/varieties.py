@@ -6,8 +6,11 @@ smallest singular value (exact: Gram-Schmidt to R, finished by |R| for one colum
 closed form for two and one-sided Jacobi for three; LAPACK's SVD from four on), and
 plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points with
 Newton refinement (upper bound on the true distance). The curve oracle finds each
-query's nearest mesh point in cache-sized row blocks against one reused buffer, and
-evaluates the polynomial from a multiply-only power table.
+query's nearest mesh point in cache-sized row blocks against one reused buffer; its
+Newton kernel holds points as three contiguous coordinate columns, and takes f and
+the gradient from one multiply-only power table per step.
+
+The kinematic check draws one Gaussian sample per block for all its (p, i) cases.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .bounds import _log_binom
 from .conditioning import WeylPolynomial, _sum
-from .geometry import Cap, j_integral, kinematic_constant, sphere_volume
+from .geometry import Cap, _gauss_legendre, j_integral, kinematic_constant, sphere_volume
 from .sampling import RngStream, sample_uniform_cap
 
 
@@ -201,10 +204,16 @@ _CHUNK_ROWS = 4096
 _NEAREST_ROWS = 128
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of (N, 3) arrays, column by column: the same bits as
-    np.sum(a * b, axis=1), without its reduction machinery."""
-    return (a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]) + a[:, 2] * b[:, 2]
+def _col_dot(a: list, b: list) -> np.ndarray:
+    """Row-wise dot products of points held as three coordinate columns:
+    (a0 b0 + a1 b1) + a2 b2, the bits of np.sum(a * b, axis=1) on the (N, 3) rows."""
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+
+def _col_cross(a: list, b: list) -> list:
+    """Row-wise cross products of points held as three coordinate columns, with
+    np.cross's operations: each component is one product minus another."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
 class CurveVariety(Variety):
@@ -219,8 +228,13 @@ class CurveVariety(Variety):
     The nearest point is the largest |dot| with the mesh, taken _NEAREST_ROWS
     query rows at a time in one (_NEAREST_ROWS, mesh) buffer; the refinement
     runs on chunks of _CHUNK_ROWS rows. Rows never interact, so any split of
-    the queries gives the same bits. `WeylPolynomial` evaluates f and its
-    gradient from a power table built by multiplication only.
+    the queries gives the same bits.
+
+    The Newton kernel (`_project`, the refinement in `distances` and the mesh
+    build) holds points as three contiguous coordinate columns [x0, x1, x2], not
+    as (N, 3) rows: one power table per step gives f and its gradient
+    (`WeylPolynomial.value_and_gradient`), and dot and cross products run column
+    by column with the operations, in the order, that the row layout used.
     """
 
     def __init__(self, monomials, degree: int):
@@ -235,7 +249,7 @@ class CurveVariety(Variety):
         self._mesh = self._build_mesh()
         if self._mesh.size == 0:
             raise ValueError("curve has no real points on S^2 at mesh resolution")
-        self._mesh_t = np.ascontiguousarray(self._mesh.T)
+        self._mesh_t = np.ascontiguousarray(self._mesh.T)  # also the mesh's columns
 
     @classmethod
     def from_json(cls, doc) -> "CurveVariety":
@@ -248,20 +262,22 @@ class CurveVariety(Variety):
             raise ValueError(f"curve JSON needs degree, monomials, alpha, coeff: {exc!r}") from None
         return cls(monos, degree=degree)
 
-    def _tangential_grad(self, pts: np.ndarray) -> np.ndarray:
-        g = self.poly.gradient(pts)
-        return g - pts * _row_dot(g, pts)[:, None]
+    def _tangential_grad(self, x: list) -> tuple:
+        """f and the surface gradient g - <g, x> x at the points with columns x."""
+        f, g = self.poly.value_and_gradient(x)
+        dot = _col_dot(g, x)
+        return f, [gk - xk * dot for gk, xk in zip(g, x)]
 
-    def _project(self, pts: np.ndarray, steps: int) -> np.ndarray:
+    def _project(self, x: list, steps: int) -> list:
         """Newton steps moving points onto the curve along the surface gradient."""
         for _ in range(steps):
-            f = self.poly(pts)
-            g = self._tangential_grad(pts)
-            gn = _row_dot(g, g)
-            gn = np.where(gn < 1e-30, 1.0, gn)
-            pts = pts - (f / gn)[:, None] * g
-            pts /= np.sqrt(_row_dot(pts, pts))[:, None]
-        return pts
+            f, g = self._tangential_grad(x)
+            gn = _col_dot(g, g)
+            s = f / np.where(gn < 1e-30, 1.0, gn)
+            x = [xk - s * gk for xk, gk in zip(x, g)]
+            norm = np.sqrt(_col_dot(x, x))
+            x = [xk / norm for xk in x]
+        return x
 
     def _build_mesh(self) -> np.ndarray:
         # f(-x) = +-f(x), so a Fibonacci lattice on the upper hemisphere sees every
@@ -271,12 +287,13 @@ class CurveVariety(Variety):
         z = k / _MESH_SIZE
         phi = k * (math.pi * (3.0 - math.sqrt(5.0)))
         r = np.sqrt(1.0 - z * z)
-        lattice = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-        grad = self._tangential_grad(lattice)
-        slope = np.sqrt(_row_dot(grad, grad))
-        near = np.abs(self.poly(lattice)) <= math.sqrt(2.0 * math.pi / _MESH_SIZE) * slope
-        mesh = self._project(lattice[near], steps=16)
-        return mesh[np.abs(self.poly(mesh)) < 1e-9]
+        lattice = [r * np.cos(phi), r * np.sin(phi), z]
+        f, grad = self._tangential_grad(lattice)
+        slope = np.sqrt(_col_dot(grad, grad))
+        near = np.abs(f) <= math.sqrt(2.0 * math.pi / _MESH_SIZE) * slope
+        mesh = self._project([xk[near] for xk in lattice], steps=16)
+        on = np.abs(self.poly.value_and_gradient(mesh)[0]) < 1e-9
+        return np.stack([xk[on] for xk in mesh], axis=1)
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         out = np.empty(points.shape[0])
@@ -291,23 +308,25 @@ class CurveVariety(Variety):
                 np.matmul(rows, self._mesh_t, out=dots)
                 np.abs(dots, out=dots)
                 np.argmax(dots, axis=1, out=idx[s:s + rows.shape[0]])
-            best = self._mesh[idx]
+            z = list(np.ascontiguousarray(chunk.T))
+            best = [col[idx] for col in self._mesh_t]
             # align hemispheres so the refinement target is the nearer antipode
-            flip = _row_dot(best, chunk) < 0
-            best[flip] *= -1.0
+            flip = _col_dot(best, z) < 0
+            for bk in best:
+                bk[flip] *= -1.0
             for _ in range(_NEWTON_STEPS):
                 # slide along the curve tangent toward the query point
-                g = self._tangential_grad(best)
-                gn = np.sqrt(_row_dot(g, g))[:, None]
+                _, g = self._tangential_grad(best)
+                gn = np.sqrt(_col_dot(g, g))
                 gn = np.where(gn < 1e-30, 1.0, gn)
-                t = np.cross(best, g / gn)
-                step = _row_dot(chunk - best, t)
-                best = best + step[:, None] * t
-                best /= np.sqrt(_row_dot(best, best))[:, None]
-                best = self._project(best, steps=3)
+                t = _col_cross(best, [gk / gn for gk in g])
+                step = _col_dot([zk - bk for zk, bk in zip(z, best)], t)
+                best = [bk + step * tk for bk, tk in zip(best, t)]
+                norm = np.sqrt(_col_dot(best, best))
+                best = self._project([bk / norm for bk in best], steps=3)
             # |best x z| = sin of the angle, accurate also next to the curve
-            cross = np.cross(best, chunk)
-            out[start:start + _CHUNK_ROWS] = np.sqrt(_row_dot(cross, cross))
+            cross = _col_cross(best, z)
+            out[start:start + _CHUNK_ROWS] = np.sqrt(_col_dot(cross, cross))
         return out
 
 
@@ -398,13 +417,6 @@ def geodesic_sphere_mu(p: int, alpha: float, i: int) -> float:
                  * np.sin(alpha) ** (p - i - 1) * np.cos(alpha) ** i)
 
 
-@functools.cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    from numpy.polynomial.legendre import leggauss  # not loaded by `import numpy`
-
-    return leggauss(32)
-
-
 def band_volume(p: int, alpha: float, beta: float) -> float:
     """Volume of the radius-beta normal tube around the geodesic sphere: the band
     between angular radii alpha-beta and alpha+beta, O_{p-1} int sin^{p-1} r dr.
@@ -444,37 +456,52 @@ def kinematic_rhs_analytic(p: int, i: int, alpha: float) -> float:
 
 
 def _kinematic_block(args):
-    """(n, mean, M2) of cos^i delta over `count` uniform points of S^p, 0 where the
-    point's angle rho to S^{i+1} = {x_{i+2} = ... = x_p = 0} is alpha or more, and
-    cos delta = cos alpha / cos rho otherwise. A point is g / |g| for a standard
-    Gaussian g, and cos^2 rho = sum_{j < i+2} g_j^2 / |g|^2 does not depend on the
-    scale, so g is never normalised."""
-    p, i, alpha, seed, index, count = args
-    sq = RngStream(seed, index + 1).generator.standard_normal((count, p + 1))
-    sq *= sq
-    near = _sum(sq[:, :i + 2])  # np.sum's bits on rows this short, without its strided pass
-    cos2_rho = near / (near + _sum(sq[:, i + 2:]))
+    """Per case (p, i) of `cases`, (n, mean, M2) of cos^i delta over `count` uniform
+    points of S^p: 0 where the point's angle rho to S^{i+1} = {x_{i+2} = ... = x_p = 0}
+    is alpha or more, and cos delta = cos alpha / cos rho otherwise. A point is g / |g|
+    for a standard Gaussian g, and cos^2 rho = sum_{j < i+2} g_j^2 / |g|^2 does not
+    depend on the scale, so g is never normalised.
+
+    One draw of count (max p + 1) normals from stream index + 1, squared once, serves
+    every case: the generator fills normals in sequence, so the first count (p + 1) of
+    them are the (count, p + 1) draw that case would make alone, and get its bits."""
+    cases, alpha, seed, index, count = args
+    width = max(p for p, _ in cases) + 1
+    flat = RngStream(seed, index + 1).generator.standard_normal(count * width)
+    flat *= flat
     cos2_alpha = math.cos(alpha) ** 2
-    inside = cos2_rho > cos2_alpha
-    ratio = cos2_alpha / np.maximum(cos2_rho, cos2_alpha)  # 1 outside the cap, then zeroed
-    return _moments(np.where(inside, ratio ** (0.5 * i), 0.0))
+    parts = []
+    for p, i in cases:
+        sq = flat[:count * (p + 1)].reshape(count, p + 1)
+        near = _sum(sq[:, :i + 2])  # np.sum's bits on rows this short, without its strided pass
+        cos2_rho = near / (near + _sum(sq[:, i + 2:]))
+        inside = cos2_rho > cos2_alpha
+        ratio = cos2_alpha / np.maximum(cos2_rho, cos2_alpha)  # 1 outside the cap, then zeroed
+        parts.append(_moments(np.where(inside, ratio ** (0.5 * i), 0.0)))
+    return parts
 
 
-def verify_kinematic(p: int, i: int, alpha: float, samples: int,
-                     seed: int, workers: int = 1):
-    """Check the kinematic identity for geodesic spheres by Monte Carlo.
+def verify_kinematic(cases, alpha: float, samples: int, seed: int, workers: int = 1) -> list:
+    """Check the kinematic identity for geodesic spheres by Monte Carlo, for each
+    (p, i) of `cases` at the cap radius alpha, on one shared sample.
 
-    Returns (lhs, estimate, ci_low, ci_high): lhs is the exact curvature
-    integral, and estimate a Monte Carlo estimate of its slice average with
-    a 99% empirical-Bernstein interval [ci_low, ci_high]. A bad (p, i, alpha)
-    raises ValueError before any sampling.
+    Returns one (lhs, estimate, ci_low, ci_high) per case: lhs is the exact curvature
+    integral, and estimate a Monte Carlo estimate of its slice average with a 99%
+    empirical-Bernstein interval [ci_low, ci_high]. A case's estimate does not depend
+    on the other cases. A bad (p, i, alpha) raises ValueError before any sampling.
     """
-    lhs = geodesic_sphere_mu(p, alpha, i)  # checks p, alpha and 0 <= i <= p - 1
-    scale = kinematic_constant(p, i) * sphere_volume(i)  # checks i < p - 1
-    n, mean, m2 = _merge_moments(run_blocks(_kinematic_block, (p, i, alpha, seed),
-                                            samples, workers))
-    lo, hi = empirical_bernstein(n, mean, m2)  # the integrand lies in [0, 1]
-    return lhs, scale * mean, scale * lo, scale * hi
+    cases = tuple(cases)
+    if not cases:
+        raise ValueError("need at least one (p, i) case")
+    lhs = [geodesic_sphere_mu(p, alpha, i) for p, i in cases]  # checks p, alpha, 0 <= i <= p - 1
+    scale = [kinematic_constant(p, i) * sphere_volume(i) for p, i in cases]  # checks i < p - 1
+    parts = run_blocks(_kinematic_block, (cases, alpha, seed), samples, workers)
+    out = []
+    for c, (exact, k) in enumerate(zip(lhs, scale)):
+        n, mean, m2 = _merge_moments([block[c] for block in parts])
+        lo, hi = empirical_bernstein(n, mean, m2)  # the integrand lies in [0, 1]
+        out.append((exact, k * mean, k * lo, k * hi))
+    return out
 
 
 def load_curve(path: str) -> CurveVariety:

@@ -320,6 +320,30 @@ class TestProblemDescriptors:
         with pytest.raises(ValueError):
             ProblemDescriptor("no-such-problem", n=3)
 
+    def test_value_semantics(self):
+        # what the frozen dataclass gave: positional or keyword fields, a repr, equality
+        # and hashing by fields, no assignment, and copies that compare equal
+        import copy
+        import pickle
+
+        mi = ProblemDescriptor("matrix-inversion", 3)
+        assert mi == ProblemDescriptor("matrix-inversion", n=3) != ProblemDescriptor(
+            "matrix-inversion", n=4)
+        assert mi != ("matrix-inversion", 3, None, None, None)
+        assert hash(mi) == hash(ProblemDescriptor(kind="matrix-inversion", n=3))
+        assert repr(ProblemDescriptor("polysys", degrees=(2, 3))) == (
+            "ProblemDescriptor(kind='polysys', n=None, l=None, m=None, degrees=(2, 3))")
+        for name in ("n", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(mi, name, 5)
+        with pytest.raises(AttributeError, match="cannot delete field 'n'"):
+            del mi.n
+        assert (mi.kind, mi.n, mi.l, mi.m, mi.degrees) == ("matrix-inversion", 3, None, None, None)
+        mp = ProblemDescriptor("moore-penrose", l=4, m=3)
+        assert pickle.loads(pickle.dumps(mp)) == copy.copy(mp) == copy.deepcopy(mp) == mp
+        with pytest.raises(TypeError):
+            ProblemDescriptor("matrix-inversion", 3, 4, 5, 6, 7)
+
 
 class TestApplicationBounds:
     def test_expectation_values(self):

@@ -994,9 +994,17 @@ def test_import_loads_no_slow_scipy_module():
 
 
 def test_cold_start_loads_no_numpy():
-    report = _modules_after(["numpy"], COLD_STEPS)
+    # nor dataclasses, which imports inspect: ProblemDescriptor is a plain class
+    report = _modules_after(["numpy", "dataclasses", "inspect"], COLD_STEPS)
     assert [step for step, _ in report] == COLD_STEPS
     assert all(loaded == [] for _, loaded in report), report
+
+
+def test_verify_jintegrals_loads_no_scipy_integrate():
+    # the quadrature cross-check is Gauss-Legendre on numpy, not scipy.integrate
+    steps = ["import", "parser", ["verify", "jintegrals"]]
+    report = _modules_after(["scipy.integrate", "scipy.special"], steps)
+    assert report[-1] == [["verify", "jintegrals"], ["scipy.special"]], report
 
 
 def test_serial_estimate_starts_no_process_pool(tmp_path):
@@ -1077,6 +1085,24 @@ print(*codes)
         out = str(tmp_path / which)
         assert _run_probe(probe, which, out).split() == ["0", "0"]
         assert Path(out + "1.csv").read_bytes() == Path(out + "2.csv").read_bytes()
+
+    def test_spawned_kinematic_workers_match_a_serial_run(self):
+        # the shared-draw kinematic block runs in spawned workers as it does serially
+        probe = """
+import contextlib, io, json, multiprocessing
+from spherecond import cli
+multiprocessing.set_start_method("spawn")
+runs = []
+for w in ("1", "2"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "kinematic", "--samples", "20000", "--workers", w])
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+        (code1, out1), (code2, out2) = json.loads(_run_probe(probe))
+        assert code1 == code2 == 0
+        assert out1 == out2 and out1.count("monte carlo") == 4
 
     def test_a_patch_before_the_first_command_is_called(self, tmp_path):
         # cli.clopper_pearson is patched before the library loads, as the tracer does

@@ -333,6 +333,21 @@ class TestWeylPolynomial:
         assert isinstance(f(x[0]), float) and f.gradient(x[0]).shape == (n + 1,)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 4, 6])
+    def test_columns_give_the_bits_of_rows(self, n, d):
+        # one power table over coordinate columns gives f and the gradient of the rows
+        gen = np.random.default_rng(70 * n + d)
+        f = random_poly(n, d, gen)
+        x = gen.standard_normal((500, n + 1))
+        x[:20] *= 1e-100
+        vals, grads = f.value_and_gradient([x[:, j].copy() for j in range(n + 1)])
+        assert len(grads) == n + 1
+        assert np.array_equal(vals, f(x))
+        assert np.array_equal(np.stack(grads, axis=1), f.gradient(x))
+        one, one_grad = f.value_and_gradient([x[7:8, j].copy() for j in range(n + 1)])
+        assert one[0] == vals[7] and [g[0] for g in one_grad] == [g[7] for g in grads]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 3, 6])
     def test_matches_exact_rational_evaluation(self, n, d):
         # each term takes d multiplications and the sum one addition per term, so the

@@ -165,6 +165,14 @@ class TestJIntegralQuad:
         assert type(value) is float
         assert abs(value - ref) <= 1e-12 * ref
 
+    @pytest.mark.parametrize("p,k,alpha", [(200, 199, 0.05), (200, 200, 0.3), (200, 100, 0.3),
+                                           (200, 1, 1.5), (400, 300, 0.2), (63, 63, 0.01),
+                                           (63, 32, math.pi / 2)])
+    def test_large_p_matches_mpmath(self, p, k, alpha):
+        # sin^{k-1} grows on the scale alpha / (k - 1): panels follow k as well as p
+        value, ref = j_integral_quad(p, k, alpha), float(j_reference(p, k, alpha))
+        assert abs(value - ref) <= 5e-14 * ref
+
     def test_broadcasts_like_numpy(self):
         alphas = np.array([1e-3, 0.3, 1.2])
         grid = j_integral_quad(np.array([[4], [6]]), 2, alphas)

@@ -28,18 +28,21 @@ from spherecond import (
 )
 from spherecond import varieties
 from spherecond.bounds import ProblemDescriptor
+from spherecond.conditioning import _sum
 from spherecond.varieties import (
     _BLOCK,
     Variety,
     _kinematic_block,
+    _col_cross,
+    _col_dot,
     _merge_moments,
     _moments,
-    _row_dot,
     empirical_bernstein,
     kinematic_rhs_analytic,
     run_blocks,
     tube_cap_counts,
 )
+import curve_reference
 from sphere_sampling import sample_uniform_sphere
 from subsphere_tube import subsphere_tube_volume
 
@@ -510,20 +513,37 @@ class TestCurveVariety:
         assert counts.tolist() == exact.tolist() == [1553, 3828, 7234]
 
     def test_mesh_build_is_batched(self, monkeypatch):
-        # one evaluation for the lattice, one per Newton step and one for the check
+        # one power table, serving f and the gradient, for the lattice, one per Newton
+        # step and one for the check
         curve = CurveVariety(*QUARTIC)
         calls = 0
-        evaluate = WeylPolynomial.__call__
+        table = WeylPolynomial._table
 
-        def counting(poly, pts):
+        def counting(poly, cols):
             nonlocal calls
             calls += 1
-            return evaluate(poly, pts)
+            return table(poly, cols)
 
-        monkeypatch.setattr(WeylPolynomial, "__call__", counting)
+        monkeypatch.setattr(WeylPolynomial, "_table", counting)
         mesh = curve._build_mesh()
         assert np.array_equal(mesh, curve._mesh)
         assert calls <= 18
+
+    @pytest.mark.parametrize("curve", [CONIC, QUARTIC, GREAT_CIRCLE_UNIONS["conic-3"][0]],
+                             ids=["conic", "quartic", "conic-3"])
+    def test_mesh_matches_row_reference(self, curve):
+        # the column kernel builds the mesh the (N, 3) kernel built, bit for bit
+        c = CurveVariety(*curve)
+        ref = curve_reference.build_mesh(c.poly)
+        assert c._mesh.shape == ref.shape and c._mesh.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("curve", [CONIC, QUARTIC], ids=["conic", "quartic"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_distances_match_row_reference(self, curve, seed):
+        # the column kernel gives the (N, 3) kernel's distances, bit for bit
+        c = CurveVariety(*curve)
+        pts = sample_uniform_sphere(2, RngStream(seed, 7), size=200_000)
+        assert c.distances(pts).tobytes() == curve_reference.distances(c, pts).tobytes()
 
     def test_repeated_exponents_add_up(self):
         split = CurveVariety([((2, 0, 0), 0.25), ((0, 2, 0), -1.0), ((2, 0, 0), 0.75)], degree=2)
@@ -620,22 +640,53 @@ def kinematic_block_summed(args):
     return _moments(np.where(inside, ratio ** (0.5 * i), 0.0))
 
 
+def kinematic_block_single(args):
+    """The block before one draw served every case: one (p, i), its own (count, p + 1)
+    draw from stream index + 1."""
+    p, i, alpha, seed, index, count = args
+    sq = RngStream(seed, index + 1).generator.standard_normal((count, p + 1))
+    sq *= sq
+    near = _sum(sq[:, :i + 2])
+    cos2_rho = near / (near + _sum(sq[:, i + 2:]))
+    cos2_alpha = math.cos(alpha) ** 2
+    inside = cos2_rho > cos2_alpha
+    ratio = cos2_alpha / np.maximum(cos2_rho, cos2_alpha)
+    return _moments(np.where(inside, ratio ** (0.5 * i), 0.0))
+
+
+# the four cases of `verify kinematic`, and every case up to p = 6
+VERIFY_CASES = ((2, 0), (3, 0), (3, 1), (4, 1))
+ALL_CASES = tuple((p, i) for p in range(2, 7) for i in range(p - 1))
+
+
 class TestKinematicBlock:
     @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("alpha", [0.2, 0.6, 1.2])
     @pytest.mark.parametrize("seed", [1, 3, 101])
     def test_same_bits_as_summed_reference(self, p, alpha, seed):
-        for i in range(p - 1):
-            for index in (0, 4, 9):
-                block = (p, i, alpha, seed, index, 4096)
-                assert _kinematic_block(block) == kinematic_block_summed(block)
+        cases = tuple((p, i) for i in range(p - 1))
+        for index in (0, 4, 9):
+            parts = _kinematic_block((cases, alpha, seed, index, 4096))
+            assert parts == [kinematic_block_summed((p, i, alpha, seed, index, 4096))
+                             for _, i in cases]
+
+    @pytest.mark.parametrize("cases", [VERIFY_CASES, ALL_CASES, ((4, 1), (2, 0))],
+                             ids=["verify", "all", "unsorted"])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("index", [0, 4, 61])
+    @pytest.mark.parametrize("count", [288, 4096, _BLOCK])
+    def test_one_draw_gives_each_case_its_own_bits(self, cases, seed, index, count):
+        # the prefix of one (count, max p + 1) draw is each case's (count, p + 1) draw
+        parts = _kinematic_block((cases, 0.6, seed, index, count))
+        assert parts == [kinematic_block_single((p, i, 0.6, seed, index, count))
+                         for p, i in cases]
 
     @pytest.mark.parametrize("p,i,alpha", [(2, 0, 0.6), (3, 0, 0.6), (3, 1, 0.6),
                                            (4, 1, 0.6), (5, 2, 1.2), (6, 3, 0.2)])
     @pytest.mark.parametrize("seed,index", [(1, 0), (3, 5), (101, 2)])
     def test_moments_match_normalised_reference(self, p, i, alpha, seed, index):
         block = (p, i, alpha, seed, index, _BLOCK)
-        n, mean, m2 = _kinematic_block(block)
+        [(n, mean, m2)] = _kinematic_block((((p, i),), alpha, seed, index, _BLOCK))
         n_ref, mean_ref, m2_ref = kinematic_block_reference(block)
         assert n == n_ref
         assert mean == pytest.approx(mean_ref, rel=1e-12)
@@ -644,10 +695,13 @@ class TestKinematicBlock:
 
 class TestRowDot:
     def test_same_bits_as_numpy_reductions(self):
+        # dot and cross products of points held as coordinate columns
         a, b = np.random.default_rng(53).standard_normal((2, 50_000, 3))
         a[:100] *= 1e-150
-        assert np.array_equal(_row_dot(a, b), np.sum(a * b, axis=1))
-        assert np.array_equal(np.sqrt(_row_dot(a, a)), np.linalg.norm(a, axis=1))
+        cols_a, cols_b = list(a.T.copy()), list(b.T.copy())
+        assert np.array_equal(_col_dot(cols_a, cols_b), np.sum(a * b, axis=1))
+        assert np.array_equal(np.sqrt(_col_dot(cols_a, cols_a)), np.linalg.norm(a, axis=1))
+        assert np.array_equal(np.stack(_col_cross(cols_a, cols_b), axis=1), np.cross(a, b))
 
 
 class TestGeodesicSphereIdentities:
@@ -666,15 +720,24 @@ class TestGeodesicSphereIdentities:
                     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
     def test_kinematic_monte_carlo(self):
-        lhs, est, lo, hi = verify_kinematic(3, 1, 0.8, samples=200_000, seed=7)
+        [(lhs, est, lo, hi)] = verify_kinematic([(3, 1)], 0.8, samples=200_000, seed=7)
         assert lo <= est <= hi
         assert lo <= lhs <= hi
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("p,i,alpha", [(2, 0, 0.6), (3, 1, 0.8), (4, 1, 1.2)])
     def test_kinematic_interval_covers_analytic(self, seed, p, i, alpha):
-        _, _, lo, hi = verify_kinematic(p, i, alpha, samples=50_000, seed=seed)
+        [(_, _, lo, hi)] = verify_kinematic([(p, i)], alpha, samples=50_000, seed=seed)
         assert lo <= kinematic_rhs_analytic(p, i, alpha) <= hi
+
+    def test_kinematic_cases_do_not_interact(self):
+        # each case gets the bits it gets alone, and any worker count gives the same
+        together = verify_kinematic(VERIFY_CASES, 0.6, samples=20_000, seed=5)
+        alone = [verify_kinematic([case], 0.6, samples=20_000, seed=5)[0]
+                 for case in VERIFY_CASES]
+        assert together == alone
+        assert verify_kinematic(VERIFY_CASES, 0.6, samples=20_000, seed=5,
+                                workers=2) == together
 
     @pytest.mark.parametrize("p,i,alpha", [(1, 0, 0.6), (3, -1, 0.6), (3, 2, 0.6),
                                            (3, 1, 0.0), (3, 1, 2.0)])
@@ -684,9 +747,13 @@ class TestGeodesicSphereIdentities:
 
         monkeypatch.setattr(varieties, "run_blocks", no_sampling)
         with pytest.raises(ValueError):
-            verify_kinematic(p, i, alpha, samples=1000, seed=7)
+            verify_kinematic([(p, i)], alpha, samples=1000, seed=7)
+        with pytest.raises(ValueError):  # a bad case after good ones
+            verify_kinematic([(2, 0), (3, 1), (p, i)], alpha, samples=1000, seed=7)
         with pytest.raises(ValueError):
             kinematic_rhs_analytic(p, i, alpha)
+        with pytest.raises(ValueError):
+            verify_kinematic([], 0.6, samples=1000, seed=7)
 
     def test_band_volume_s2(self):
         # band on S^2 between colatitudes a-b and a+b: 2 pi (cos(a-b) - cos(a+b))
@@ -767,4 +834,4 @@ class TestRunBlocks:
         with pytest.raises(ValueError):
             tube_cap_counts(DeterminantVariety(2), Cap(north(3), 1.0), [0.1], 0, seed=1)
         with pytest.raises(ValueError):
-            verify_kinematic(3, 1, 0.8, samples=0, seed=7)
+            verify_kinematic([(3, 1)], 0.8, samples=0, seed=7)
