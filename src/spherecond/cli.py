@@ -398,9 +398,9 @@ def _eckart_young_draws(seed: int, trials: int) -> dict:
 def _verify_eckart_young(args) -> int:
     """Eckart-Young on `--trials` Gaussian matrices, in one batch per n: zeroing the
     smallest singular value moves A by exactly sigma_min, and kappa_F(B) dist(B) = 1
-    for B = A / |A|, square, 4 x 3 and 20 x 2. kappa_F reads LAPACK's SVD, so the 4 x 3
-    and 20 x 2 rows check the Gram-Schmidt distance against it. Each row reports its
-    largest deviation."""
+    for B = A / |A|, square, 4 x 3 and 20 x 2. kappa_F reads LAPACK's SVD, so these rows
+    check the Gram-Schmidt distance (n x 2 and n x 3) and the bidiagonal one (square
+    n = 4 and 5) against it. Each row reports its largest deviation."""
 
     def product_error(a):
         unit = a / np.linalg.norm(a, axis=(1, 2))[:, None, None]

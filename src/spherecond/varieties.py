@@ -3,7 +3,9 @@
 Varieties are symmetric subsets of S^p with an attached projective
 distance evaluator: great subspheres (exact), rank-deficient matrices via the
 smallest singular value (exact: Gram-Schmidt to R, finished by |R| for one column, a
-closed form for two and one-sided Jacobi for three; LAPACK's SVD from four on), and
+closed form for two and one-sided Jacobi for three; from four columns on, Householder
+bidiagonalization and Laguerre's iteration on the qd pivots for n <= 32 and
+n m^2 <= 8192, and LAPACK's SVD beyond), and
 plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points with
 Newton refinement (upper bound on the true distance). The curve oracle finds each
 query's nearest mesh point in cache-sized row blocks against one reused buffer; its
@@ -162,6 +164,133 @@ def _gram_schmidt_smin(mats: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(f"one-sided Jacobi did not converge in {_JACOBI_SWEEPS} sweeps")
 
 
+def _components(mats: np.ndarray) -> np.ndarray:
+    """The (m, n, N) C-ordered copy of a stack (N, n, m), so that [j][i] is the array of
+    A_ij over the stack. It is copied 256 matrices at a time, which stay in cache: for
+    8192 8 x 8 matrices, np.array of the transposed view took 4.8 ms and this 0.9 ms."""
+    out = np.empty(mats.shape[::-1])
+    for s in range(0, len(mats), 256):
+        out[..., s:s + 256] = mats[s:s + 256].transpose(2, 1, 0)
+    return out
+
+
+def _reflect(x: list, ys: list) -> np.ndarray:
+    """Apply to each vector of `ys`, in place, the Householder reflection that maps x to
+    (-+|x|, 0, ..., 0), and return |x|^2. Vectors are lists of length-N component arrays.
+    As in LAPACK's dlarfg, H = I - tau v v^T with v = (1, x_1 / v_0, ...), v_0 = x_0 +
+    sign(x_0) |x| and tau = |v_0| / |x|: nothing cancels, |v_i| <= 1 <= tau <= 2, a zero
+    x reflects nothing, and where x has one nonzero entry H is an exact signed swap."""
+    x2 = _dot(x, x)
+    alpha = np.sqrt(x2)
+    v0 = x[0] + np.copysign(alpha, x[0])
+    nonzero = alpha > 0.0
+    tau = np.divide(np.abs(v0), alpha, out=np.zeros_like(x2), where=nonzero)
+    v = [np.divide(xi, v0, out=np.zeros_like(x2), where=nonzero) for xi in x[1:]]
+    tmp = np.empty_like(x2)
+    for y in ys:  # y -= tau (v . y) v, in place
+        w = y[0].copy()
+        for vi, yi in zip(v, y[1:]):
+            w += np.multiply(vi, yi, out=tmp)
+        w *= tau
+        y[0] -= w
+        for vi, yi in zip(v, y[1:]):
+            yi -= np.multiply(w, vi, out=tmp)
+    return x2
+
+
+# Rows with mu_0 below _MU_FLOOR (s_min below about 1e-45) take LAPACK's SVD: above it
+# a positive pivot is at least about eps mu / 4, so 1 / t^2 and every sum of the
+# recurrence stay below about 1e216. A row whose Laguerre step is still above
+# _LAGUERRE_TOL mu after _LAGUERRE_STEPS steps raises. Rows without a cluster (random,
+# cap samples, tiny or near-rank-1 planted) took at most 8 steps, a near-double pair up
+# to 29. A cluster of k equal smallest roots converges linearly, by a factor
+# 1 - m / (k + sqrt((m - 1)(k m - k^2))) per step: 0.27 for a pair, up to 0.6 at m = 16,
+# where planted clusters took up to 68 steps.
+_MU_FLOOR = 2.0 ** -300
+_LAGUERRE_TOL = 2.0 * np.finfo(float).eps
+_LAGUERRE_STEPS = 100
+
+
+def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
+    """Smallest singular values of a stack (N, n, m) of n x m matrices, n >= m >= 2.
+
+    Householder reflections, left on column k and right on row k, on columns held as
+    lists of length-N component arrays, give the upper bidiagonal B = U^T A V with
+    squared diagonal d^2 and superdiagonal e^2 (backward stable; Golub and Kahan 1965).
+    A zero d_k makes the row exactly singular, and it gives 0.0; so does a d_k whose
+    square underflows, which is within |d_k| < 1.5e-154 of s_min, as s_min <= |d_k|.
+
+    lambda = s_min^2 is the smallest root of det(B^T B - mu) = prod t_k, the pivots of
+    s_1 = mu, t_k = d_k^2 - s_k, s_{k+1} = mu + e_k^2 s_k / t_k. That is the Golub-Kahan
+    Sturm recurrence q_1 = -x, q_k = -x - b_{k-1}^2 / q_{k-1} on b = (d_1, e_1, ..., d_m)
+    at x = sqrt(mu), taken in pairs (t_k = -q_{2k-1} q_{2k}), and it is relatively
+    accurate (Demmel and Kahan 1990). Below lambda every t_k is positive. The same pass
+    gives s'_{k+1} = 1 + r_k s'_k and s''_{k+1} = r_k (s''_k + 2 s'_k^2 / t_k), with
+    r_k = (d_k e_k / t_k)^2, and sums S_1 = sum s'_k / t_k = sum 1 / (lambda_i - mu) and
+    S_2 = sum s''_k / t_k + (s'_k / t_k)^2 = sum 1 / (lambda_i - mu)^2: positive terms.
+
+    The start is mu_0 = 1 / |B^-1|_F^2, so mu_0 <= lambda <= m mu_0. Row i of B^-1 has
+    the squared norm c_i = (1 + e_i^2 c_{i+1}) / d_i^2, which cancels nothing. From the
+    left of the smallest root, Laguerre's step m / (S_1 + sqrt((m - 1)(m S_2 - S_1^2)))
+    rises monotonically to it, and it is exact for a root of multiplicity m, where
+    Newton's 1 / S_1 needs about 36 m steps. A row stops when its step is at most
+    _LAGUERRE_TOL mu, or when a pivot is not positive (mu has passed lambda by
+    round-off); it then leaves the arrays, so its bits do not depend on the batch."""
+    a = [list(col) for col in _components(mats)]  # a[j][i] = A_ij
+    n, m = len(a[0]), len(a)
+    d2, e2 = [], []
+    for k in range(m):
+        d2.append(_reflect(a[k][k:], [a[j][k:] for j in range(k + 1, m)]))
+        if k + 1 < m:
+            rows = [[a[j][i] for j in range(k + 1, m)] for i in range(k + 1, n)]
+            e2.append(_reflect([a[j][k] for j in range(k + 1, m)], rows))
+    out = np.zeros(len(mats))
+    # a zero d_k gives c = inf and mu_0 = 0; an overflowing c (s_min below about 1e-154)
+    # gives 0 or NaN: either way the row is singular or below _MU_FLOOR
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c = 1.0 / d2[-1]
+        total = c
+        for k in range(m - 2, -1, -1):
+            c = (1.0 + e2[k] * c) / d2[k]
+            total = total + c
+    mu = 1.0 / total
+    low = ~(mu >= _MU_FLOOR) & (functools.reduce(np.minimum, d2) > 0.0)
+    if low.any():
+        out[low] = np.linalg.svd(mats[low], compute_uv=False)[:, -1]
+    idx = np.flatnonzero(mu >= _MU_FLOOR)
+    mu, d2, e2 = mu[idx], [x[idx] for x in d2], [x[idx] for x in e2]
+    de2 = [d * e for d, e in zip(d2, e2)]
+    for _ in range(_LAGUERRE_STEPS):
+        if not idx.size:
+            return out
+        s, s1, s2, S1, S2, below = mu, 1.0, 0.0, 0.0, 0.0, True
+        for k in range(m):
+            t = d2[k] - s
+            pos = t > 0.0
+            below = below & pos
+            q = np.divide(1.0, t, out=np.zeros_like(t), where=pos)
+            g = s1 * q
+            S1 = S1 + g
+            S2 = S2 + (s2 * q + g * g)
+            if k + 1 < m:
+                r = de2[k] * q * q
+                s2 = r * (s2 + 2.0 * g * s1)
+                s1 = 1.0 + r * s1
+                s = mu + e2[k] * s * q
+        root = np.sqrt(np.maximum((m - 1) * (m * S2 - S1 * S1), 0.0))
+        step = m / np.where(below, S1 + root, np.inf)
+        mu = mu + step
+        done = ~(step > _LAGUERRE_TOL * mu)
+        out[idx[done]] = np.sqrt(mu[done])
+        if done.any():
+            keep = ~done
+            idx, mu = idx[keep], mu[keep]
+            d2, e2, de2 = ([x[keep] for x in xs] for xs in (d2, e2, de2))
+    if idx.size:
+        raise np.linalg.LinAlgError(f"Laguerre's iteration did not converge in {_LAGUERRE_STEPS} steps")
+    return out
+
+
 class DeterminantVariety(Variety):
     """Rank-deficient n x m matrices (n >= m; square if m is None) on S^{nm-1}, cut out
     by the m x m minors; distance is the smallest singular value (Eckart-Young).
@@ -171,9 +300,24 @@ class DeterminantVariety(Variety):
     on unit matrices, also at near-equal and tiny singular values. 4 x 3 is about 3x
     faster than LAPACK.
 
-    m >= 4: LAPACK's SVD. The Jacobi finish, taken to m columns, was 1.6x faster on
-    4 x 4, even on 5 x 5 and 2.4x slower on 8 x 8: a sweep has m(m - 1)/2 rotations of m
-    components each."""
+    m >= 4, n <= 32 and n m^2 <= 8192: Householder bidiagonalization, then Laguerre's
+    iteration on the qd pivots of B^T B (`_bidiagonal_smin`). Against a 50-digit SVD of
+    unit matrices it erred by at most 4e-16 (500 rows per family at 4 x 4 to 8 x 8, 5 to
+    100 at 16 x 4, 32 x 4, 16 x 16, 20 x 20 and 32 x 16), where LAPACK erred by up to
+    1.7e-15 on a near-double smallest pair. Per 8192-matrix block of cap samples, one
+    BLAS thread, median of 11 interleaved calls, kernel / LAPACK (ms):
+
+        4 x 4   10 / 47      5 x 5   14 / 58      8 x 8    26 / 108    16 x 4   18 / 63
+        16 x 16 105 / 202    20 x 20 183 / 275    32 x 4   21 / 39     32 x 16 261 / 294
+
+    Other m >= 4: LAPACK's SVD. The kernel makes about 4 n m^2 passes over length-N
+    arrays, while LAPACK works in cache on one matrix at a time, so the kernel's lead
+    shrinks with the block's size. In every run (two to five per shape; the last one
+    shown) 32 x 24 (556 / 521), 32 x 32 (898 / 755) and 200 x 4 (202 / 119) lost and
+    32 x 20 (422 / 438) was even, while each shape the kernel serves won by 1.12x or more
+    (32 x 16 the least). Tall blocks with 32 < n <= 64 won by as little as 1.06x, and on
+    a loaded host 30 x 8 and 40 x 8 each lost once. (The Jacobi finish, taken to m
+    columns, was 2.4x slower than LAPACK on 8 x 8.)"""
 
     def __init__(self, n: int, m: int | None = None):
         m = n if m is None else m
@@ -188,6 +332,8 @@ class DeterminantVariety(Variety):
         mats = points.reshape(-1, self.n, self.m)
         if self.m <= 3:
             return _gram_schmidt_smin(mats)
+        if self.n <= 32 and self.n * self.m ** 2 <= 8192:
+            return _bidiagonal_smin(mats)
         return np.linalg.svd(mats, compute_uv=False)[:, -1]
 
 

@@ -304,6 +304,18 @@ class TestEstimateCommand:
             assert code == 0
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--problem", "matrix-inversion", "--n", "8"],
+        ["logmean", "--problem", "moore-penrose", "--l", "6", "--m", "4"],
+    ])
+    def test_bidiagonal_worker_count_invariance(self, tmp_path, capsys, argv):
+        # m >= 4 runs the bidiagonal kernel, whose rows leave its arrays as they converge
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "estimate", *argv, "--samples", "20000", "--seed", "3",
+                             "--workers", workers, "--out", str(tmp_path / f"w{workers}"))
+            assert code == 0
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
     def test_two_hundred_by_two_worker_count_invariance(self, tmp_path, capsys):
         # p = 399, two 8192-row blocks
         for workers in ("1", "2"):

@@ -29,6 +29,7 @@ from spherecond import (
 from spherecond import varieties
 from spherecond.bounds import ProblemDescriptor
 from spherecond.conditioning import _sum
+from spherecond.sampling import sample_uniform_cap
 from spherecond.varieties import (
     _BLOCK,
     Variety,
@@ -212,6 +213,40 @@ def three_column_families(n, count, gen):
     return families
 
 
+def many_column_families(n, m, count, gen):
+    """Unit n x m matrices, m >= 4: random ones; random ones whose first column is scaled
+    by 1e-12 to 1e-2; planted singular values with a tiny s_min (1e-12 to 1e-2), near
+    rank 1 (all but one from 1e-12 to 1e-2), a near-double smallest pair (relative gap
+    from 1e-16 to 1e-2) or all equal (orthonormal columns, scaled); and uniform samples
+    of the caps of radius 0.25 and 0.01 around E_11, the `north` centre."""
+    def powers(lo, hi, k=1):
+        return 10.0 ** gen.uniform(lo, hi, (count, k))
+
+    one, mid = np.ones((count, 1)), gen.uniform(0.05, 0.95, (count, m - 2))
+    planted = {
+        "tiny s_min": [one, mid, powers(-12, -2)],
+        "near-rank-1": [one, powers(-12, -2, m - 1)],
+        "near-double smallest": [one, mid[:, :-1], mid[:, -1:] * (1.0 + powers(-16, -2)),
+                                 mid[:, -1:]],
+        "all equal": [np.ones((count, m))],
+    }
+    scale = np.ones((count, 1, m))
+    scale[:, 0, 0] = powers(-12, -2)[:, 0]
+    families = {
+        "random": gen.standard_normal((count, m * n)),
+        "tiny first column": (gen.standard_normal((count, n, m)) * scale).reshape(count, -1),
+    }
+    families = {name: r / np.linalg.norm(r, axis=1, keepdims=True)
+                for name, r in families.items()}
+    families.update({name: planted_columns(n, np.concatenate(s, axis=1), gen)
+                     for name, s in planted.items()})
+    for sigma in (0.25, 0.01):
+        stream = RngStream(int(gen.integers(2 ** 31)))
+        families[f"cap {sigma}"] = sample_uniform_cap(Cap(north(n * m - 1), sigma), stream,
+                                                      size=count)
+    return families
+
+
 def mpmath_two_column_smallest_singular_values(rows):
     """50-digit s_min of n x 2 matrices, from the Gram matrix [[a, g], [g, b]]: the
     smallest eigenvalue 2 D / (T + sqrt(T^2 - 4 D)), the cancellation-free form of
@@ -294,8 +329,7 @@ class TestDeterminantVariety:
     def test_rectangular_distance_is_smallest_singular_value(self):
         pts = sample_uniform_sphere(19, RngStream(3), size=50)
         d = DeterminantVariety(5, 4).distances(pts)
-        ref = [np.linalg.svd(row.reshape(5, 4), compute_uv=False)[-1] for row in pts]
-        assert np.array_equal(d, ref)  # m >= 4 is LAPACK's SVD itself
+        assert d == pytest.approx(mpmath_smallest_singular_values(pts, 5, 4), rel=0.0, abs=1e-15)
         # m = 3 is Gram-Schmidt plus Jacobi: within round-off of a 50-digit SVD
         pts = sample_uniform_sphere(11, RngStream(3), size=50)
         d = DeterminantVariety(4, 3).distances(pts)
@@ -388,6 +422,104 @@ class TestDeterminantVariety:
         monkeypatch.setattr(varieties, "_JACOBI_SWEEPS", 2)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge in 2 sweeps"):
             DeterminantVariety(4, 3).distances(pts)
+
+    @pytest.mark.parametrize("n,m,count", [(4, 4, 40), (5, 4, 40), (5, 5, 40), (8, 8, 40),
+                                           (16, 4, 10), (16, 16, 4)])
+    def test_many_columns_match_mpmath(self, n, m, count):
+        # absolute error on unit matrices; over these families LAPACK's reached 1.7e-15
+        gen = np.random.default_rng(1100 + 10 * n + m)
+        for family, rows in many_column_families(n, m, count, gen).items():
+            err = np.abs(DeterminantVariety(n, m).distances(rows)
+                         - mpmath_smallest_singular_values(rows, n, m))
+            assert np.max(err) <= 1e-15, family
+
+    # the shapes the tests use and the corners of the kernel's range (m >= 4, n <= 32,
+    # n m^2 <= 8192)
+    BIDIAGONAL_SHAPES = [(4, 4), (5, 4), (5, 5), (6, 4), (8, 8), (16, 4), (16, 16), (32, 4),
+                         (32, 16), (20, 20)]
+
+    @pytest.mark.parametrize("n,m", BIDIAGONAL_SHAPES)
+    def test_bidiagonal_needs_no_svd(self, monkeypatch, n, m):
+        pts = sample_uniform_sphere(n * m - 1, RngStream(5), size=20)
+        expected = DeterminantVariety(n, m).distances(pts)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError(f"np.linalg.svd called for {n} x {m}")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        assert np.array_equal(DeterminantVariety(n, m).distances(pts), expected)
+        check_singular_rows(n, m, 50 + n + m)  # E_11 gives exactly 0.0, warnings as errors
+
+    @pytest.mark.parametrize("n,m", BIDIAGONAL_SHAPES)
+    def test_bidiagonal_rows_do_not_interact(self, n, m):
+        # rows take different numbers of Laguerre steps and leave the arrays when done
+        gen = np.random.default_rng(90 + n + m)
+        check_rows_do_not_interact(
+            DeterminantVariety(n, m),
+            np.concatenate(list(many_column_families(n, m, 20, gen).values())))
+
+    @pytest.mark.parametrize("n,m", [(32, 4), (32, 16), (20, 20)])
+    def test_large_bidiagonal_blocks_match_lapack(self, n, m):
+        # past 16 x 16 a 50-digit SVD is too slow for the suite; on random rows and cap
+        # samples LAPACK errs by about 2e-16
+        gen = np.random.default_rng(70 + n + m)
+        families = many_column_families(n, m, 50, gen)
+        for family in ("random", "cap 0.25", "cap 0.01"):
+            rows = families[family]
+            ref = np.linalg.svd(rows.reshape(-1, n, m), compute_uv=False)[:, -1]
+            assert DeterminantVariety(n, m).distances(rows) == pytest.approx(
+                ref, rel=0.0, abs=1e-15), family
+
+    @pytest.mark.parametrize("n,m", [(200, 4), (32, 24), (32, 32)])
+    def test_slow_kernel_shapes_stay_on_lapack(self, n, m):
+        # tall or large blocks, where the kernel measured slower than LAPACK
+        pts = sample_uniform_sphere(n * m - 1, RngStream(5), size=20)
+        ref = np.linalg.svd(pts.reshape(-1, n, m), compute_uv=False)[:, -1]
+        assert np.array_equal(DeterminantVariety(n, m).distances(pts), ref)
+
+    @pytest.mark.parametrize("s", [1e-20, 1e-44, 1e-60, 1e-100, 1e-150])
+    def test_bidiagonal_tiny_singular_values(self, monkeypatch, s):
+        # one diagonal entry s of signed, scaled permutations, where every reflection is
+        # an exact swap and s_min = s, and of upper bidiagonal matrices, where LAPACK is
+        # relatively accurate. Rows whose mu_0 is under _MU_FLOOR (s below about 1e-45)
+        # take LAPACK: without the floor the recurrence's 1 / t^2 overflowed at 1e-100.
+        # At 1e-44 the permutations' mu_0 is within 1e3 of the floor; they stay on the
+        # kernel.
+        gen = np.random.default_rng(31)
+        perms, bidiag = np.zeros((2, 12, 8, 8))
+        for perm, b in zip(perms, bidiag):
+            sv = gen.uniform(0.1, 1.0, 8) * gen.choice([-1.0, 1.0], 8)
+            sv[gen.integers(8)] = s
+            perm[gen.permutation(8), np.arange(8)] = sv
+            b[np.arange(8), np.arange(8)] = sv
+            b[np.arange(7), np.arange(1, 8)] = gen.uniform(0.2, 1.0, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = varieties._bidiagonal_smin(np.concatenate([perms, bidiag]))
+        ref = np.concatenate([np.full(12, s), np.linalg.svd(bidiag, compute_uv=False)[:, -1]])
+        assert d == pytest.approx(ref, rel=2e-15, abs=0.0)
+        if s >= 1e-44:
+
+            def no_svd(*args, **kwargs):
+                raise AssertionError("np.linalg.svd called")
+
+            monkeypatch.setattr(np.linalg, "svd", no_svd)
+            assert np.array_equal(varieties._bidiagonal_smin(perms), d[:12])
+
+    def test_clustered_smallest_roots_converge(self):
+        # k equal smallest singular values converge linearly; k = 10 of 16 took 68 steps
+        gen = np.random.default_rng(8)
+        sv = np.concatenate([np.full(10, 0.3), np.linspace(1.0, 0.6, 6)])
+        rows = planted_columns(16, np.tile(sv, (4, 1)), gen)
+        d = DeterminantVariety(16).distances(rows)
+        assert d == pytest.approx(np.full(4, 0.3 / np.linalg.norm(sv)), rel=0.0, abs=1e-15)
+
+    def test_laguerre_step_cap_raises(self, monkeypatch):
+        # random 5 x 5 rows need three to six steps
+        pts = sample_uniform_sphere(24, RngStream(5), size=200)
+        monkeypatch.setattr(varieties, "_LAGUERRE_STEPS", 2)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 2 steps"):
+            DeterminantVariety(5).distances(pts)
 
     def test_condition_times_distance_is_one(self):
         # kappa_F reads LAPACK's SVD, the distance the closed form. Both err by round-off
