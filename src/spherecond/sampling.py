@@ -5,7 +5,10 @@ that parallel workers can partition a sample budget deterministically.
 Cap radii come from one exact rejection sampler for every (p, alpha), whose
 envelope is an exponential tangent to log sin. It draws a variable number
 of uniforms, so a block's points depend on its whole stream: the block
-runner gives each block its own.
+runner gives each block its own. Cap points are built in tangent coordinates
+at e0, from the radii and p normals, and one Householder reflection carries
+them to any other centre. The draws do not depend on the centre, so one
+stream gives coupled samples at every centre.
 """
 
 from __future__ import annotations
@@ -69,26 +72,36 @@ def sample_uniform_cap(cap: Cap, rng: RngStream, size: int) -> np.ndarray:
     """`size` uniform points, shape (size, p+1), on the cap around cap.center of
     projective radius sigma.
 
-    Radius exactly from the density proportional to sin^{p-1} on
-    [0, arcsin sigma], by rejection from an exponential envelope (`_cap_radii`),
-    direction uniform on the tangent sphere, combined via the spherical
-    exponential map.
+    The radius rho comes exactly from the density proportional to sin^{p-1} on
+    [0, arcsin sigma] (`_cap_radii`), and the direction g/|g| of p standard
+    normals is uniform on the unit sphere of the tangent space at e0. So
+    z = (s cos rho, sin rho g/|g|), written in one scaling pass, is uniform on
+    the cap around s e0 (s = +-1). The Householder reflection
+    H = I - v v^T / (1 + |a0|), with v = a - s e0, maps s e0 to a. Choosing
+    s = -sign(a0), as LAPACK's dlarfg does, makes |v0| = 1 + |a0|, so nothing
+    cancels even as a nears +-e0. At a = e0 exactly, the `north` centre that
+    `estimate` uses by default, z already lies on the cap and the two passes of
+    the reflection are skipped. All draws precede any use of the centre and do
+    not depend on it, so one stream couples samples across centres.
     """
     p = cap.center.p
     gen = rng.generator
     rho = _cap_radii(p, cap.alpha, gen, size)
+    g = gen.standard_normal((size, p))
+    norms = np.sqrt(np.einsum("ij,ij->i", g, g))
+    # no direction: draw again; g/|g| is independent of |g|, so the law stays exact
+    while np.any(bad := norms < 1e-12):
+        g[bad] = redraw = gen.standard_normal((np.count_nonzero(bad), p))
+        norms[bad] = np.sqrt(np.einsum("ij,ij->i", redraw, redraw))
     a = cap.center.coords
-    # tangent directions: Gaussian vectors with the component along a removed
-    u = gen.standard_normal((size, p + 1))
-    u -= np.outer(u @ a, a)
-    norms = np.linalg.norm(u, axis=1)
-    while np.any(bad := norms < 1e-12):  # (almost) along a: no direction, draw again
-        g = gen.standard_normal((np.count_nonzero(bad), p + 1))
-        g -= np.outer(g @ a, a)
-        u[bad], norms[bad] = g, np.linalg.norm(g, axis=1)
-    u /= norms[:, None]
-    # z = cos(rho) a + sin(rho) u, built in u's memory
-    u *= np.sin(rho)[:, None]
-    u += np.outer(np.cos(rho), a)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u
+    north = a[0] == 1.0 and not a[1:].any()
+    s = 1.0 if north else -np.copysign(1.0, a[0])
+    z = np.empty((size, p + 1))
+    z[:, 0] = s * np.cos(rho)
+    np.multiply(g, (np.sin(rho) / norms)[:, None], out=z[:, 1:])
+    if north:
+        return z
+    v = a.copy()
+    v[0] -= s
+    z -= np.multiply.outer((z @ v) / (1.0 + abs(a[0])), v)
+    return z

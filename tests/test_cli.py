@@ -335,6 +335,22 @@ class TestEstimateCommand:
             "--workers", "4", "--out", str(b))
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w4.csv").read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ["tail", "--problem", "matrix-inversion", "--n", "3", "--sigma", "0.5",
+         "--center", "random"],
+        ["tube", "--variety", "determinant:2", "--sigma", "0.25", "--center", "CENTER"],
+    ])
+    def test_reflected_center_worker_count_invariance(self, tmp_path, capsys, argv):
+        # away from e0 the cap sampler applies a Householder reflection to each block
+        center = tmp_path / "center.json"
+        center.write_text("[-0.8, 0.36, 0.48, 0.0]")
+        argv = [str(center) if a == "CENTER" else a for a in argv]
+        for workers in ("1", "2"):
+            code, _, _ = run(capsys, "estimate", *argv, "--samples", "20000", "--seed", "3",
+                             "--workers", workers, "--out", str(tmp_path / f"w{workers}"))
+            assert code == 0
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
     def test_logmean(self, tmp_path, capsys):
         out = tmp_path / "lm"
         code, _, _ = run(capsys, "estimate", "logmean", "--problem", "matrix-inversion",

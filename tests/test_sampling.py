@@ -8,10 +8,11 @@ from scipy import stats
 from scipy.special import betainc, hyp2f1
 
 from spherecond import Cap, RngStream, SpherePoint, sample_uniform_cap
-from spherecond.geometry import j_integral
+from spherecond.geometry import j_integral, sphere_volume
 from spherecond.sampling import _cap_radii
-from spherecond.varieties import SubsphereVariety, tube_cap_counts
+from spherecond.varieties import SubsphereVariety, clopper_pearson, tube_cap_counts
 from sphere_sampling import sample_uniform_sphere
+from subsphere_tube import subsphere_tube_volume
 from weyl_rotation import sample_rotation
 
 
@@ -200,13 +201,14 @@ class TestCapSampling:
         assert np.array_equal(c1, c2)
         assert 0 < c1[0] < c1[-1] < 20_000
 
-    def test_direction_along_center_is_drawn_again(self):
-        # a Gaussian vector along the center has no tangent direction; that row
-        # takes the next draw, which is along the center too once, then not
+    def test_zero_tangent_vector_is_drawn_again(self):
+        # an all-zero tangent row has no direction; that row takes the next draw,
+        # which is zero too once, then not
+        p = 3
         cap = Cap(SpherePoint.from_vector(np.array([1.0, 2.0, -0.5, 0.3])), 0.6)
         gen = RngStream(19).generator
 
-        class AlongCenter:
+        class ZeroTangent:
             def __init__(self):
                 self.calls = []
 
@@ -217,14 +219,14 @@ class TestCapSampling:
                 self.calls.append(shape)
                 g = gen.standard_normal(shape)
                 if len(self.calls) <= 2:
-                    g[0] = 2.0 * cap.center.coords
+                    g[0] = 0.0
                 return g
 
         stream = RngStream(19)
-        stream.generator = AlongCenter()
+        stream.generator = ZeroTangent()
         pts = sample_uniform_cap(cap, stream, size=100)
-        assert stream.generator.calls == [(100, 4), (1, 4), (1, 4)]
-        assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+        assert stream.generator.calls == [(100, p), (1, p), (1, p)]
+        assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) <= 1e-12
         assert np.all(pts @ cap.center.coords >= math.sqrt(1 - 0.6**2) - 1e-12)
 
     def test_rotation_invariance_of_center(self):
@@ -237,6 +239,27 @@ class TestCapSampling:
         ref = sample_uniform_cap(Cap(north(3), sigma), RngStream(7), size=50_000)
         ks = stats.ks_2samp(dots, ref[:, 0])
         assert ks.pvalue > 0.01
+
+    @pytest.mark.parametrize("p", [3, 24])
+    @pytest.mark.parametrize("center", ["negative first coordinate", "zero first coordinate"])
+    def test_interval_miss_rate_away_from_the_pole(self, p, center):
+        # the sigma = 1 cap is a hemisphere; the tube around {x_p = 0} is symmetric
+        # under z -> -z, so its share of any hemisphere is its share of the sphere.
+        # Over 400 seeds a 99% interval misses Bin(400, 0.01) times, and
+        # P{Bin(400, 0.01) >= 17} = 9.2e-7. Neither centre is the subsphere's pole e_p,
+        # where the distance |x_p| = cos rho would not see the tangent directions
+        a = np.linspace(1.0, 0.5, p + 1)
+        a[0] = 0.0 if center == "zero first coordinate" else -2.0
+        cap = Cap(SpherePoint.from_vector(a), 1.0)
+        variety, grid, samples = SubsphereVariety(p, p - 1), [0.01, 0.05, 0.2], 2048
+        exact = [subsphere_tube_volume(p, 1, eps) / sphere_volume(p) for eps in grid]
+        misses = np.zeros(len(grid), dtype=int)
+        for seed in range(400):
+            counts = tube_cap_counts(variety, cap, grid, samples, seed=seed)
+            for k, (hits, ratio) in enumerate(zip(counts.tolist(), exact)):
+                lo, hi = clopper_pearson(hits, samples)
+                misses[k] += not lo <= ratio <= hi
+        assert np.all(misses < 17), misses.tolist()
 
 
 class TestRotations:
