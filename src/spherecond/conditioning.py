@@ -268,9 +268,15 @@ def weyl_norm(f):
 
 
 def system_projective_distance(f: PolySystem, g: PolySystem):
-    """sin of the angle between two systems under the Weyl product, per system."""
-    cosang = np.abs(weyl_inner(f, g)) / (weyl_norm(f) * weyl_norm(g))
-    return _out(np.sqrt(np.maximum(0.0, 1.0 - np.minimum(1.0, cosang) ** 2)))
+    """sin of the angle between two systems under the Weyl product, per system, from
+    4 |f|^2 |g|^2 sin^2 = |f - s g|^2 |f + s g|^2 - (|f|^2 - |g|^2)^2, s = sign <f, g>:
+    nothing cancels at small angles where |f| = |g|, while sqrt(1 - cos^2) loses eps / sin^2."""
+    s = np.where(np.asarray(weyl_inner(f, g)) < 0.0, -1.0, 1.0)[..., None]
+    minus, plus = (PolySystem(degrees=f.degrees, coefficients=[
+        a + t * s * b for a, b in zip(f.coefficients, g.coefficients)]) for t in (-1.0, 1.0))
+    ff, gg = weyl_inner(f, f), weyl_inner(g, g)
+    prod = np.asarray(weyl_inner(minus, minus)) * weyl_inner(plus, plus) - (ff - gg) ** 2
+    return _out(np.sqrt(np.maximum(0.0, prod)) / (2.0 * np.sqrt(ff * gg)))
 
 
 def _projected_svd(f: PolySystem, zeta):

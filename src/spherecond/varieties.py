@@ -8,9 +8,9 @@ bidiagonalization and Laguerre's iteration on the qd pivots for n <= 32 and
 n m^2 <= 8192, and LAPACK's SVD beyond), and
 plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points with
 Newton refinement (upper bound on the true distance). The curve oracle finds each
-query's nearest mesh point in cache-sized row blocks against one reused buffer; its
-Newton kernel holds points as three contiguous coordinate columns, and takes f and
-the gradient from one multiply-only power table per step.
+query's nearest mesh point among the candidates of its cube-map cell; its Newton
+kernel holds points as three contiguous coordinate columns, and takes f and the
+gradient from one multiply-only power table per step.
 
 The kinematic check draws one Gaussian sample per block for all its (p, i) cases.
 """
@@ -343,11 +343,11 @@ class DeterminantVariety(Variety):
 # over the exact ones, at 8192 caps around a crossing lost tube hits.
 _MESH_SIZE = 16384
 _NEWTON_STEPS = 2
-# rows per pass of the Newton refinement, which bounds its temporaries for any N,
-# and rows per block of the nearest-point search, whose (rows, mesh) |dot| buffer
-# stays in cache (1.3 MB for the quartic's 1281 mesh points)
+# rows per pass of the Newton refinement (the nearest-point search takes _BLOCK), cells
+# per side of a cube-map face, and |dot|s per matmul (256 kB): these bound temporaries
 _CHUNK_ROWS = 4096
-_NEAREST_ROWS = 128
+_CELLS = 6  # searched as fast as 8 (5 was slower) and built in about half the time
+_DOT_ENTRIES = 1 << 15
 
 
 def _col_dot(a: list, b: list) -> np.ndarray:
@@ -362,6 +362,19 @@ def _col_cross(a: list, b: list) -> list:
     return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
+@functools.cache
+def _cell_geometry() -> tuple:
+    """Centres (unit vectors) and circumradii of the cube-map cells of `CurveVariety`."""
+    w = np.linspace(-1.0, 1.0, _CELLS + 1)
+    face = np.stack(np.broadcast_arrays(1.0, w[:, None], w[None, :]), axis=-1)
+    corners = np.stack([np.roll(face, k, axis=-1) for k in range(3)])  # x_k = 1 on face k
+    corners /= np.linalg.norm(corners, axis=-1, keepdims=True)
+    quad = [corners[:, i:i + _CELLS, j:j + _CELLS] for i in (0, 1) for j in (0, 1)]
+    centres = sum(quad) / np.linalg.norm(sum(quad), axis=-1, keepdims=True)
+    cos_r = np.minimum(np.minimum.reduce([np.sum(centres * q, axis=-1) for q in quad]), 1.0)
+    return centres.reshape(-1, 3), np.arccos(cos_r.ravel())
+
+
 class CurveVariety(Variety):
     """Zero set on S^2 of the homogeneous polynomial `poly` in three variables.
 
@@ -371,16 +384,20 @@ class CurveVariety(Variety):
     tangential sliding and Newton reprojection. The reported distance is an
     upper bound of the true distance.
 
-    The nearest point is the largest |dot| with the mesh, taken _NEAREST_ROWS
-    query rows at a time in one (_NEAREST_ROWS, mesh) buffer; the refinement
-    runs on chunks of _CHUNK_ROWS rows. Rows never interact, so any split of
-    the queries gives the same bits.
+    The nearest point is the first largest |dot| with the mesh, over the candidates
+    of the query's cube-map cell (`_nearest`). A cell is the hull of its corners, and
+    caps of radius <= pi / 2 are convex, so it lies within its circumradius r of its
+    centre c. With d_c the angle from c to its nearest mesh point up to sign, each
+    query in the cell is within r + d_c of a mesh point, so its nearest is within
+    d_c + 2 r of c. The candidates, ascending, are the m_j with |<c, m_j>| >=
+    cos(d_c + 2 r + 1e-6): 1e-6 covers round-off (eps in a |dot| near 1 moves an angle
+    by 2e-8), so every maximum and tie is a candidate. Rows never interact, so any
+    split of the queries gives the same bits.
 
-    The Newton kernel (`_project`, the refinement in `distances` and the mesh
-    build) holds points as three contiguous coordinate columns [x0, x1, x2], not
-    as (N, 3) rows: one power table per step gives f and its gradient
-    (`WeylPolynomial.value_and_gradient`), and dot and cross products run column
-    by column with the operations, in the order, that the row layout used.
+    The Newton kernel (`_project`, the refinement in `distances`, the mesh build)
+    holds points as three coordinate columns, not (N, 3) rows: one power table per
+    step gives f and its gradient (`WeylPolynomial.value_and_gradient`), and dot and
+    cross products keep the operations and order of the row layout.
     """
 
     def __init__(self, monomials, degree: int):
@@ -396,6 +413,7 @@ class CurveVariety(Variety):
         if self._mesh.size == 0:
             raise ValueError("curve has no real points on S^2 at mesh resolution")
         self._mesh_t = np.ascontiguousarray(self._mesh.T)  # also the mesh's columns
+        self._build_cells()
 
     @classmethod
     def from_json(cls, doc) -> "CurveVariety":
@@ -441,21 +459,46 @@ class CurveVariety(Variety):
         on = np.abs(self.poly.value_and_gradient(mesh)[0]) < 1e-9
         return np.stack([xk[on] for xk in mesh], axis=1)
 
+    def _build_cells(self):
+        (centres, radius), size = _cell_geometry(), self._mesh_t.shape[1]
+        step, cand, self._cand_at = max(1, _DOT_ENTRIES // size), [], [0]  # cells per pass
+        for s in range(0, len(centres), step):
+            dots = np.abs(np.matmul(centres[s:s + step], self._mesh_t))
+            reach = np.arccos(np.minimum(dots.max(axis=1), 1.0)) + 2.0 * radius[s:s + step] + 1e-6
+            flat = np.flatnonzero(dots >= np.cos(np.minimum(reach, np.pi))[:, None])
+            ends = np.searchsorted(flat, np.arange(size, dots.size + 1, size))
+            cand.append(flat % size)
+            self._cand_at += (self._cand_at[-1] + ends).tolist()
+        self._cand = np.concatenate(cand).astype(np.int32)
+
+    def _nearest(self, rows: np.ndarray) -> np.ndarray:
+        """The first largest |<x, m_j>| for each row x, one matmul per cell. x and -x share
+        the cell (k _CELLS + i) _CELLS + j: k is the first index of max |x_i|, and i, j are
+        the bins of u = x_{k+1} / x_k and v = x_{k+2} / x_k in _CELLS equal steps of [-1, 1]."""
+        x, a = list(rows.T), np.abs(rows.T)
+        on0, on1 = a[0] >= np.maximum(a[1], a[2]), a[1] >= a[2]
+        xk, u, v = (np.where(on0, x[i], np.where(on1, x[i - 2], x[i - 1])) for i in range(3))
+        i, j = (np.minimum((w / xk + 1.0) * _CELLS / 2, _CELLS - 1).astype(np.int16) for w in (u, v))
+        cell = ((np.where(on0, 0, 2 - on1) * _CELLS + i) * _CELLS + j).astype(np.int16)
+        order = np.argsort(cell, kind="stable")
+        at, ends = self._cand_at, np.searchsorted(cell[order], np.arange(len(self._cand_at)))
+        grouped, idx = rows[order], np.empty(rows.shape[0], dtype=np.int32)
+        for c in np.flatnonzero(np.diff(ends)).tolist():
+            ids = self._cand[at[c]:at[c + 1]]
+            cols, block = np.take(self._mesh_t, ids, axis=1), max(1, _DOT_ENTRIES // ids.size)
+            for s in range(ends[c], ends[c + 1], block):
+                dots = np.abs(np.matmul(grouped[s:min(s + block, ends[c + 1])], cols))
+                idx[order[s:s + dots.shape[0]]] = ids[dots.argmax(axis=1)]
+        return idx
+
     def distances(self, points: np.ndarray) -> np.ndarray:
         out = np.empty(points.shape[0])
-        buf = np.empty((_NEAREST_ROWS, self._mesh_t.shape[1]))
         for start in range(0, points.shape[0], _CHUNK_ROWS):
             chunk = points[start:start + _CHUNK_ROWS]
-            # nearest mesh point up to sign (largest |dot|), one cache-sized block at a time
-            idx = np.empty(chunk.shape[0], dtype=np.intp)
-            for s in range(0, chunk.shape[0], _NEAREST_ROWS):
-                rows = chunk[s:s + _NEAREST_ROWS]
-                dots = buf[:rows.shape[0]]
-                np.matmul(rows, self._mesh_t, out=dots)
-                np.abs(dots, out=dots)
-                np.argmax(dots, axis=1, out=idx[s:s + rows.shape[0]])
+            if start % _BLOCK == 0:  # nearest mesh points for _BLOCK rows, a multiple of the chunk
+                near = self._nearest(points[start:start + _BLOCK])
             z = list(np.ascontiguousarray(chunk.T))
-            best = [col[idx] for col in self._mesh_t]
+            best = [col[near[start % _BLOCK:][:chunk.shape[0]]] for col in self._mesh_t]
             # align hemispheres so the refinement target is the nearer antipode
             flip = _col_dot(best, z) < 0
             for bk in best:

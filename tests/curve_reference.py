@@ -1,5 +1,6 @@
 """The curve oracle's Newton kernel on (N, 3) rows, as it ran before it moved to
-coordinate columns: the reference that `CurveVariety` must match bit for bit.
+coordinate columns, with a plain full scan of the mesh for each row's nearest point:
+the reference that `CurveVariety` must match bit for bit.
 
 f and its gradient are evaluated separately, each from its own power table, and
 dot and cross products are taken over rows.
@@ -10,6 +11,11 @@ import math
 import numpy as np
 
 from spherecond import varieties
+
+# rows per pass of the refinement, and per block of the full scan, whose (rows, mesh)
+# |dot| buffer stays in cache
+CHUNK_ROWS = 4096
+NEAREST_ROWS = 128
 
 
 def row_dot(a, b):
@@ -46,22 +52,28 @@ def build_mesh(poly):
     return mesh[np.abs(poly(mesh)) < 1e-9]
 
 
+def nearest(curve, points):
+    """Index of each row's nearest mesh point up to sign, the first largest |dot|, by a
+    plain scan of the whole mesh."""
+    mesh_t = curve._mesh_t
+    idx = np.empty(points.shape[0], dtype=np.intp)
+    buf = np.empty((NEAREST_ROWS, mesh_t.shape[1]))
+    for s in range(0, points.shape[0], NEAREST_ROWS):
+        rows = points[s:s + NEAREST_ROWS]
+        dots = buf[:rows.shape[0]]
+        np.matmul(rows, mesh_t, out=dots)
+        np.abs(dots, out=dots)
+        np.argmax(dots, axis=1, out=idx[s:s + rows.shape[0]])
+    return idx
+
+
 def distances(curve, points):
     """curve.distances(points) on rows, from the curve's polynomial and mesh."""
-    poly, mesh, mesh_t = curve.poly, curve._mesh, curve._mesh_t
-    chunk_rows, nearest_rows = varieties._CHUNK_ROWS, varieties._NEAREST_ROWS
+    poly, mesh = curve.poly, curve._mesh
     out = np.empty(points.shape[0])
-    buf = np.empty((nearest_rows, mesh_t.shape[1]))
-    for start in range(0, points.shape[0], chunk_rows):
-        chunk = points[start:start + chunk_rows]
-        idx = np.empty(chunk.shape[0], dtype=np.intp)
-        for s in range(0, chunk.shape[0], nearest_rows):
-            rows = chunk[s:s + nearest_rows]
-            dots = buf[:rows.shape[0]]
-            np.matmul(rows, mesh_t, out=dots)
-            np.abs(dots, out=dots)
-            np.argmax(dots, axis=1, out=idx[s:s + rows.shape[0]])
-        best = mesh[idx]
+    for start in range(0, points.shape[0], CHUNK_ROWS):
+        chunk = points[start:start + CHUNK_ROWS]
+        best = mesh[nearest(curve, chunk)]
         flip = row_dot(best, chunk) < 0
         best[flip] *= -1.0
         for _ in range(varieties._NEWTON_STEPS):
@@ -74,5 +86,5 @@ def distances(curve, points):
             best /= np.sqrt(row_dot(best, best))[:, None]
             best = project(poly, best, steps=3)
         cross = np.cross(best, chunk)
-        out[start:start + chunk_rows] = np.sqrt(row_dot(cross, cross))
+        out[start:start + CHUNK_ROWS] = np.sqrt(row_dot(cross, cross))
     return out

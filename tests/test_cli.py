@@ -813,6 +813,13 @@ class TestBatchedCntr:
             products.extend(product)
         assert f"min mu*d_P {min(products):.12g})" in out
 
+    def test_cntr_passes_at_seed_805(self, capsys):
+        # one planted system there has d_P = 8.3e-6, where sqrt(1 - cos^2) lost 1.2e-6 of
+        # mu * d_P to round-off and the row failed its 1 - 1e-6 gate
+        code, out, _ = run(capsys, "verify", "cntr", "--trials", "500", "--seed", "805")
+        assert code == 0 and "FAIL" not in out
+        assert float(re.search(r"min mu\*d_P ([0-9.e+-]+)\)", out).group(1)) >= 1.0 - 1e-12
+
     def test_cntr_checks_each_degree_in_one_batch(self, capsys, monkeypatch):
         seen = []
 

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -487,6 +488,51 @@ class TestMuNorm:
         # f = x1^2 has a double zero at e0
         f = WeylPolynomial(n=1, degree=2, coefficients={(0, 2): 1.0})
         assert mu_norm(PolySystem((f,)), e0(1)) == math.inf
+
+
+def weyl_sine_mpmath(f, g):
+    """sin of the Weyl angle between one system's double coefficients and another's, at
+    50 digits, with the exact weights 1 / multinomial(d; alpha)."""
+    with mpmath.workdps(50):
+        def inner(a, b):
+            return mpmath.fsum(mpmath.mpf(x) * mpmath.mpf(y) / mpmath.mpf(int(round(m)))
+                               for d, ca, cb in zip(f.degrees, a.coefficients, b.coefficients)
+                               for x, y, m in zip(ca, cb, _monomials(f.n, d)[2]))
+
+        return float(mpmath.sqrt(1 - inner(f, g) ** 2 / (inner(f, f) * inner(g, g))))
+
+
+class TestProjectiveDistance:
+    @pytest.mark.parametrize("degrees", [(2,), (3, 1), (2, 2, 3)])
+    def test_planted_angles_match_mpmath(self, degrees):
+        # unit f, and g at a planted angle theta from f (and -g): the sine is relatively
+        # accurate down to theta = 1e-8, where sqrt(1 - cos^2) kept about 1e-16 / theta^2
+        gen = np.random.default_rng(sum(degrees))
+        f, h = ([gen.standard_normal(math.comb(len(degrees) + d, d)) for d in degrees]
+                for _ in range(2))
+        f = PolySystem(degrees=degrees, coefficients=f)
+        f = PolySystem(degrees=degrees, coefficients=[c / weyl_norm(f) for c in f.coefficients])
+        h = PolySystem(degrees=degrees, coefficients=[
+            b - weyl_inner(f, PolySystem(degrees=degrees, coefficients=h)) * a
+            for a, b in zip(f.coefficients, h)])
+        h = PolySystem(degrees=degrees, coefficients=[c / weyl_norm(h) for c in h.coefficients])
+        for theta in np.logspace(-8.0, 0.0, 17):
+            for sign in (1.0, -1.0):
+                g = PolySystem(degrees=degrees, coefficients=[
+                    sign * (math.cos(theta) * a + math.sin(theta) * b)
+                    for a, b in zip(f.coefficients, h.coefficients)])
+                exact = weyl_sine_mpmath(f, g)
+                assert exact == pytest.approx(math.sin(theta), rel=1e-6)
+                assert system_projective_distance(f, g) == pytest.approx(exact, rel=1e-14, abs=0)
+
+    def test_scales_do_not_matter(self):
+        gen = np.random.default_rng(3)
+        f, g = (PolySystem(degrees=(2, 3), coefficients=[
+            gen.standard_normal(6), gen.standard_normal(10)]) for _ in range(2))
+        scaled = [PolySystem(degrees=(2, 3), coefficients=[k * c for c in s.coefficients])
+                  for k, s in ((3.0, f), (0.5, g))]
+        assert system_projective_distance(*scaled) == pytest.approx(
+            weyl_sine_mpmath(f, g), rel=1e-13, abs=0)
 
 
 class TestWitness:

@@ -87,6 +87,33 @@ GREAT_CIRCLE_UNIONS = {
 }
 
 
+def pencil(d):
+    """Re (x0 + i x1)^d = sum over even k of C(d, k) (-1)^(k/2) x0^(d-k) x1^k: the d great
+    circles through the poles +-e_z at the angles (pi / 2 + m pi) / d in the (x0, x1) plane."""
+    return [((d - k, k, 0), math.comb(d, k) * (-1.0) ** (k // 2)) for k in range(0, d + 1, 2)], d
+
+
+def pencil_distances(points, d):
+    """Exact projective distances to the pencil: r |sin w|, with r = |(x0, x1)| and w the
+    angle from (x0, x1) to the nearest zero line."""
+    w = np.mod(np.arctan2(points[:, 1], points[:, 0]) - math.pi / (2 * d), math.pi / d)
+    return np.hypot(points[:, 0], points[:, 1]) * np.sin(np.minimum(w, math.pi / d - w))
+
+
+def cell_boundary_points(gen, count):
+    """Points on the edges and corners of the cube-map cells of the curve oracle, with face
+    ties |x_i| = |x_j| (u or v = +-1) among them, in random signs, and the six poles +-e_i."""
+    steps = np.linspace(-1.0, 1.0, varieties._CELLS + 1)
+    free = gen.uniform(-1.0, 1.0, count)
+    face = [np.stack([np.ones(count), np.full(count, w), free], axis=1) for w in steps]
+    face += [np.stack([np.ones(count), free, np.full(count, w)], axis=1) for w in steps]
+    face.append(np.array([(1.0, a, b) for a in steps for b in steps]))
+    pts = np.vstack([np.roll(np.vstack(face), k, axis=1) for k in range(3)])
+    pts *= np.where(gen.random(pts.shape) < 0.5, -1.0, 1.0)
+    pts = np.vstack([pts, np.eye(3), -np.eye(3)])
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
 def band_volume_mpmath(p, alpha, beta):
     """O_{p-1} int_{alpha-beta}^{alpha+beta} sin^{p-1}, via incomplete beta at 50 digits."""
     with mpmath.workdps(50):
@@ -628,8 +655,8 @@ class TestCurveVariety:
 
     @pytest.mark.parametrize("curve", [CONIC, QUARTIC], ids=["conic", "quartic"])
     def test_rows_do_not_interact_across_blocks(self, curve):
-        # splits that cut the nearest-point blocks (_NEAREST_ROWS) and the Newton
-        # chunks (_CHUNK_ROWS) anywhere give the same bits as one call
+        # splits that cut the nearest-point blocks (_BLOCK), the Newton chunks
+        # (_CHUNK_ROWS) and the cells' row groups anywhere give the same bits as one call
         c = CurveVariety(*curve)
         pts = sample_uniform_sphere(2, RngStream(4), size=20_011)
         whole = c.distances(pts)
@@ -642,16 +669,18 @@ class TestCurveVariety:
 
     def test_distances_memory_is_bounded(self):
         # memory must not scale with rows x mesh points: the nearest-point search
-        # reuses one (_NEAREST_ROWS, mesh) buffer, 1.3 MB for the quartic's mesh
+        # takes one _BLOCK of rows and at most _DOT_ENTRIES |dot|s at a time; 2e5 rows
+        # are the size of the benchmark's quality check
         c = CurveVariety(*QUARTIC)
-        pts = sample_uniform_sphere(2, RngStream(5), size=32768)
-        tracemalloc.start()
-        try:
-            c.distances(pts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16e6
+        for rows in (32768, 200_000):
+            pts = sample_uniform_sphere(2, RngStream(5), size=rows)
+            tracemalloc.start()
+            try:
+                c.distances(pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16e6
 
     def test_quartic_tube_hits_pinned(self):
         cap, eps = Cap(north(2), 1.0), [0.02, 0.05, 0.1]
@@ -715,6 +744,66 @@ class TestCurveVariety:
     def test_bad_exponents_rejected(self):
         with pytest.raises(ValueError):
             CurveVariety([((1, 0, 0), 1.0)], degree=2)
+
+
+CELL_CURVES = [CONIC, QUARTIC, GREAT_CIRCLE_UNIONS["conic-3"][0]] + [pencil(d) for d in range(2, 7)]
+CELL_CURVE_IDS = ["conic", "quartic", "conic-3"] + [f"pencil-{d}" for d in range(2, 7)]
+
+
+class TestCurveCells:
+    """The cell table prunes the nearest-point search without changing its result."""
+
+    @pytest.mark.parametrize("curve", CELL_CURVES, ids=CELL_CURVE_IDS)
+    def test_nearest_matches_full_scan(self, curve):
+        # uniform points, the benchmark's north and crossing caps, cell edges and corners,
+        # face ties and the crossing point +-e_z: the first largest |dot| of the whole mesh
+        c = CurveVariety(*curve)
+        crossing = Cap(SpherePoint(np.array([0.0, 0.0, 1.0])), 0.25)
+        pts = np.vstack([sample_uniform_sphere(2, RngStream(3), size=30_000),
+                         sample_uniform_cap(Cap(north(2), 1.0), RngStream(5, 1), size=8192),
+                         sample_uniform_cap(crossing, RngStream(5, 2), size=8192),
+                         cell_boundary_points(np.random.default_rng(7), 100)])
+        assert np.array_equal(c._nearest(pts), curve_reference.nearest(c, pts))
+        assert c.distances(pts).tobytes() == curve_reference.distances(c, pts).tobytes()
+
+    @pytest.mark.parametrize("curve", CELL_CURVES, ids=CELL_CURVE_IDS)
+    def test_candidates_hold_every_mesh_point_in_reach(self, curve):
+        # for every cell, each mesh point within d_c + 2 r of the centre c is a candidate,
+        # and the candidates ascend; angles by atan2(|c x m|, |c . m|), r over the corners
+        c = CurveVariety(*curve)
+        centres, radius = varieties._cell_geometry()
+        steps = np.linspace(-1.0, 1.0, varieties._CELLS + 1)
+        corners = {}
+        for k in range(3):
+            for i, a in enumerate(steps):
+                for j, b in enumerate(steps):
+                    corners[k, i, j] = np.roll([1.0, a, b], k) / math.sqrt(1.0 + a * a + b * b)
+
+        def angles(x, pts):
+            return np.arctan2(np.linalg.norm(np.cross(x, pts), axis=-1), np.abs(pts @ x))
+
+        cells = varieties._CELLS
+        assert len(c._cand_at) == 3 * cells ** 2 + 1
+        for cell, centre in enumerate(centres):
+            k, i, j = cell // cells ** 2, cell // cells % cells, cell % cells
+            r = max(angles(centre, np.array([corners[k, i + a, j + b]]))[0]
+                    for a in (0, 1) for b in (0, 1))
+            assert radius[cell] >= r - 1e-15
+            to_mesh = angles(centre, c._mesh)
+            cand = c._cand[c._cand_at[cell]:c._cand_at[cell + 1]]
+            assert np.all(np.diff(cand) > 0)
+            assert set(np.flatnonzero(to_mesh <= to_mesh.min() + 2.0 * r)) <= set(cand.tolist())
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_pencil_distances_bound_the_exact_ones(self, d):
+        # Re (x0 + i x1)^d: an upper bound on the exact distance r |sin w|, within 0.02
+        c = CurveVariety(*pencil(d))
+        pole = Cap(SpherePoint(np.array([0.0, 0.0, 1.0])), 0.25)
+        pts = np.vstack([sample_uniform_sphere(2, RngStream(d), size=50_000),
+                         sample_uniform_cap(pole, RngStream(d, 1), size=50_000)])
+        over = c.distances(pts) - pencil_distances(pts, d)
+        assert np.min(over) >= -1e-12
+        assert np.max(over) <= 0.02
 
 
 class TestTubeEstimates:
