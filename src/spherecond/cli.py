@@ -399,8 +399,8 @@ def _verify_eckart_young(args) -> int:
     """Eckart-Young on `--trials` Gaussian matrices, in one batch per n: zeroing the
     smallest singular value moves A by exactly sigma_min, and kappa_F(B) dist(B) = 1
     for B = A / |A|, square, 4 x 3 and 20 x 2. kappa_F reads LAPACK's SVD, so these rows
-    check the Gram-Schmidt distance (n x 2 and n x 3) and the bidiagonal one (square
-    n = 4 and 5) against it. Each row reports its largest deviation."""
+    check the Gram-Schmidt distance (n x 2) and the bidiagonal one (4 x 3 and square
+    n = 3 to 5) against it. Each row reports its largest deviation."""
 
     def product_error(a):
         unit = a / np.linalg.norm(a, axis=(1, 2))[:, None, None]
@@ -471,9 +471,9 @@ def _verify_wilkinson(args) -> int:
 
 def _verify_cntr(args) -> int:
     """mu(f, zeta) d_P(f, g) >= 1 for `--trials` systems f with a planted zero zeta and
-    their witnesses g, one batch per degree: the smallest product, computed once per system
-    by cntr_witness_product after its witness checks, gives the row and its margin. Trial k
-    has degree d = (2, 3, 4)[k % 3] and draws zeta's 2 normals, then d + 1 coefficients;
+    their witnesses g, one batch per degree. The row prints the smallest product, computed
+    once per system by cntr_witness_product after its witness checks, and 1 minus it. Trial
+    k has degree d = (2, 3, 4)[k % 3] and draws zeta's 2 normals, then d + 1 coefficients;
     one standard_normal call draws all trials, the values one call per trial gives."""
     sizes = np.array([(2, 3, 4)[k % 3] + 3 for k in range(args.trials)])
     normals = RngStream(args.seed).generator.standard_normal(int(sizes.sum()))
@@ -483,8 +483,8 @@ def _verify_cntr(args) -> int:
         f, zeta = planted_systems(1, d, normals[starts[k::3, None] + np.arange(d + 3)])
         products.append(cntr_witness_product(f, zeta, multiple_zero_witness(f, zeta)))
     worst = float(np.min(np.concatenate(products)))  # a NaN stays and fails the row
-    return _report([(f"witness products >= 1 ({args.trials} trials, min mu*d_P {worst:.12g})",
-                     worst >= 1.0 - 1e-6)])
+    return _report([(f"witness products >= 1 ({args.trials} trials, 1 - min mu*d_P "
+                     f"{1.0 - worst:.1e}, min mu*d_P {worst:.12g})", worst >= 1.0 - 1e-6)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Variety distance oracles, Monte Carlo tube estimates, and exact checks.
 
 Varieties are symmetric subsets of S^p with an attached projective
-distance evaluator: great subspheres (exact), rank-deficient matrices via the
-smallest singular value (exact: Gram-Schmidt to R, finished by |R| for one column, a
-closed form for two and one-sided Jacobi for three; from four columns on, Householder
-bidiagonalization and Laguerre's iteration on the qd pivots for n <= 32 and
-n m^2 <= 8192, and LAPACK's SVD beyond), and
+distance evaluator: great subspheres (exact), rank-deficient n x m matrices via the
+smallest singular value (exact: Gram-Schmidt for m <= 2; for m >= 3, one bidiagonal
+Laguerre kernel where n <= 32 and n m^2 <= 8192, which ends past s_min^2 only by
+round-off, and LAPACK's SVD beyond), and
 plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points with
 Newton refinement (upper bound on the true distance). The curve oracle finds each
 query's nearest mesh point among the candidates of its cube-map cell; its Newton
@@ -98,70 +97,26 @@ def _dot(x: list, y: list) -> np.ndarray:
     return functools.reduce(np.add, map(np.multiply, x, y))
 
 
-# A row rotates while |<c_i, c_j>| > _JACOBI_TOL |c_i| |c_j|. At tol = eps some rows
-# still rotated after 30 sweeps; at 4 eps no row of 3.2e6 (random and hard families)
-# rotated in more than 5 sweeps, so reaching _JACOBI_SWEEPS means something is wrong.
-_JACOBI_TOL = 4.0 * np.finfo(float).eps
-_JACOBI_SWEEPS = 30
-
-
 def _gram_schmidt_smin(mats: np.ndarray) -> np.ndarray:
-    """Smallest singular values of a stack (N, n, m) of n x m matrices, n >= m, m <= 3.
-
-    Modified Gram-Schmidt, on columns held as lists of length-N component arrays, gives
-    the m x m triangular factor R and is backward stable (Bjorck and Paige 1992); q = 0
-    where r_kk = 0 (E_11). The finish: r_11 for m = 1. For m = 2, r_11 r_22 / s_1 with
+    """Smallest singular values of a stack (N, n, m) of n x m matrices, n >= m, m <= 2:
+    r_11, or r_11 r_22 / s_1, from the triangular factor R that modified Gram-Schmidt
+    gives on columns held as lists of length-N component arrays, in O(n) time and memory
+    per matrix (backward stable, Bjorck and Paige 1992; q = 0 where r_11 = 0, as at E_11).
     2 s_1^2 = alpha + beta + |(alpha - beta, 2 gamma)| for R^T R = [[alpha, gamma],
-    [gamma, beta]]: sums of squares only, so s_1 = s_2 costs no accuracy, where
-    (T - sqrt(T^2 - 4 D)) / 2 loses sqrt(eps). For m = 3, cyclic one-sided Jacobi
-    orthogonalises R's columns (Demmel and Veselic 1992), and s_min is the smallest final
-    column norm. Every rotation recomputes its three dot products: carrying the norms by
-    updates (alpha - t gamma) lost 3.4e-14 on random rows and did not converge in 30
-    sweeps at tiny s_min. A row that passes the test gets t = 0, an exact identity, so
-    its bits do not depend on the rest of the batch; the loop ends after a sweep in which
-    no row rotates."""
+    [gamma, beta]] sums squares only, so s_1 = s_2 costs no accuracy, where
+    (T - sqrt(T^2 - 4 D)) / 2 loses sqrt(eps)."""
     a = [list(col) for col in np.ascontiguousarray(mats.transpose(2, 1, 0))]
-    m, zero = len(a), np.zeros(len(mats))
-    cols = [[zero] * m for _ in range(m)]  # R's columns: cols[j][k] = R_kj
-    for k in range(m):
-        rkk = cols[k][k] = np.sqrt(_dot(a[k], a[k]))
-        if k + 1 == m:
-            break
-        inv = np.divide(1.0, rkk, out=np.zeros_like(zero), where=rkk > 0.0)
-        q = [ai * inv for ai in a[k]]
-        for j in range(k + 1, m):
-            rkj = cols[j][k] = _dot(q, a[j])
-            a[j] = [ai - rkj * qi for ai, qi in zip(a[j], q)]
-    if m == 1:
-        return cols[0][0]
-    if m == 2:
-        (r11, _), (r12, r22) = cols
-        alpha, beta, gamma = r11 * r11, r12 * r12 + r22 * r22, r11 * r12
-        d, g = alpha - beta, 2.0 * gamma  # np.hypot(d, g) took 5x as long, same errors
-        return r11 * r22 / np.sqrt((alpha + beta + np.sqrt(d * d + g * g)) / 2.0)
-    for _ in range(_JACOBI_SWEEPS):
-        moved = False
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            x, y = cols[i], cols[j]
-            alpha, beta, gamma = _dot(x, x), _dot(y, y), _dot(x, y)
-            g2 = gamma * gamma
-            rot = g2 > _JACOBI_TOL ** 2 * (alpha * beta)
-            if not rot.any():
-                continue
-            moved = True
-            # t = tan of the rotation angle, the root of t^2 + (beta - alpha) t / gamma = 1
-            # of smaller modulus; its denominator is 0 only on rows that do not rotate
-            d = beta - alpha
-            den = d + np.copysign(np.sqrt(d * d + 4.0 * g2), d)
-            t = np.divide(2.0 * gamma, den, out=np.zeros_like(d), where=rot)
-            cs = 1.0 / np.sqrt(1.0 + t * t)
-            sn = cs * t
-            cols[i] = [cs * xk - sn * yk for xk, yk in zip(x, y)]
-            cols[j] = [sn * xk + cs * yk for xk, yk in zip(x, y)]
-        if not moved:
-            sq = [_dot(col, col) for col in cols]
-            return np.sqrt(np.minimum(np.minimum(sq[0], sq[1]), sq[2]))
-    raise np.linalg.LinAlgError(f"one-sided Jacobi did not converge in {_JACOBI_SWEEPS} sweeps")
+    r11 = np.sqrt(_dot(a[0], a[0]))
+    if len(a) == 1:
+        return r11
+    inv = np.divide(1.0, r11, out=np.zeros_like(r11), where=r11 > 0.0)
+    q = [ai * inv for ai in a[0]]
+    r12 = _dot(q, a[1])
+    rest = [ai - r12 * qi for ai, qi in zip(a[1], q)]
+    r22 = np.sqrt(_dot(rest, rest))
+    alpha, beta, gamma = r11 * r11, r12 * r12 + r22 * r22, r11 * r12
+    d, g = alpha - beta, 2.0 * gamma  # np.hypot(d, g) took 5x as long, same errors
+    return r11 * r22 / np.sqrt((alpha + beta + np.sqrt(d * d + g * g)) / 2.0)
 
 
 def _components(mats: np.ndarray) -> np.ndarray:
@@ -200,15 +155,63 @@ def _reflect(x: list, ys: list) -> np.ndarray:
 
 # Rows with mu_0 below _MU_FLOOR (s_min below about 1e-45) take LAPACK's SVD: above it
 # a positive pivot is at least about eps mu / 4, so 1 / t^2 and every sum of the
-# recurrence stay below about 1e216. A row whose Laguerre step is still above
-# _LAGUERRE_TOL mu after _LAGUERRE_STEPS steps raises. Rows without a cluster (random,
-# cap samples, tiny or near-rank-1 planted) took at most 8 steps, a near-double pair up
-# to 29. A cluster of k equal smallest roots converges linearly, by a factor
-# 1 - m / (k + sqrt((m - 1)(k m - k^2))) per step: 0.27 for a pair, up to 0.6 at m = 16,
-# where planted clusters took up to 68 steps.
+# recurrence stay below about 1e216. A row open after _LAGUERRE_STEPS passes raises; test
+# rows took up to 8 without a cluster, 30 with one, and 68 with planted 16 x 16 clusters.
 _MU_FLOOR = 2.0 ** -300
 _LAGUERRE_TOL = 2.0 * np.finfo(float).eps
 _LAGUERRE_STEPS = 100
+
+
+def _laguerre(mu: np.ndarray, d2: list, e2: list, de2: list) -> tuple:
+    """At mu: whether every pivot is positive (mu < lambda), Laguerre's step (0 where
+    not), its rounding bound, S_1 and S_2 (garbage where a pivot is <= 0). Round-off
+    k eps S_1^2 in m S_2 - S_1^2 = R^2 / (m - 1) moves the step by (m - 1) k eps
+    (step S_1)^2 / (2 m R); the bound puts 64 eps for (m - 1) k eps / 2, mid-way in the
+    range that measured safe (1 to 3e3 eps), and is inf at R = 0."""
+    m = len(d2)
+    s, s1, s2, S1, S2, below = mu, 1.0, 0.0, 0.0, 0.0, True
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            t = d2[k] - s
+            below = below & (t > 0.0)
+            q = 1.0 / t
+            g = s1 * q
+            S1 = S1 + g
+            S2 = S2 + (s2 * q + g * g)
+            if k + 1 < m:
+                r = de2[k] * q * q
+                s2 = r * (s2 + 2.0 * g * s1)
+                s1 = 1.0 + r * s1
+                s = mu + e2[k] * s * q
+        root = np.sqrt(np.maximum((m - 1) * (m * S2 - S1 * S1), 0.0))
+        step = m / np.where(below, S1 + root, np.inf)
+        err = 64.0 * np.finfo(float).eps * (step * S1) ** 2 / (m * root)
+    return below, step, err, S1, S2
+
+
+def _bracketed_smin(lo: np.ndarray, hi: np.ndarray, d2: list, e2: list, de2: list):
+    """sqrt(mu) for a mu within _LAGUERRE_TOL mu below lambda, on rows with lo < lambda
+    < hi by the pivot signs. Each pass probes mu and moves lo or hi there. A row ends at
+    hi - lo <= _LAGUERRE_TOL mu, or at a probe below lambda with S_1 / S_2 <= that, as
+    lambda - mu <= S_1 / S_2 (each term of S_2 is at most S_1 / (lambda - mu)). The next
+    probe is Laguerre's point, capped at hi and lowered by its rounding bound (at least
+    _LAGUERRE_TOL mu / 2), if that is above lo, else the midpoint."""
+    out, idx = np.empty_like(lo), np.arange(len(lo))
+    mu = 0.5 * (lo + hi)
+    for _ in range(_LAGUERRE_STEPS):
+        below, step, err, S1, S2 = _laguerre(mu, d2, e2, de2)
+        lo, hi = np.where(below, mu, lo), np.where(below, hi, mu)
+        tol = _LAGUERRE_TOL * mu
+        done = ~(hi - lo > tol) | (below & ~(S1 > tol * S2))
+        out[idx[done]] = np.sqrt(lo[done])
+        probe = np.minimum(mu + step, hi) - np.maximum(err, 0.5 * tol)
+        mu = np.where(below & (probe > lo), probe, 0.5 * (lo + hi))
+        keep = ~done
+        idx, mu, lo, hi = idx[keep], mu[keep], lo[keep], hi[keep]
+        if not idx.size:
+            return out
+        d2, e2, de2 = ([x[keep] for x in xs] for xs in (d2, e2, de2))
+    raise np.linalg.LinAlgError(f"Laguerre iteration did not converge in {_LAGUERRE_STEPS} steps")
 
 
 def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
@@ -229,13 +232,15 @@ def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
     r_k = (d_k e_k / t_k)^2, and sums S_1 = sum s'_k / t_k = sum 1 / (lambda_i - mu) and
     S_2 = sum s''_k / t_k + (s'_k / t_k)^2 = sum 1 / (lambda_i - mu)^2: positive terms.
 
-    The start is mu_0 = 1 / |B^-1|_F^2, so mu_0 <= lambda <= m mu_0. Row i of B^-1 has
+    The start is mu_0 = 1 / |B^-1|_F^2, so mu_0 <= lambda <= m mu_0: row i of B^-1 has
     the squared norm c_i = (1 + e_i^2 c_{i+1}) / d_i^2, which cancels nothing. From the
     left of the smallest root, Laguerre's step m / (S_1 + sqrt((m - 1)(m S_2 - S_1^2)))
-    rises monotonically to it, and it is exact for a root of multiplicity m, where
-    Newton's 1 / S_1 needs about 36 m steps. A row stops when its step is at most
-    _LAGUERRE_TOL mu, or when a pivot is not positive (mu has passed lambda by
-    round-off); it then leaves the arrays, so its bits do not depend on the batch."""
+    rises monotonically to it and is exact for a root of multiplicity m. A row stops when
+    its step is at most _LAGUERRE_TOL mu, or at a pivot <= 0, past lambda. There it ends
+    if round-off could not have moved its last step by more than _LAGUERRE_TOL mu; else
+    (m S_2 - S_1^2 cancelled, as on near-full clusters) `_bracketed_smin` finishes it
+    between that step's ends. A finished row leaves the arrays: its bits do not depend
+    on the batch."""
     a = [list(col) for col in _components(mats)]  # a[j][i] = A_ij
     n, m = len(a[0]), len(a)
     d2, e2 = [], []
@@ -260,64 +265,44 @@ def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(mu >= _MU_FLOOR)
     mu, d2, e2 = mu[idx], [x[idx] for x in d2], [x[idx] for x in e2]
     de2 = [d * e for d, e in zip(d2, e2)]
+    lo, lost = mu, np.zeros(len(mu), bool)
     for _ in range(_LAGUERRE_STEPS):
-        if not idx.size:
-            return out
-        s, s1, s2, S1, S2, below = mu, 1.0, 0.0, 0.0, 0.0, True
-        for k in range(m):
-            t = d2[k] - s
-            pos = t > 0.0
-            below = below & pos
-            q = np.divide(1.0, t, out=np.zeros_like(t), where=pos)
-            g = s1 * q
-            S1 = S1 + g
-            S2 = S2 + (s2 * q + g * g)
-            if k + 1 < m:
-                r = de2[k] * q * q
-                s2 = r * (s2 + 2.0 * g * s1)
-                s1 = 1.0 + r * s1
-                s = mu + e2[k] * s * q
-        root = np.sqrt(np.maximum((m - 1) * (m * S2 - S1 * S1), 0.0))
-        step = m / np.where(below, S1 + root, np.inf)
-        mu = mu + step
+        below, step, err, _, _ = _laguerre(mu, d2, e2, de2)
+        prev, mu = mu, mu + step
         done = ~(step > _LAGUERRE_TOL * mu)
         out[idx[done]] = np.sqrt(mu[done])
+        past = lost & ~below
+        if past.any():
+            out[idx[past]] = _bracketed_smin(
+                lo[past], prev[past], *([x[past] for x in xs] for xs in (d2, e2, de2)))
+        lo, lost = prev, err > _LAGUERRE_TOL * mu
         if done.any():
             keep = ~done
-            idx, mu = idx[keep], mu[keep]
+            idx, mu, lo, lost = idx[keep], mu[keep], lo[keep], lost[keep]
             d2, e2, de2 = ([x[keep] for x in xs] for xs in (d2, e2, de2))
-    if idx.size:
-        raise np.linalg.LinAlgError(f"Laguerre's iteration did not converge in {_LAGUERRE_STEPS} steps")
-    return out
+        if not idx.size:
+            return out
+    raise np.linalg.LinAlgError(f"Laguerre iteration did not converge in {_LAGUERRE_STEPS} steps")
 
 
 class DeterminantVariety(Variety):
     """Rank-deficient n x m matrices (n >= m; square if m is None) on S^{nm-1}, cut out
     by the m x m minors; distance is the smallest singular value (Eckart-Young).
 
-    m <= 3: Gram-Schmidt to R, then r_11, a closed form or Jacobi (`_gram_schmidt_smin`):
-    O(n) per matrix, within 4.5e-16 (m = 2, n <= 200) or 1e-15 (m = 3) of a 50-digit SVD
-    on unit matrices, also at near-equal and tiny singular values. 4 x 3 is about 3x
-    faster than LAPACK.
+    m <= 2: Gram-Schmidt to R, then r_11 or a closed form (`_gram_schmidt_smin`): O(n)
+    per matrix, within 4.5e-16 of a 50-digit SVD on unit matrices up to 200 x 2.
 
-    m >= 4, n <= 32 and n m^2 <= 8192: Householder bidiagonalization, then Laguerre's
-    iteration on the qd pivots of B^T B (`_bidiagonal_smin`). Against a 50-digit SVD of
-    unit matrices it erred by at most 4e-16 (500 rows per family at 4 x 4 to 8 x 8, 5 to
-    100 at 16 x 4, 32 x 4, 16 x 16, 20 x 20 and 32 x 16), where LAPACK erred by up to
-    1.7e-15 on a near-double smallest pair. Per 8192-matrix block of cap samples, one
-    BLAS thread, median of 11 interleaved calls, kernel / LAPACK (ms):
+    m >= 3, n <= 32 and n m^2 <= 8192: Householder bidiagonalization, then Laguerre's
+    iteration on the qd pivots of B^T B (`_bidiagonal_smin`), which ends past s_min^2
+    only by round-off. On 10492 unit matrices of the test families (3 x 3 to 16 x 16,
+    near-full clusters of singular values included) it was within 3.3e-16 of a 50-digit
+    SVD, and at most 2.2e-16 above it; LAPACK erred by up to 7.8e-15. Per 8192-matrix
+    block of cap samples on one BLAS thread it took 3.3 ms at 3 x 3 to 150 ms at
+    32 x 16, against LAPACK's 13 and 173.
 
-        4 x 4   10 / 47      5 x 5   14 / 58      8 x 8    26 / 108    16 x 4   18 / 63
-        16 x 16 105 / 202    20 x 20 183 / 275    32 x 4   21 / 39     32 x 16 261 / 294
-
-    Other m >= 4: LAPACK's SVD. The kernel makes about 4 n m^2 passes over length-N
-    arrays, while LAPACK works in cache on one matrix at a time, so the kernel's lead
-    shrinks with the block's size. In every run (two to five per shape; the last one
-    shown) 32 x 24 (556 / 521), 32 x 32 (898 / 755) and 200 x 4 (202 / 119) lost and
-    32 x 20 (422 / 438) was even, while each shape the kernel serves won by 1.12x or more
-    (32 x 16 the least). Tall blocks with 32 < n <= 64 won by as little as 1.06x, and on
-    a loaded host 30 x 8 and 40 x 8 each lost once. (The Jacobi finish, taken to m
-    columns, was 2.4x slower than LAPACK on 8 x 8.)"""
+    Other m >= 3: LAPACK's SVD, which works in cache on one matrix at a time while the
+    kernel makes about 4 n m^2 passes over length-N arrays: 200 x 3 (53 ms, LAPACK 39),
+    200 x 4, 32 x 24 and 32 x 32 lost, 32 x 20 was even."""
 
     def __init__(self, n: int, m: int | None = None):
         m = n if m is None else m
@@ -330,7 +315,7 @@ class DeterminantVariety(Variety):
 
     def distances(self, points: np.ndarray) -> np.ndarray:
         mats = points.reshape(-1, self.n, self.m)
-        if self.m <= 3:
+        if self.m <= 2:
             return _gram_schmidt_smin(mats)
         if self.n <= 32 and self.n * self.m ** 2 <= 8192:
             return _bidiagonal_smin(mats)

@@ -601,7 +601,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "cntr", "--trials", "30")
         assert code == 0
         assert "overall: pass" in out
-        assert "(30 trials, min mu*d_P " in out
+        assert "(30 trials, 1 - min mu*d_P " in out and ", min mu*d_P " in out
 
     @pytest.mark.parametrize("trials", ["1", "2", "4"])
     def test_cntr_with_fewer_trials_than_degrees(self, capsys, trials):
@@ -733,10 +733,11 @@ class TestBatchedSuites:
         for row, shape in zip(out.splitlines()[2:4], ("4 x 3", "20 x 2")):
             margin = float(re.search(shape + r": .*\(max \|kappa dist - 1\| (\S+)\)", row)[1])
             assert code == 0 and row.endswith("pass") and margin <= 1e-8
-        # a distance 1e-7 too large fails both rows
-        kernel = varieties._gram_schmidt_smin
-        monkeypatch.setattr(varieties, "_gram_schmidt_smin",
-                            lambda mats: kernel(mats) * (1.0 + 1e-7))
+        # a distance 1e-7 too large fails both rows: 4 x 3 is the bidiagonal kernel's,
+        # 20 x 2 Gram-Schmidt's
+        for name in ("_bidiagonal_smin", "_gram_schmidt_smin"):
+            kernel = getattr(varieties, name)
+            monkeypatch.setattr(varieties, name, lambda mats, k=kernel: k(mats) * (1.0 + 1e-7))
         code, out, _ = run(capsys, "verify", "eckart-young", "--trials", "400",
                            "--seed", str(seed))
         rows = out.splitlines()
@@ -819,6 +820,20 @@ class TestBatchedCntr:
         code, out, _ = run(capsys, "verify", "cntr", "--trials", "500", "--seed", "805")
         assert code == 0 and "FAIL" not in out
         assert float(re.search(r"min mu\*d_P ([0-9.e+-]+)\)", out).group(1)) >= 1.0 - 1e-12
+
+    def test_cntr_prints_its_margin_to_one(self, capsys, monkeypatch):
+        # every product rounds to 1 in 12 digits; the margin 1 - min is printed beside it
+        products = []
+
+        def recording(f, zeta, g):
+            products.append(product(f, zeta, g))
+            return products[-1]
+
+        product = cli.cntr_witness_product
+        monkeypatch.setattr(cli, "cntr_witness_product", recording)
+        code, out, _ = run(capsys, "verify", "cntr", "--trials", "500", "--seed", "805")
+        worst = float(np.min(np.concatenate(products)))
+        assert code == 0 and f"(500 trials, 1 - min mu*d_P {1.0 - worst:.1e}, " in out
 
     def test_cntr_checks_each_degree_in_one_batch(self, capsys, monkeypatch):
         seen = []

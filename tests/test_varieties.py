@@ -240,15 +240,13 @@ def three_column_families(n, count, gen):
     return families
 
 
-def many_column_families(n, m, count, gen, near_full_cluster=False):
-    """Unit n x m matrices, m >= 4: random ones; random ones whose first column is scaled
+def many_column_families(n, m, count, gen):
+    """Unit n x m matrices, m >= 3: random ones; random ones whose first column is scaled
     by 1e-12 to 1e-2; planted singular values with a tiny s_min (1e-12 to 1e-2), near
     rank 1 (all but one from 1e-12 to 1e-2), a near-double smallest pair (relative gap
-    from 1e-16 to 1e-2) or all equal (orthonormal columns, scaled); and uniform samples
-    of the caps of radius 0.25 and 0.01 around E_11, the `north` centre. With
-    `near_full_cluster`, also m planted values 1, 1 + g_1, (1 + g_1)(1 + g_2), ... with
-    relative gaps g_k from 1e-12 to 1e-8, drawn last so the other families keep their
-    rows; the bidiagonal kernel overshoots on that family, so it is off by default."""
+    from 1e-16 to 1e-2) or all equal (orthonormal columns, scaled); uniform samples of
+    the caps of radius 0.25 and 0.01 around E_11, the `north` centre; and, drawn last,
+    the `near_full_clusters` families."""
     def powers(lo, hi, k=1):
         return 10.0 ** gen.uniform(lo, hi, (count, k))
 
@@ -274,10 +272,28 @@ def many_column_families(n, m, count, gen, near_full_cluster=False):
         stream = RngStream(int(gen.integers(2 ** 31)))
         families[f"cap {sigma}"] = sample_uniform_cap(Cap(north(n * m - 1), sigma), stream,
                                                       size=count)
-    if near_full_cluster:
-        cluster = np.cumprod(np.concatenate([one, 1.0 + powers(-12, -8, m - 1)], axis=1),
-                             axis=1)
-        families["near-full cluster"] = planted_columns(n, cluster, gen)
+    families.update(near_full_clusters(n, m, count, gen))
+    return families
+
+
+def near_full_clusters(n, m, count, gen):
+    """Unit n x m matrices whose m singular values are 1, 1 + g_1, (1 + g_1)(1 + g_2), ...:
+    one family per band of relative gaps g_k (1e-16 to 1e-12, 1e-12 to 1e-8 and 1e-8 to
+    1e-2), and one of an isolated s_min below a tight cluster, with g_1 from 1e-5 to 1e-1
+    and later gaps from 1e-16 to 1e-8; its first row has g_1 = 3.7e-5 and later gaps
+    1.4e-8. A kernel that returns the first mu past lambda errs on these families by up
+    to 5e-13, 3.5e-9, 2.2e-16 and 4e-12, all above the exact value."""
+    def cluster(gaps):
+        values = np.cumprod(np.concatenate([np.ones((count, 1)), 1.0 + gaps], axis=1), axis=1)
+        return planted_columns(n, values, gen)
+
+    families = {f"near-full cluster 1e{lo}..1e{hi}":
+                cluster(10.0 ** gen.uniform(lo, hi, (count, m - 1)))
+                for lo, hi in ((-16, -12), (-12, -8), (-8, -2))}
+    gaps = 10.0 ** np.concatenate([gen.uniform(-5, -1, (count, 1)),
+                                   gen.uniform(-16, -8, (count, m - 2))], axis=1)
+    gaps[0] = [3.7e-5] + [1.4e-8] * (m - 2)
+    families["isolated below a cluster"] = cluster(gaps)
     return families
 
 
@@ -364,7 +380,7 @@ class TestDeterminantVariety:
         pts = sample_uniform_sphere(19, RngStream(3), size=50)
         d = DeterminantVariety(5, 4).distances(pts)
         assert d == pytest.approx(mpmath_smallest_singular_values(pts, 5, 4), rel=0.0, abs=1e-15)
-        # m = 3 is Gram-Schmidt plus Jacobi: within round-off of a 50-digit SVD
+        # m = 3 is the bidiagonal kernel too: within round-off of a 50-digit SVD
         pts = sample_uniform_sphere(11, RngStream(3), size=50)
         d = DeterminantVariety(4, 3).distances(pts)
         assert d == pytest.approx(mpmath_smallest_singular_values(pts, 4, 3), rel=0.0, abs=1e-15)
@@ -430,7 +446,7 @@ class TestDeterminantVariety:
 
     @pytest.mark.parametrize("n", [3, 4, 6])
     def test_three_column_rows_do_not_interact(self, n):
-        # rows converge after different numbers of sweeps; a converged row stays as it is
+        # rows take different numbers of Laguerre passes; a finished row stays as it is
         gen = np.random.default_rng(60 + n)
         check_rows_do_not_interact(
             DeterminantVariety(n, 3),
@@ -450,13 +466,6 @@ class TestDeterminantVariety:
                               env={**os.environ, "PYTHONPATH": SRC_DIR})
         assert int(done.stdout) <= 64 * 1024  # kB
 
-    def test_jacobi_sweep_cap_raises(self, monkeypatch):
-        # random 4 x 3 rows need four sweeps with rotations and one without
-        pts = sample_uniform_sphere(11, RngStream(5), size=200)
-        monkeypatch.setattr(varieties, "_JACOBI_SWEEPS", 2)
-        with pytest.raises(np.linalg.LinAlgError, match="did not converge in 2 sweeps"):
-            DeterminantVariety(4, 3).distances(pts)
-
     @pytest.mark.parametrize("n,m,count", [(4, 4, 40), (5, 4, 40), (5, 5, 40), (8, 8, 40),
                                            (16, 4, 10), (16, 16, 4)])
     def test_many_columns_match_mpmath(self, n, m, count):
@@ -467,21 +476,35 @@ class TestDeterminantVariety:
                          - mpmath_smallest_singular_values(rows, n, m))
             assert np.max(err) <= 1e-15, family
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="on near-full clusters of singular values a "
-                       "Laguerre step overshoots sigma_min^2 and the pivot check accepts it")
-    @pytest.mark.parametrize("n,m", [(4, 4), (5, 5), (8, 8), (8, 4), (32, 4)])
-    def test_near_full_cluster_matches_mpmath(self, n, m):
+    @pytest.mark.parametrize("n,m,count", [(3, 3, 20), (4, 3, 20), (6, 3, 20), (20, 3, 10),
+                                           (4, 4, 20), (5, 5, 20), (8, 8, 10), (8, 4, 20),
+                                           (16, 16, 3), (32, 4, 10)])
+    def test_near_full_cluster_matches_mpmath(self, n, m, count):
+        # a Laguerre step taken where m S_2 - S_1^2 cancelled may pass lambda by about the
+        # cluster's width; the row must then end below lambda, never above it
         gen = np.random.default_rng(1200 + 10 * n + m)
-        rows = many_column_families(n, m, 20, gen, near_full_cluster=True)["near-full cluster"]
-        err = DeterminantVariety(n, m).distances(rows) - mpmath_smallest_singular_values(
-            rows, n, m)
-        assert np.max(np.abs(err)) <= 1e-15
+        for family, rows in near_full_clusters(n, m, count, gen).items():
+            err = DeterminantVariety(n, m).distances(rows) - mpmath_smallest_singular_values(
+                rows, n, m)
+            assert np.max(np.abs(err)) <= 1e-15, family
+            assert np.max(err) <= 1e-15, family
 
-    # the shapes the tests use and the corners of the kernel's range (m >= 4, n <= 32,
+    @pytest.mark.parametrize("n,m", [(4, 3), (5, 5), (8, 8)])
+    def test_cap_samples_never_take_the_bracket(self, monkeypatch, n, m):
+        # their overshoots are round-off, so they keep their bits and pass counts; with
+        # 1e4 eps in place of 64 eps in the rounding bound, some 4 x 3 rows go there
+        def no_bracket(*args):
+            raise AssertionError("bracketed finish on a cap sample")
+
+        monkeypatch.setattr(varieties, "_bracketed_smin", no_bracket)
+        for sigma in (0.25, 0.01, 1.0):
+            pts = sample_uniform_cap(Cap(north(n * m - 1), sigma), RngStream(5, 1), size=8192)
+            DeterminantVariety(n, m).distances(pts)
+
+    # the shapes the tests use and the corners of the kernel's range (m >= 3, n <= 32,
     # n m^2 <= 8192)
-    BIDIAGONAL_SHAPES = [(4, 4), (5, 4), (5, 5), (6, 4), (8, 8), (16, 4), (16, 16), (32, 4),
-                         (32, 16), (20, 20)]
+    BIDIAGONAL_SHAPES = [(3, 3), (4, 3), (32, 3), (4, 4), (5, 4), (5, 5), (6, 4), (8, 8),
+                         (16, 4), (16, 16), (32, 4), (32, 16), (20, 20)]
 
     @pytest.mark.parametrize("n,m", BIDIAGONAL_SHAPES)
     def test_bidiagonal_needs_no_svd(self, monkeypatch, n, m):
@@ -515,9 +538,10 @@ class TestDeterminantVariety:
             assert DeterminantVariety(n, m).distances(rows) == pytest.approx(
                 ref, rel=0.0, abs=1e-15), family
 
-    @pytest.mark.parametrize("n,m", [(200, 4), (32, 24), (32, 32)])
+    @pytest.mark.parametrize("n,m", [(48, 3), (200, 4), (32, 24), (32, 32)])
     def test_slow_kernel_shapes_stay_on_lapack(self, n, m):
-        # tall or large blocks, where the kernel measured slower than LAPACK
+        # outside n <= 32 and n m^2 <= 8192: tall or large blocks, where the kernel measured
+        # slower than LAPACK (at 48 x 3 it was still faster, but one rule serves every m)
         pts = sample_uniform_sphere(n * m - 1, RngStream(5), size=20)
         ref = np.linalg.svd(pts.reshape(-1, n, m), compute_uv=False)[:, -1]
         assert np.array_equal(DeterminantVariety(n, m).distances(pts), ref)
