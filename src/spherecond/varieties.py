@@ -16,6 +16,7 @@ The kinematic check draws one Gaussian sample per block for all its (p, i) cases
 
 from __future__ import annotations
 
+import atexit
 import functools
 import json
 import math
@@ -156,7 +157,7 @@ def _reflect(x: list, ys: list) -> np.ndarray:
 # Rows with mu_0 below _MU_FLOOR (s_min below about 1e-45) take LAPACK's SVD: above it
 # a positive pivot is at least about eps mu / 4, so 1 / t^2 and every sum of the
 # recurrence stay below about 1e216. A row open after _LAGUERRE_STEPS passes raises; test
-# rows took up to 8 without a cluster, 30 with one, and 68 with planted 16 x 16 clusters.
+# rows took up to 8 without a cluster, 23 with one, and 68 with planted 16 x 16 clusters.
 _MU_FLOOR = 2.0 ** -300
 _LAGUERRE_TOL = 2.0 * np.finfo(float).eps
 _LAGUERRE_STEPS = 100
@@ -167,7 +168,9 @@ def _laguerre(mu: np.ndarray, d2: list, e2: list, de2: list) -> tuple:
     not), its rounding bound, S_1 and S_2 (garbage where a pivot is <= 0). Round-off
     k eps S_1^2 in m S_2 - S_1^2 = R^2 / (m - 1) moves the step by (m - 1) k eps
     (step S_1)^2 / (2 m R); the bound puts 64 eps for (m - 1) k eps / 2, mid-way in the
-    range that measured safe (1 to 3e3 eps), and is inf at R = 0."""
+    range that measured safe (1 to 3e3 eps). As R moves by at most sqrt(d R^2), the step
+    moves by at most sqrt(128 eps) step^2 S_1 / m, the bound where R < 8.4e-8 S_1: flat rows
+    (R about 0, a cluster) keep a finite bound, which shrinks with the step."""
     m = len(d2)
     s, s1, s2, S1, S2, below = mu, 1.0, 0.0, 0.0, 0.0, True
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -185,19 +188,22 @@ def _laguerre(mu: np.ndarray, d2: list, e2: list, de2: list) -> tuple:
                 s = mu + e2[k] * s * q
         root = np.sqrt(np.maximum((m - 1) * (m * S2 - S1 * S1), 0.0))
         step = m / np.where(below, S1 + root, np.inf)
-        err = 64.0 * np.finfo(float).eps * (step * S1) ** 2 / (m * root)
+        eps = np.finfo(float).eps
+        err = step * step * S1 / m * np.minimum(64.0 * eps * S1 / root, np.sqrt(128.0 * eps))
     return below, step, err, S1, S2
 
 
-def _bracketed_smin(lo: np.ndarray, hi: np.ndarray, d2: list, e2: list, de2: list):
+def _bracketed_smin(lo: np.ndarray, hi: np.ndarray, mu: np.ndarray, d2: list, e2: list,
+                    de2: list):
     """sqrt(mu) for a mu within _LAGUERRE_TOL mu below lambda, on rows with lo < lambda
-    < hi by the pivot signs. Each pass probes mu and moves lo or hi there. A row ends at
-    hi - lo <= _LAGUERRE_TOL mu, or at a probe below lambda with S_1 / S_2 <= that, as
-    lambda - mu <= S_1 / S_2 (each term of S_2 is at most S_1 / (lambda - mu)). The next
-    probe is Laguerre's point, capped at hi and lowered by its rounding bound (at least
-    _LAGUERRE_TOL mu / 2), if that is above lo, else the midpoint."""
+    < hi by the pivot signs, from mu if that is above lo, else the midpoint. Each pass
+    probes mu and moves lo or hi there. A row ends at hi - lo <= _LAGUERRE_TOL mu, or at
+    a probe below lambda with S_1 / S_2 <= that, as lambda - mu <= S_1 / S_2 (each term
+    of S_2 is at most S_1 / (lambda - mu)). The next probe is Laguerre's point, capped at
+    hi and lowered by its rounding bound (at least _LAGUERRE_TOL mu / 2), if that is above
+    lo, else the midpoint."""
     out, idx = np.empty_like(lo), np.arange(len(lo))
-    mu = 0.5 * (lo + hi)
+    mu = np.where(mu > lo, mu, 0.5 * (lo + hi))
     for _ in range(_LAGUERRE_STEPS):
         below, step, err, S1, S2 = _laguerre(mu, d2, e2, de2)
         lo, hi = np.where(below, mu, lo), np.where(below, hi, mu)
@@ -239,8 +245,8 @@ def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
     its step is at most _LAGUERRE_TOL mu, or at a pivot <= 0, past lambda. There it ends
     if round-off could not have moved its last step by more than _LAGUERRE_TOL mu; else
     (m S_2 - S_1^2 cancelled, as on near-full clusters) `_bracketed_smin` finishes it
-    between that step's ends. A finished row leaves the arrays: its bits do not depend
-    on the batch."""
+    between that step's ends, from its end lowered by that bound. A finished row leaves
+    the arrays: its bits do not depend on the batch."""
     a = [list(col) for col in _components(mats)]  # a[j][i] = A_ij
     n, m = len(a[0]), len(a)
     d2, e2 = [], []
@@ -265,20 +271,20 @@ def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(mu >= _MU_FLOOR)
     mu, d2, e2 = mu[idx], [x[idx] for x in d2], [x[idx] for x in e2]
     de2 = [d * e for d, e in zip(d2, e2)]
-    lo, lost = mu, np.zeros(len(mu), bool)
+    lo, slack = mu, np.zeros(len(mu))
     for _ in range(_LAGUERRE_STEPS):
         below, step, err, _, _ = _laguerre(mu, d2, e2, de2)
         prev, mu = mu, mu + step
         done = ~(step > _LAGUERRE_TOL * mu)
         out[idx[done]] = np.sqrt(mu[done])
-        past = lost & ~below
+        past = (slack > _LAGUERRE_TOL * prev) & ~below
         if past.any():
-            out[idx[past]] = _bracketed_smin(
-                lo[past], prev[past], *([x[past] for x in xs] for xs in (d2, e2, de2)))
-        lo, lost = prev, err > _LAGUERRE_TOL * mu
+            out[idx[past]] = _bracketed_smin(lo[past], prev[past], (prev - slack)[past],
+                                             *([x[past] for x in xs] for xs in (d2, e2, de2)))
+        lo, slack = prev, err
         if done.any():
             keep = ~done
-            idx, mu, lo, lost = idx[keep], mu[keep], lo[keep], lost[keep]
+            idx, mu, lo, slack = idx[keep], mu[keep], lo[keep], slack[keep]
             d2, e2, de2 = ([x[keep] for x in xs] for xs in (d2, e2, de2))
         if not idx.size:
             return out
@@ -508,6 +514,15 @@ class CurveVariety(Variety):
 # Monte Carlo tube/cap ratio
 
 _BLOCK = 8192  # fixed block size keeps results independent of worker count
+_pool = None  # (size, ProcessPoolExecutor) kept for the next run of that size
+
+
+@atexit.register
+def _drop_pool():
+    global _pool
+    if _pool is not None:
+        _pool[1].shutdown()
+        _pool = None
 
 
 def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
@@ -516,20 +531,32 @@ def run_blocks(kernel, args: tuple, samples: int, workers: int = 1) -> list:
     Each kernel returns a fixed-size reduction of its block, and callers fold
     the list in block order: the result does not depend on the worker count,
     nor memory on samples.
+
+    workers > 1 run in one process pool of min(workers, blocks), each sent one contiguous
+    run of blocks. It serves every later run of its size; another size replaces it, a dead
+    worker replaces it and the run goes again (once), and it is shut down at exit. Forked
+    workers run the library as it was when the pool started: patch it only at workers=1.
     """
+    global _pool
     if samples < 1:
         raise ValueError("samples must be >= 1")
     blocks = [(*args, idx, min(_BLOCK, samples - start))
               for idx, start in enumerate(range(0, samples, _BLOCK))]
     workers = min(workers, len(blocks))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial run starts no pool
+    if workers <= 1:
+        return [kernel(b) for b in blocks]
+    from concurrent.futures import ProcessPoolExecutor, process  # a serial run starts no pool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(kernel, blocks))
-    else:
-        parts = [kernel(b) for b in blocks]
-    return parts
+    for retry in (False, True):
+        if _pool is None or _pool[0] != workers:
+            _drop_pool()
+            _pool = (workers, ProcessPoolExecutor(max_workers=workers))
+        try:
+            return list(_pool[1].map(kernel, blocks, chunksize=-(-len(blocks) // workers)))
+        except process.BrokenProcessPool:
+            _drop_pool()
+            if retry:
+                raise
 
 
 def _moments(x: np.ndarray) -> tuple[int, float, float]:

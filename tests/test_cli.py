@@ -1167,3 +1167,76 @@ code = cli.main(["estimate", "tail", "--problem", "matrix-inversion", "--n", "2"
 print(code, len(calls))
 """
         assert _run_probe(probe, str(tmp_path / "patched")).split() == ["0", "3"]
+
+
+def _run_pool_probe(code: str, out: Path) -> tuple:
+    """(last stdout line, stderr) of a fresh interpreter that runs `code` with `out` and
+    this spherecond, and exits."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spherecond.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1], done.stderr
+
+
+_POOL_PROBE_HEAD = """
+import json, multiprocessing, os, signal, sys
+from spherecond import cli
+argv = ["estimate", "tail", "--problem", "matrix-inversion", "--n", "2", "--sigma", "0.5",
+        "--t-grid", "2,10", "--samples", "20000"]
+
+def run(workers, name):
+    code = cli.main([*argv, "--workers", workers, "--out", os.path.join(sys.argv[1], name)])
+    return code, sorted(p.pid for p in multiprocessing.active_children())
+"""
+
+
+class TestProcessPool:
+    def test_pool_lives_until_its_size_changes_or_the_interpreter_exits(self, tmp_path):
+        probe = _POOL_PROBE_HEAD + """
+runs = [run("2", "a"), run("2", "b"), run("3", "c")]
+print(json.dumps(runs + [[p for p in runs[0][1] if os.path.exists(f"/proc/{p}")]]))
+"""
+        line, err = _run_pool_probe(probe, tmp_path)
+        (a, pids_a), (b, pids_b), (c, pids_c), old_alive = json.loads(line)
+        assert a == b == c == 0
+        assert len(pids_a) == 2 and pids_b == pids_a  # the second command reused the pool
+        assert len(pids_c) == 3 and not set(pids_c) & set(pids_a) and old_alive == []
+        # shut down at exit: no worker outlives the interpreter, and nothing is printed
+        assert not [p for p in pids_a + pids_c if Path(f"/proc/{p}").exists()]
+        assert err == ""
+        csvs = [(tmp_path / f"{name}.csv").read_bytes() for name in "abc"]
+        assert csvs[0] == csvs[1] == csvs[2]
+
+    def test_a_pytest_session_that_leaves_a_pool_ends_quietly(self, tmp_path):
+        # left to the garbage collector at interpreter teardown, a live pool printed
+        # "Exception ignored in ... weakref_cb" after such a session; an atexit hook shuts
+        # it down before that
+        (tmp_path / "test_pool.py").write_text("""
+import spherecond
+from spherecond.cli import main
+
+def test_two_workers(tmp_path):
+    assert main(["estimate", "tail", "--problem", "matrix-inversion", "--n", "2",
+                 "--samples", "20000", "--workers", "2", "--out", str(tmp_path / "w2")]) == 0
+""")
+        env = {**os.environ, "PYTHONPATH": str(Path(spherecond.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                               "test_pool.py"], cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stdout
+        assert "Exception ignored" not in done.stdout + done.stderr
+
+    def test_a_killed_worker_does_not_break_the_next_command(self, tmp_path):
+        # the pool notices the death and breaks; the next run starts a fresh pool
+        probe = _POOL_PROBE_HEAD + """
+first = run("2", "a")
+os.kill(first[1][0], signal.SIGKILL)
+print(json.dumps([first, run("2", "b"), run("1", "serial")]))
+"""
+        line, err = _run_pool_probe(probe, tmp_path)
+        (a, pids_a), (b, pids_b), (serial, _) = json.loads(line)
+        assert a == b == serial == 0
+        assert len(pids_b) == 2 and pids_a[0] not in pids_b
+        assert err == ""
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()

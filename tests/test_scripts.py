@@ -16,18 +16,31 @@ def run_script(name, *argv, cwd):
                           env=env, capture_output=True, text=True, timeout=120)
 
 
+TAIL_CSVS = [f"n2_sigma1.0_{center}" for center in ("north", "random")]
+
+
 @pytest.mark.parametrize("name,argv,csvs", [
-    ("run_tail_dominance.py", ["--sizes", "2", "--sigmas", "1.0"],
-     [f"n2_sigma1.0_{center}" for center in ("north", "random")]),
+    ("run_tail_dominance.py", ["--sizes", "2", "--sigmas", "1.0"], TAIL_CSVS),
     ("run_tube_sweep.py", [],
      [f"{label}_sigma{s}" for label in ("det2", "subsphere", "curve") for s in (0.25, 1.0)]),
-], ids=["tail", "tube"])
+    # three blocks per command, on a pool that the sweep keeps from one command to the next
+    ("run_tail_dominance.py", ["--sizes", "2", "--sigmas", "1.0", "--samples", "20000",
+                               "--workers", "2"], TAIL_CSVS),
+], ids=["tail", "tube", "tail-workers"])
 def test_sweep_writes_csvs(tmp_path, name, argv, csvs):
     done = run_script(name, "--outdir", str(tmp_path), "--samples", "2000", *argv, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     for stem in csvs:
         assert (tmp_path / f"{stem}.csv").is_file()
         assert (tmp_path / f"{stem}.manifest.json").is_file()
+    if "--workers" in argv:
+        assert done.stderr == ""
+        serial = tmp_path / "serial"
+        done = run_script(name, "--outdir", str(serial), "--samples", "2000", *argv,
+                          "--workers", "1", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        for stem in csvs:
+            assert (serial / f"{stem}.csv").read_bytes() == (tmp_path / f"{stem}.csv").read_bytes()
 
 
 def test_verification_passes(tmp_path):

@@ -501,6 +501,30 @@ class TestDeterminantVariety:
             pts = sample_uniform_cap(Cap(north(n * m - 1), sigma), RngStream(5, 1), size=8192)
             DeterminantVariety(n, m).distances(pts)
 
+    @pytest.mark.parametrize("n,m", [(3, 3), (4, 3), (32, 3), (4, 4), (16, 4), (32, 4)])
+    def test_equal_singular_values_take_few_bracket_passes(self, monkeypatch, n, m):
+        # m S_2 - S_1^2 cancels to 0 on these rows; the bracket starts from the overshoot
+        # lowered by a bound that stays finite there; bisecting takes up to 29 passes
+        passes, inner, bracket = [], [0], varieties._bracketed_smin
+        laguerre = varieties._laguerre
+
+        def counted_laguerre(*args):
+            inner[0] += 1
+            return laguerre(*args)
+
+        def counted_bracket(*args):
+            inner[0] = 0
+            out = bracket(*args)
+            passes.append(inner[0])
+            return out
+
+        monkeypatch.setattr(varieties, "_laguerre", counted_laguerre)
+        monkeypatch.setattr(varieties, "_bracketed_smin", counted_bracket)
+        rows = planted_columns(n, np.ones((40, m)), np.random.default_rng(1300 + 10 * n + m))
+        d = DeterminantVariety(n, m).distances(rows)
+        assert passes and max(passes) <= (4 if m == 3 else 5)
+        assert np.max(np.abs(d - 1.0 / np.sqrt(m))) <= 1e-15
+
     # the shapes the tests use and the corners of the kernel's range (m >= 3, n <= 32,
     # n m^2 <= 8192)
     BIDIAGONAL_SHAPES = [(3, 3), (4, 3), (32, 3), (4, 4), (5, 4), (5, 5), (6, 4), (8, 8),
@@ -1058,21 +1082,34 @@ def _block_id(args):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, each map's chunk size and each
+    shutdown, and maps in-process."""
 
     sizes: list = []
+    chunks: list = []
+    shut: list = []
 
     def __init__(self, max_workers):
+        self.size = max_workers
         _SerialPool.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
+        _SerialPool.chunks.append(chunksize)
         return map(fn, items)
+
+    def shutdown(self):
+        _SerialPool.shut.append(self.size)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """run_blocks starts _SerialPools, from no cached pool; the cached pool is put back
+    afterwards, so no fake outlives the test."""
+    # run_blocks imports the pool class from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(varieties, "_pool", None)
+    for name in ("sizes", "chunks", "shut"):
+        monkeypatch.setattr(_SerialPool, name, [])
 
 
 class TestRunBlocks:
@@ -1082,14 +1119,24 @@ class TestRunBlocks:
 
     @pytest.mark.parametrize("workers,samples,size", [
         (64, 3 * _BLOCK, 3), (2, 3 * _BLOCK, 2), (64, _BLOCK, None), (2, 1, None),
+        (2, 16 * _BLOCK, 2), (3, 16 * _BLOCK, 3),
     ])
-    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch, workers, samples, size):
-        # run_blocks imports the pool class from concurrent.futures when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
-        monkeypatch.setattr(_SerialPool, "sizes", [])
+    def test_pool_has_no_more_workers_than_blocks(self, serial_pool, workers, samples, size):
         total = run_blocks(_block_id, (), samples, workers)
         assert _SerialPool.sizes == ([] if size is None else [size])
+        # one contiguous run per worker: 3 blocks on 2 go as 2 + 1, 16 on 3 as 6 + 6 + 4
+        blocks = -(-samples // _BLOCK)
+        assert _SerialPool.chunks == ([] if size is None else [-(-blocks // size)])
         assert np.array_equal(total, run_blocks(_block_id, (), samples, 1))
+
+    def test_pool_serves_every_run_of_its_size(self, serial_pool):
+        for samples in (3 * _BLOCK, 5 * _BLOCK, 3 * _BLOCK):
+            run_blocks(_block_id, (), samples, 2)
+        assert _SerialPool.sizes == [2] and _SerialPool.shut == []
+        run_blocks(_block_id, (), 3 * _BLOCK, 3)
+        assert _SerialPool.sizes == [2, 3] and _SerialPool.shut == [2]
+        run_blocks(_block_id, (), 3 * _BLOCK, 1)  # serial: the pool stays
+        assert _SerialPool.shut == [2]
 
     def test_no_samples_is_an_error(self):
         with pytest.raises(ValueError):
