@@ -316,8 +316,8 @@ def _verify_jintegrals(args) -> int:
     alphas = np.linspace(0.1, np.pi / 2, 20)
     eps = np.sin(alphas)
     pk = [(p, k) for p in range(1, 21) for k in range(1, p + 1)]
-    exact = np.array([j_integral(p, k, alphas) for p, k in pk])
     p, k = (np.array(v)[:, None] for v in zip(*pk))
+    exact = j_integral(p, k, alphas)
     quadv = j_integral_quad(p, k, alphas)
     err = np.abs(exact - quadv)
     worst, worst_rel = float(np.max(err)), float(np.max(err / np.abs(quadv)))
@@ -326,8 +326,8 @@ def _verify_jintegrals(args) -> int:
     moment = eps**k / k
     full = (moment - 1e-12 <= exact) & (exact <= half[p - 1] * eps**p + 1e-12)
     ineq_ok = bool(np.all(np.where(k < p, exact <= moment + 1e-12, full)))
-    eq_ok = all(abs(j_integral(q, q, np.pi / 2) - half[q - 1]) <= 1e-12 * half[q - 1]
-                for q in range(1, 21))
+    # the last alpha is pi/2 exactly (np.linspace ends at its stop), and k = p ascends
+    eq_ok = bool(np.all(np.abs(exact[(p == k)[:, 0], -1] - half) <= 1e-12 * half))
     return _report([
         (f"quadrature vs closed form (max abs err {worst:.2e}, "
          f"max rel err {worst_rel:.2e})", worst <= 1e-10),

@@ -70,25 +70,26 @@ def sphere_volume(p: int) -> float:
     return float(np.exp(_log_O(p)))
 
 
-def _check_jpk_args(p: int, k: int):
-    if p < 1 or not 1 <= k <= p:
+def _check_jpk_args(p, k):
+    if not np.all((p >= 1) & (k >= 1) & (k <= p)):
         raise ValueError("need p >= 1 and 1 <= k <= p")
 
 
-def j_integral(p: int, k: int, alpha) -> float | np.ndarray:
+def j_integral(p, k, alpha) -> float | np.ndarray:
     """J_{p,k}(alpha) = int_0^alpha sin^{k-1} cos^{p-k}, in closed form.
 
     Substituting x = sin^2 r gives J_{p,k}(alpha) = 1/2 B(a, b) I_{sin^2 alpha}(a, b)
     with a = k/2, b = (p-k+1)/2 and I the regularized incomplete beta
     function. Where I exceeds 1/2 it is taken as 1 - I_{cos^2 alpha}(b, a),
     so it stays accurate in relative terms near alpha = pi/2, where
-    sin^2 alpha rounds to 1. Accepts scalar or array alpha in [0, pi/2];
-    arrays are evaluated elementwise.
+    sin^2 alpha rounds to 1. p, k and alpha in [0, pi/2] broadcast together and are
+    evaluated elementwise, so a point's bits do not depend on the batch (B(a, b) once
+    per (p, k)); scalar inputs give a float.
     """
-    _check_jpk_args(p, k)
     from scipy.special import betainc, betaln  # slow to import; `bounds` needs neither
 
-    a = np.asarray(alpha, dtype=float)
+    p, k, a = np.asarray(p), np.asarray(k), np.asarray(alpha, dtype=float)
+    _check_jpk_args(p, k)
     if np.any(a < -1e-15) or np.any(a > np.pi / 2 + 1e-12):
         raise ValueError("alpha must lie in [0, pi/2]")
     a = np.clip(a, 0.0, np.pi / 2)
@@ -97,7 +98,7 @@ def j_integral(p: int, k: int, alpha) -> float | np.ndarray:
     rest = betainc(kb, ka, c2)
     ratio = np.where(rest < 0.5, 1.0 - rest, betainc(ka, kb, s2))
     out = 0.5 * np.exp(betaln(ka, kb)) * ratio
-    return float(out) if np.isscalar(alpha) else out
+    return float(out) if out.ndim == 0 else out
 
 
 @functools.cache
@@ -123,8 +124,7 @@ def j_integral_quad(p, k, alpha):
     float.
     """
     p, k, alpha = np.broadcast_arrays(p, k, np.asarray(alpha, dtype=float))
-    if not np.all((p >= 1) & (k >= 1) & (k <= p)):
-        raise ValueError("need p >= 1 and 1 <= k <= p")
+    _check_jpk_args(p, k)
     if not np.all((alpha >= 0.0) & (alpha <= np.pi / 2 + 1e-12)):
         raise ValueError("alpha must lie in [0, pi/2]")
     x, w = _gauss_legendre()

@@ -2,13 +2,14 @@
 
 Counter-based (Philox) streams keyed by (master_seed, stream_index), so
 that parallel workers can partition a sample budget deterministically.
-Cap radii come from one exact rejection sampler for every (p, alpha), whose
-envelope is an exponential tangent to log sin. It draws a variable number
-of uniforms, so a block's points depend on its whole stream: the block
-runner gives each block its own. Cap points are built in tangent coordinates
-at e0, from the radii and p normals, and one Householder reflection carries
-them to any other centre. The draws do not depend on the centre, so one
-stream gives coupled samples at every centre.
+Cap radii come from exact inversions at p = 1 and p = 2 (one uniform per
+radius) and, for p >= 3, from an exact rejection sampler whose envelope is an
+exponential tangent to log sin. That one draws a variable number of uniforms,
+so a block's points depend on its whole stream: the block runner gives each
+block its own. Cap points are built in tangent coordinates at e0, from the
+radii and p normals, and one Householder reflection carries them to any other
+centre. The draws do not depend on the centre, so one stream gives coupled
+samples at every centre.
 """
 
 from __future__ import annotations
@@ -39,18 +40,23 @@ class RngStream:
 def _cap_radii(p: int, alpha: float, gen: np.random.Generator, n: int) -> np.ndarray:
     """n angular radii of uniform points on a cap of angular radius alpha in S^p.
 
-    Exact rejection sampling from the density sin^{p-1} on [0, alpha]. log sin
-    is concave, so for any tangent point r0 in (0, alpha]
+    p = 1 and p = 2 are exact inversions, one uniform per radius: the density is
+    constant at p = 1, and at p = 2 sin^2(rho / 2) is uniform on [0, sin^2(alpha / 2)]
+    (Archimedes), so rho = 2 arcsin(sqrt(U) sin(alpha / 2)), clamped to alpha against
+    rounding. p >= 3: exact rejection sampling from the density sin^{p-1} on
+    [0, alpha]. log sin is concave, so for any tangent point r0 in (0, alpha]
     sin^{p-1} rho <= sin^{p-1} r0 * exp(lam (rho - r0)) with lam = (p-1) cot r0.
     Proposals come from that exponential envelope on [0, alpha] by inversion
     and are accepted with the ratio of the density to the envelope. The
     tangent is cot r0 = max(cot alpha, 1/sqrt(p-1)): alpha itself on small
     caps, one standard deviation below the peak at pi/2 on wide ones. By
-    quadrature over p = 2..399 and sigma = 1e-3..1, at least 0.637 of the
+    quadrature over p = 3..399 and sigma = 1e-3..1, at least 0.637 of the
     proposals are accepted (fewest near p = 8, sigma = 0.935).
     """
     if p == 1:  # constant density, where the envelope degenerates (lam = 0)
         return alpha * gen.random(n)
+    if p == 2:
+        return np.minimum(2.0 * np.arcsin(np.sqrt(gen.random(n)) * np.sin(0.5 * alpha)), alpha)
     r0 = min(alpha, np.arctan(np.sqrt(p - 1)))
     lam = (p - 1) / np.tan(r0)
     span = -np.expm1(-lam * alpha)

@@ -478,7 +478,8 @@ class CurveVariety(Variety):
             ids = self._cand[at[c]:at[c + 1]]
             cols, block = np.take(self._mesh_t, ids, axis=1), max(1, _DOT_ENTRIES // ids.size)
             for s in range(ends[c], ends[c + 1], block):
-                dots = np.abs(np.matmul(grouped[s:min(s + block, ends[c + 1])], cols))
+                dots = np.matmul(grouped[s:min(s + block, ends[c + 1])], cols)
+                np.abs(dots, out=dots)
                 idx[order[s:s + dots.shape[0]]] = ids[dots.argmax(axis=1)]
         return idx
 
@@ -639,10 +640,8 @@ def band_volume(p: int, alpha: float, beta: float) -> float:
 def verify_weyl_tube_bound(p: int, alpha: float, beta: float):
     """Exact band volume vs the curvature-sum tube bound; returns (lhs, rhs, pass)."""
     lhs = band_volume(p, alpha, beta)
-    rhs = 2.0 * sum(
-        j_integral(p, i + 1, beta) * geodesic_sphere_mu(p, alpha, i)
-        for i in range(p)
-    )
+    j = j_integral(p, np.arange(1, p + 1), beta).tolist()  # one call; the sum stays in order
+    rhs = 2.0 * sum(ji * geodesic_sphere_mu(p, alpha, i) for i, ji in enumerate(j))
     return lhs, rhs, bool(lhs <= rhs * (1.0 + 1e-12))
 
 
@@ -706,5 +705,16 @@ def verify_kinematic(cases, alpha: float, samples: int, seed: int, workers: int 
 
 
 def load_curve(path: str) -> CurveVariety:
+    """The curve of the JSON document at `path`, one instance per document per process.
+
+    The file is read and parsed on every call; its canonical text (sorted keys, lists in
+    their order, so the monomial order that sets the sums' bits is part of it) keys a
+    small cache of built curves, so an edited file builds a new one, and a bad document
+    raises on every call. Instances are shared between callers and never mutated."""
     with open(path) as fh:
-        return CurveVariety.from_json(json.load(fh))
+        return _curve(json.dumps(json.load(fh), sort_keys=True))
+
+
+@functools.lru_cache(maxsize=8)
+def _curve(text: str) -> CurveVariety:
+    return CurveVariety.from_json(json.loads(text))

@@ -4,6 +4,7 @@ time, in the order of the former `verify cntr` loop."""
 
 import math
 
+import mpmath
 import numpy as np
 
 from spherecond import RngStream, SpherePoint, WeylPolynomial
@@ -36,13 +37,14 @@ def multinomial(d: int, alpha) -> float:
     return float(math.factorial(d) // math.prod(math.factorial(e) for e in alpha))
 
 
-def inner(polys, others) -> float:
-    """Weyl inner product of two systems, given as lists of WeylPolynomials."""
-    total = 0.0
+def inner(polys, others, num=float):
+    """Weyl inner product of two systems, given as lists of WeylPolynomials, summed in
+    the number type `num` (float, or mpmath.mpf at the working precision)."""
+    total = num(0)
     for f, g in zip(polys, others):
         for alpha, c in f.coefficients.items():
             if alpha in g.coefficients:
-                total += c * g.coefficients[alpha] / multinomial(f.degree, alpha)
+                total += num(c) * num(g.coefficients[alpha]) / multinomial(f.degree, alpha)
     return total
 
 
@@ -91,9 +93,12 @@ def witness(polys, zeta: SpherePoint) -> list:
 
 
 def distance(polys, others) -> float:
-    cosang = inner(polys, others) / (math.sqrt(inner(polys, polys))
-                                     * math.sqrt(inner(others, others)))
-    return float(np.sqrt(max(0.0, 1.0 - min(1.0, abs(cosang)) ** 2)))
+    """sin of the angle between two systems, from 30-digit inner products of their double
+    coefficients: sqrt(1 - cos^2) in doubles loses eps / sin^2 at small angles."""
+    with mpmath.workdps(30):
+        cos2 = inner(polys, others, mpmath.mpf) ** 2 / (
+            inner(polys, polys, mpmath.mpf) * inner(others, others, mpmath.mpf))
+        return float(mpmath.sqrt(max(0, 1 - min(1, cos2))))
 
 
 def verify_cntr(seed: int, trials: int) -> list:

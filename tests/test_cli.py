@@ -423,6 +423,25 @@ class TestEstimateCommand:
             assert code == 0
         assert (tmp_path / "q1.csv").read_bytes() == (tmp_path / "q2.csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_reused_curve_writes_a_fresh_interpreters_csv(self, tmp_path, capsys, workers):
+        # the second command gets the first one's curve from load_curve's cache
+        path = tmp_path / "conic.json"
+        path.write_text(json.dumps(CONIC))
+        argv = ["estimate", "tube", "--variety", f"curve:{path}", "--sigma", "0.5",
+                "--samples", "20000", "--seed", "9", "--workers", workers]
+        assert run(capsys, *argv, "--out", str(tmp_path / "first"))[0] == 0
+        hits = varieties._curve.cache_info().hits
+        assert run(capsys, *argv, "--out", str(tmp_path / "second"))[0] == 0
+        assert varieties._curve.cache_info().hits == hits + 1
+        env = {**os.environ, "PYTHONPATH": str(Path(spherecond.__file__).resolve().parents[1])}
+        subprocess.run([sys.executable, "-m", "spherecond.cli", *argv,
+                        "--out", str(tmp_path / "fresh")],
+                       env=env, capture_output=True, timeout=120, check=True)
+        first, second, fresh = ((tmp_path / f"{name}.csv").read_bytes()
+                                for name in ("first", "second", "fresh"))
+        assert second == fresh == first
+
     @pytest.mark.parametrize("argv", [
         ["logmean", "--problem", "matrix-inversion", "--n", "2", "--samples", "1"],
         ["tube", "--variety", "determinant:2", "--samples", "0"],
@@ -786,7 +805,7 @@ class TestBatchedSuites:
 
 
 class TestBatchedCntr:
-    @pytest.mark.parametrize("seed", [1, 3, 61])
+    @pytest.mark.parametrize("seed", [1, 3, 18, 61, 64])
     def test_cntr_sees_the_reference_systems(self, capsys, monkeypatch, seed):
         # the former one-trial-at-a-time loop draws the same zeros and raw coefficients,
         # bit for bit, and its products mu * d_P agree with the batches'

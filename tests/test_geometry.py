@@ -84,6 +84,29 @@ class TestJIntegral:
         with pytest.raises(ValueError):
             j_integral(3, 2, 2.0)
 
+    @pytest.mark.parametrize("p,k,alpha", [(3, [1, 4], 0.5), ([0, 2], 1, 0.5),
+                                           ([[3], [2]], [1, 3], 0.5), (3, [1, 0], [0.5, 0.6]),
+                                           (3, [1, 2], [0.5, -0.1]), ([3, 4], 1, [0.5, 2.0])])
+    def test_any_bad_point_raises(self, p, k, alpha):
+        with pytest.raises(ValueError):
+            j_integral(p, k, alpha)
+
+    def test_scalar_inputs_give_a_float(self):
+        assert type(j_integral(5, 3, 0.4)) is float
+        assert type(j_integral(np.int64(5), np.int64(3), np.float64(0.4))) is float
+        assert j_integral(np.array([5]), 3, 0.4).shape == (1,)
+
+    def test_broadcast_grid_matches_one_call_per_p_k(self):
+        # the grid of `verify jintegrals` in one call: every point keeps its bits
+        p, k = (np.array(v)[:, None] for v in zip(*SUITE_PK))
+        grid = j_integral(p, k, SUITE_ALPHAS)
+        assert grid.shape == (len(SUITE_PK), len(SUITE_ALPHAS))
+        rows = np.array([j_integral(pi, ki, SUITE_ALPHAS) for pi, ki in SUITE_PK])
+        assert grid.tobytes() == rows.tobytes()
+        # and the sum of `verify_weyl_tube_bound`: one call over k at a scalar alpha
+        assert j_integral(6, np.arange(1, 7), 0.3).tolist() == [
+            j_integral(6, i, 0.3) for i in range(1, 7)]
+
 
 # Independent reference: 1/2 B_x(k/2, (p-k+1)/2) at x = sin^2 alpha, evaluated by
 # mpmath at 40 digits. 30 digits are not enough next to alpha = pi/2, where

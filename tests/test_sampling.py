@@ -154,9 +154,10 @@ class TestCapSampling:
 
     # (3, 1.0) and (399, 1.0) put the tangent below the cap's edge; (8, 0.935),
     # the lowest acceptance rate, and (63, 0.99) keep it at the edge just short
-    # of the switch; at p = 399, sigma = 1e-3, I_x0 underflows
+    # of the switch; at p = 399, sigma = 1e-3, I_x0 underflows; p = 2 is the inversion
     @pytest.mark.parametrize("p, sigma", [(5, 0.9), (24, 0.25), (63, 0.5), (3, 1.0), (8, 0.935),
-                                          (63, 0.99), (399, 1.0), (399, 1e-3)])
+                                          (63, 0.99), (399, 1.0), (399, 1e-3), (2, 1.0),
+                                          (2, 0.5), (2, 0.01), (2, 1e-3)])
     def test_rejection_sampler_law(self, p, sigma):
         alpha = math.asin(sigma)
         rho = _cap_radii(p, alpha, RngStream(14).generator, 20_000)
@@ -169,7 +170,7 @@ class TestCapSampling:
     @pytest.mark.parametrize("sigma", [1.0, 0.935, 0.5, 0.01])
     def test_rejection_sampler_efficiency(self, p, sigma):
         # two uniforms per proposal; an envelope anchored at alpha on a wide cap
-        # needs about 10 proposals per radius at p = 63
+        # needs about 10 proposals per radius at p = 63; p = 2 inverts one uniform
         class Counting:
             def __init__(self, gen):
                 self.gen, self.draws = gen, 0
@@ -181,7 +182,25 @@ class TestCapSampling:
         gen, n = Counting(RngStream(17).generator), 20_000
         rho = _cap_radii(p, math.asin(sigma), gen, n)
         assert rho.shape == (n,)
-        assert gen.draws / 2 <= 1.7 * n
+        if p == 2:
+            assert gen.draws == n
+        else:
+            assert gen.draws / 2 <= 1.7 * n
+
+    @pytest.mark.parametrize("alpha", [math.pi / 2, 1.0, 0.3, 1e-3, 1e-200])
+    def test_inversion_stays_in_the_cap(self, alpha):
+        # at U = 1, 2 arcsin(sin(alpha / 2)) rounds above alpha for about one alpha in
+        # 15; the clamp keeps every radius in [0, alpha], at the largest uniforms too
+        class Edges:
+            def random(self, size):
+                u = [0.0, 0.25, np.nextafter(1.0, 0.0), 1.0]
+                return np.resize(u, size)
+
+        alphas = np.append(np.linspace(alpha / 2, alpha, 1001), alpha)
+        for a in alphas.tolist():
+            rho = _cap_radii(2, a, Edges(), 4)
+            assert np.all((rho >= 0.0) & (rho <= a))
+            assert rho[0] == 0.0 and rho[-1] == pytest.approx(a, rel=1e-15)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 63, 399])
     @pytest.mark.parametrize("alpha", [math.pi / 2, 1e-200])

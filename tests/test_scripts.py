@@ -41,6 +41,20 @@ def test_sweep_writes_csvs(tmp_path, name, argv, csvs):
         assert done.returncode == 0, done.stderr
         for stem in csvs:
             assert (serial / f"{stem}.csv").read_bytes() == (tmp_path / f"{stem}.csv").read_bytes()
+    if name == "run_tube_sweep.py":
+        # the sweep loads its curve once and reuses it for the second sigma; each CSV must
+        # be the one a fresh interpreter writes
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        (tmp_path / "fresh").mkdir()
+        for sigma in ("0.25", "1.0"):
+            stem = f"curve_sigma{sigma}"
+            subprocess.run([sys.executable, "-m", "spherecond.cli", "estimate", "tube",
+                            "--variety", f"curve:{tmp_path / 'sample_curve.json'}",
+                            "--sigma", sigma, "--samples", "2000", "--seed", "0",
+                            "--workers", "1", "--out", str(tmp_path / "fresh" / stem)],
+                           cwd=tmp_path, env=env, capture_output=True, timeout=120, check=True)
+            fresh = (tmp_path / "fresh" / f"{stem}.csv").read_bytes()
+            assert fresh == (tmp_path / f"{stem}.csv").read_bytes()
 
 
 def test_verification_passes(tmp_path):

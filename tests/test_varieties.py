@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import math
 import os
 import subprocess
@@ -736,8 +737,8 @@ class TestCurveVariety:
         exact = tube_cap_counts(GreatCircles(GREAT_CIRCLE_UNIONS["quartic"][1]), cap, eps,
                                 samples=20_000, seed=11)
         # the oracle over-estimates distances, so it can only miss hits; on these
-        # samples it misses none
-        assert counts.tolist() == exact.tolist() == [1590, 3772, 7201]
+        # samples (p = 2 radii by inversion) it misses none
+        assert counts.tolist() == exact.tolist() == [1598, 3841, 7271]
 
     def test_mesh_build_is_batched(self, monkeypatch):
         # one power table, serving f and the gradient, for the lattice, one per Newton
@@ -792,6 +793,72 @@ class TestCurveVariety:
     def test_bad_exponents_rejected(self):
         with pytest.raises(ValueError):
             CurveVariety([((1, 0, 0), 1.0)], degree=2)
+
+
+def curve_doc(curve):
+    monomials, degree = curve
+    return {"p": 2, "degree": degree,
+            "monomials": [{"alpha": list(a), "coeff": c} for a, c in monomials]}
+
+
+class TestLoadCurve:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The curves whose mesh was built, from an empty cache of loaded curves."""
+        built, build = [], CurveVariety._build_mesh
+
+        def counting(curve):
+            built.append(curve)
+            return build(curve)
+
+        monkeypatch.setattr(CurveVariety, "_build_mesh", counting)
+        varieties._curve.cache_clear()
+        yield built
+        varieties._curve.cache_clear()
+
+    @staticmethod
+    def write(path, doc, **kwargs) -> str:
+        path.write_text(json.dumps(doc, **kwargs))
+        return str(path)
+
+    def test_one_build_per_document(self, tmp_path, builds):
+        # another path, other whitespace and another key order: the same document
+        doc = curve_doc(QUARTIC)
+        a = self.write(tmp_path / "a.json", doc)
+        b = self.write(tmp_path / "b.json", dict(reversed(doc.items())), indent=2)
+        curve = varieties.load_curve(a)
+        assert varieties.load_curve(b) is curve and varieties.load_curve(a) is curve
+        assert builds == [curve]
+        assert curve._mesh.tobytes() == CurveVariety(*QUARTIC)._mesh.tobytes()
+
+    def test_edited_file_builds_again(self, tmp_path, builds):
+        path = self.write(tmp_path / "curve.json", curve_doc(CONIC))
+        conic = varieties.load_curve(path)
+        self.write(tmp_path / "curve.json", curve_doc(QUARTIC))
+        quartic = varieties.load_curve(path)
+        assert quartic is not conic and quartic.degree == 4
+        self.write(tmp_path / "curve.json", curve_doc(CONIC))
+        assert varieties.load_curve(path) is conic
+        assert builds == [conic, quartic]
+
+    def test_monomial_order_is_part_of_the_key(self, tmp_path, builds):
+        # the order sets the order of the polynomial's sums, and so their bits
+        doc = curve_doc(QUARTIC)
+        flipped = {**doc, "monomials": doc["monomials"][::-1]}
+        curve = varieties.load_curve(self.write(tmp_path / "a.json", doc))
+        other = varieties.load_curve(self.write(tmp_path / "b.json", flipped))
+        assert other is not curve and builds == [curve, other]
+
+    @pytest.mark.parametrize("doc,builds_per_call", [
+        ({"p": 2, "degree": 2}, 0),
+        (curve_doc(([((2, 0, 0), 1.0), ((0, 2, 0), 1.0), ((0, 0, 2), 1.0)], 2)), 1),
+    ], ids=["no-monomials", "no-real-points"])
+    def test_bad_document_raises_every_time(self, tmp_path, builds, doc, builds_per_call):
+        path = self.write(tmp_path / "bad.json", doc)
+        for calls in (1, 2):
+            with pytest.raises(ValueError):
+                varieties.load_curve(path)
+            assert len(builds) == calls * builds_per_call
 
 
 CELL_CURVES = [CONIC, QUARTIC, GREAT_CIRCLE_UNIONS["conic-3"][0]] + [pencil(d) for d in range(2, 7)]
