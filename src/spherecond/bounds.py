@@ -152,17 +152,15 @@ class ProblemDescriptor:
     dimension and degree: moore-penrose takes (l, m), polysys its degrees, the
     other kinds n. A size of another kind is an error.
 
-    Immutable, compared and hashed by its fields. A plain class, not a frozen
-    dataclass: importing `dataclasses` (and `inspect`) was most of this module's
-    share of a cold `spherecond bounds`.
+    A plain slotted class, checked when built. Not a dataclass: importing `dataclasses`
+    (and `inspect`) was most of this module's share of a cold `spherecond bounds`.
     """
 
     __slots__ = ("kind", "n", "l", "m", "degrees")
 
     def __init__(self, kind: str, n: int | None = None, l: int | None = None,
                  m: int | None = None, degrees: tuple[int, ...] | None = None):
-        for name, value in zip(self.__slots__, (kind, n, l, m, degrees)):
-            object.__setattr__(self, name, value)
+        self.kind, self.n, self.l, self.m, self.degrees = kind, n, l, m, degrees
         # the fields are the CLI's flags, so each message names the flag to fix
         if self.kind not in PROBLEM_KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
@@ -179,30 +177,6 @@ class ProblemDescriptor:
                 raise ValueError("polysys needs --degrees, each >= 1")
         elif self.n is None or self.n < 2:
             raise ValueError(f"{self.kind} needs --n >= 2")
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):  # unpickling must not go through __setattr__
-        return type(self), self._fields()
 
     def ambient_dim_and_degree(self) -> tuple[int, int]:
         """(p, d) of the sphere and defining-polynomial degree for tail bounds."""

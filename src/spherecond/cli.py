@@ -92,12 +92,10 @@ def _fmt6(x: float) -> str:
     return f"{x:#.6g}"
 
 
-def _fmt17(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
+def _fmt17(x: float | bool) -> str:  # every CSV cell is a Python float or bool
+    if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.17g}"
+    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +153,19 @@ def cmd_bounds(args) -> int:
 # estimate
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str, flag: str) -> list[float]:
     """Comma list of values, or 'log:lo:hi:count' for log spacing; never empty, since
     "every row dominated" would then hold with no row checked."""
-    if spec.startswith("log:"):
-        _, lo, hi, count = spec.split(":")
-        grid = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
-    else:
-        grid = [float(v) for v in spec.split(",")]
+    try:
+        if spec.startswith("log:"):
+            _, lo, hi, count = spec.split(":")
+            grid = [float(v) for v in np.geomspace(float(lo), float(hi), int(count))]
+        else:
+            grid = [float(v) for v in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} takes v1,v2,... or log:lo:hi:count, got {spec!r}") from None
     if not grid:
-        raise ValueError(f"grid {spec!r} has no points")
+        raise ValueError(f"{flag} {spec!r} has no points")
     return grid
 
 
@@ -187,6 +188,7 @@ def _resolve_center(spec: str, p: int, seed: int) -> SpherePoint:
     return SpherePoint.from_vector(v)
 
 
+_VARIETY_FORMS = "subsphere:p,m | determinant:n | curve:file.json"
 # estimate --problem: each kind's ill-posed set; a unit matrix has C = 1/sigma_min = 1/dist
 PROBLEM_VARIETIES = {
     "matrix-inversion": lambda problem: DeterminantVariety(problem.n),
@@ -196,14 +198,15 @@ PROBLEM_VARIETIES = {
 
 def _resolve_variety(spec: str):
     kind, _, rest = spec.partition(":")
-    if kind == "subsphere":
-        p, m = (int(v) for v in rest.split(","))
-        return SubsphereVariety(p, m)
-    if kind == "determinant":
-        return DeterminantVariety(int(rest))
     if kind == "curve":
         return load_curve(rest)
-    raise ValueError(f"unknown variety spec {spec!r}")
+    sizes = rest.split(",")
+    if all(map(str.isdecimal, sizes)):  # the strings int() reads, but for signs and spaces
+        if kind == "subsphere" and len(sizes) == 2:
+            return SubsphereVariety(*map(int, sizes))
+        if kind == "determinant" and len(sizes) == 1:
+            return DeterminantVariety(int(rest))
+    raise ValueError(f"--variety takes {_VARIETY_FORMS}, got {spec!r}")
 
 
 def _write_outputs(args, header: list[str], rows: list[list], params: dict,
@@ -250,14 +253,14 @@ def cmd_estimate(args) -> int:
         # each branch evaluates its bounds before sampling, so a bad grid fails at once
         if args.which == "tube":
             variety = _resolve_variety(args.variety)
-            grid = eps_grid = _parse_grid(args.eps_grid)
+            grid = eps_grid = _parse_grid(args.eps_grid, "--eps-grid")
             bounds = [tube_ratio_bound(variety.p, variety.degree, args.sigma, eps)
                       for eps in grid]
             header = ["eps", "empirical_ratio", *columns]
         else:
             variety = PROBLEM_VARIETIES[args.problem](problem)
             if args.which == "tail":
-                grid = _parse_grid(args.t_grid)
+                grid = _parse_grid(args.t_grid, "--t-grid")
                 eps_grid = [1.0 / t for t in grid]  # P{C >= t} is the tube ratio at eps = 1/t
                 bounds = [tail_bound(variety.p, variety.degree, args.sigma, t) for t in grid]
                 header = ["t", "empirical", *columns]
@@ -536,8 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     for which in ("tail", "logmean", "tube"):
         pe = estimate.add_parser(which)
         if which == "tube":
-            pe.add_argument("--variety", required=True,
-                            help="subsphere:p,m | determinant:n | curve:file.json")
+            pe.add_argument("--variety", required=True, help=_VARIETY_FORMS)
             pe.add_argument("--eps-grid", default="0.05,0.1,0.2,0.3,0.5,0.8")
         else:
             pe.add_argument("--problem", required=True, choices=list(PROBLEM_VARIETIES))

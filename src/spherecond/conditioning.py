@@ -133,20 +133,10 @@ class WeylPolynomial:
                 clean[alpha] = float(c)
         object.__setattr__(self, "coefficients", clean)
 
-    def _powers(self, x):
-        """The power table of `_table` for one point (n+1,), as Python floats, or for rows
-        (N, n+1), as contiguous columns; and the zero that sums start from."""
-        x = np.asarray(x, dtype=float)
-        if x.shape == (self.n + 1,):
-            return self._table(x.tolist()), 0.0
-        if x.ndim == 2 and x.shape[1] == self.n + 1:
-            return self._table(list(np.ascontiguousarray(x.T))), np.zeros(x.shape[0])
-        raise ValueError(f"expected shape ({self.n + 1},) or (N, {self.n + 1}), got {x.shape}")
-
     def _table(self, cols) -> list:
-        """Power table [1, xi, xi*xi, ...] up to `degree` for each coordinate xi. Powers
-        are built by repeated multiplication only, so one point and a row of a batch go
-        through the same correctly rounded operations."""
+        """Power table [1, xi, xi*xi, ...] up to `degree` for each coordinate column xi.
+        Powers are built by repeated multiplication only, so a point's bits do not depend
+        on the batch it is evaluated in."""
         table = []
         for xi in cols:
             row = [1.0, xi]
@@ -156,7 +146,6 @@ class WeylPolynomial:
         return table
 
     def _value(self, table, total):
-        # terms are summed in coefficient order as ((c x0^a0) x1^a1) ...
         for alpha, c in self.coefficients.items():
             term = c
             for row, e in zip(table, alpha):
@@ -179,21 +168,13 @@ class WeylPolynomial:
                 g[i] = g[i] + term
         return g
 
-    def __call__(self, x: np.ndarray):
-        """f at one point (a float) or at each row of an (N, n+1) array; terms are summed
-        in coefficient order as ((c x0^a0) x1^a1) ...."""
-        return self._value(*self._powers(x))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient at one point, shape (n+1,), or at each row, shape (N, n+1)."""
-        table, zero = self._powers(x)
-        g = self._gradient(table, zero)
-        return np.array(g) if isinstance(zero, float) else np.stack(g, axis=1)
-
     def value_and_gradient(self, cols) -> tuple:
         """(f, [df/dx_0, ..., df/dx_n]) at N points given by their n+1 coordinate columns,
-        each an array of length N, from one power table: the bits of `__call__` and
-        `gradient` on the rows those columns stack to."""
+        each an array of length N, from one power table. The only evaluator: terms are
+        summed in coefficient order as ((c x0^a0) x1^a1) ..., every operation elementwise,
+        so a point gets the same bits alone (a length-1 column) and in any batch."""
+        if len(cols) != self.n + 1:
+            raise ValueError(f"expected {self.n + 1} coordinate columns, got {len(cols)}")
         table, zero = self._table(cols), np.zeros(len(cols[0]))
         return self._value(table, zero), self._gradient(table, zero)
 

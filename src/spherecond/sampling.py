@@ -31,9 +31,7 @@ class RngStream:
     def __init__(self, master_seed: int, stream_index: int = 0):
         if master_seed < 0 or stream_index < 0:
             raise ValueError("master_seed and stream_index must be nonnegative")
-        self.master_seed = int(master_seed)
-        self.stream_index = int(stream_index)
-        seq = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_index,))
+        seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(stream_index),))
         self.generator = np.random.Generator(np.random.Philox(seq))
 
 

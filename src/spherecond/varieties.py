@@ -94,7 +94,9 @@ class SubsphereVariety(Variety):
 
 
 def _dot(x: list, y: list) -> np.ndarray:
-    """Row-wise dot product of two lists of component arrays, summed left to right."""
+    """Row-wise dot product of two lists of component arrays, summed left to right: on
+    three coordinate columns (x0 y0 + x1 y1) + x2 y2, the bits of np.sum(x * y, axis=1)
+    on the (N, 3) rows."""
     return functools.reduce(np.add, map(np.multiply, x, y))
 
 
@@ -334,17 +336,10 @@ class DeterminantVariety(Variety):
 # over the exact ones, at 8192 caps around a crossing lost tube hits.
 _MESH_SIZE = 16384
 _NEWTON_STEPS = 2
-# rows per pass of the Newton refinement (the nearest-point search takes _BLOCK), cells
-# per side of a cube-map face, and |dot|s per matmul (256 kB): these bound temporaries
-_CHUNK_ROWS = 4096
+# cells per side of a cube-map face, and |dot|s per matmul (256 kB); `distances` takes
+# _BLOCK rows at a time: these bound temporaries
 _CELLS = 6  # searched as fast as 8 (5 was slower) and built in about half the time
 _DOT_ENTRIES = 1 << 15
-
-
-def _col_dot(a: list, b: list) -> np.ndarray:
-    """Row-wise dot products of points held as three coordinate columns:
-    (a0 b0 + a1 b1) + a2 b2, the bits of np.sum(a * b, axis=1) on the (N, 3) rows."""
-    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 def _col_cross(a: list, b: list) -> list:
@@ -399,7 +394,11 @@ class CurveVariety(Variety):
         for alpha, c in monomials:  # repeated exponent triples add up
             alpha = tuple(int(e) for e in alpha)
             coefficients[alpha] = coefficients.get(alpha, 0.0) + float(c)
+        if not all(map(math.isfinite, coefficients.values())):
+            raise ValueError("curve coefficients must be finite")
         self.poly = WeylPolynomial(n=2, degree=self.degree, coefficients=coefficients)
+        if not self.poly.coefficients:  # its "mesh" would be the whole lattice
+            raise ValueError("curve polynomial is zero")
         self._mesh = self._build_mesh()
         if self._mesh.size == 0:
             raise ValueError("curve has no real points on S^2 at mesh resolution")
@@ -415,22 +414,27 @@ class CurveVariety(Variety):
             degree = doc["degree"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"curve JSON needs degree, monomials, alpha, coeff: {exc!r}") from None
+        # int() and float() would read 2.7 as 2, true as 1 and "1" as 1.0
+        if type(degree) is not int or any(type(a) is not list or type(c) not in (int, float)
+                                          or any(type(e) is not int for e in a) for a, c in monos):
+            raise ValueError("curve JSON needs an integer degree, and per monomial integer "
+                             "alpha exponents and a number coeff")
         return cls(monos, degree=degree)
 
     def _tangential_grad(self, x: list) -> tuple:
         """f and the surface gradient g - <g, x> x at the points with columns x."""
         f, g = self.poly.value_and_gradient(x)
-        dot = _col_dot(g, x)
+        dot = _dot(g, x)
         return f, [gk - xk * dot for gk, xk in zip(g, x)]
 
     def _project(self, x: list, steps: int) -> list:
         """Newton steps moving points onto the curve along the surface gradient."""
         for _ in range(steps):
             f, g = self._tangential_grad(x)
-            gn = _col_dot(g, g)
+            gn = _dot(g, g)
             s = f / np.where(gn < 1e-30, 1.0, gn)
             x = [xk - s * gk for xk, gk in zip(x, g)]
-            norm = np.sqrt(_col_dot(x, x))
+            norm = np.sqrt(_dot(x, x))
             x = [xk / norm for xk in x]
         return x
 
@@ -444,7 +448,7 @@ class CurveVariety(Variety):
         r = np.sqrt(1.0 - z * z)
         lattice = [r * np.cos(phi), r * np.sin(phi), z]
         f, grad = self._tangential_grad(lattice)
-        slope = np.sqrt(_col_dot(grad, grad))
+        slope = np.sqrt(_dot(grad, grad))
         near = np.abs(f) <= math.sqrt(2.0 * math.pi / _MESH_SIZE) * slope
         mesh = self._project([xk[near] for xk in lattice], steps=16)
         on = np.abs(self.poly.value_and_gradient(mesh)[0]) < 1e-9
@@ -484,30 +488,31 @@ class CurveVariety(Variety):
         return idx
 
     def distances(self, points: np.ndarray) -> np.ndarray:
+        """Upper bounds on the distances from the rows of `points` (N, 3) to the curve.
+        _BLOCK rows at a time, the nearest-point search and then the Newton refinement;
+        every operation is per row, so any split of the rows gives the same bits."""
         out = np.empty(points.shape[0])
-        for start in range(0, points.shape[0], _CHUNK_ROWS):
-            chunk = points[start:start + _CHUNK_ROWS]
-            if start % _BLOCK == 0:  # nearest mesh points for _BLOCK rows, a multiple of the chunk
-                near = self._nearest(points[start:start + _BLOCK])
-            z = list(np.ascontiguousarray(chunk.T))
-            best = [col[near[start % _BLOCK:][:chunk.shape[0]]] for col in self._mesh_t]
+        for start in range(0, points.shape[0], _BLOCK):
+            block = points[start:start + _BLOCK]
+            z = list(np.ascontiguousarray(block.T))
+            best = list(self._mesh_t[:, self._nearest(block)])  # three fresh columns
             # align hemispheres so the refinement target is the nearer antipode
-            flip = _col_dot(best, z) < 0
+            flip = _dot(best, z) < 0
             for bk in best:
                 bk[flip] *= -1.0
             for _ in range(_NEWTON_STEPS):
                 # slide along the curve tangent toward the query point
                 _, g = self._tangential_grad(best)
-                gn = np.sqrt(_col_dot(g, g))
+                gn = np.sqrt(_dot(g, g))
                 gn = np.where(gn < 1e-30, 1.0, gn)
                 t = _col_cross(best, [gk / gn for gk in g])
-                step = _col_dot([zk - bk for zk, bk in zip(z, best)], t)
+                step = _dot([zk - bk for zk, bk in zip(z, best)], t)
                 best = [bk + step * tk for bk, tk in zip(best, t)]
-                norm = np.sqrt(_col_dot(best, best))
+                norm = np.sqrt(_dot(best, best))
                 best = self._project([bk / norm for bk in best], steps=3)
             # |best x z| = sin of the angle, accurate also next to the curve
             cross = _col_cross(best, z)
-            out[start:start + _CHUNK_ROWS] = np.sqrt(_col_dot(cross, cross))
+            out[start:start + _BLOCK] = np.sqrt(_dot(cross, cross))
         return out
 
 

@@ -25,6 +25,13 @@ def expand(forms, n: int) -> dict:
     return poly
 
 
+def at_rows(f: WeylPolynomial, x) -> tuple:
+    """f and its gradient, (N,) and (N, n+1), at the rows of x (N, n+1), or at one point
+    (n+1,) as one row: `value_and_gradient` on x's coordinate columns."""
+    vals, grads = f.value_and_gradient(list(np.atleast_2d(np.asarray(x, dtype=float)).T.copy()))
+    return vals, np.stack(grads, axis=1)
+
+
 def minus(f: WeylPolynomial, g: dict, s: float = 1.0) -> WeylPolynomial:
     """f - s*g, where g is a coefficient dict of the same degree."""
     merged = dict(f.coefficients)
@@ -66,12 +73,12 @@ def random_system(n: int, d: int, gen):
         f = WeylPolynomial(n=n, degree=d,
                            coefficients={alpha: float(gen.standard_normal()) for alpha in basis})
         raw.append(f.coefficients)
-        polys.append(minus(f, power, f(zeta.coords)))
+        polys.append(minus(f, power, at_rows(f, zeta.coords)[0][0]))
     return unit_norm(polys), zeta, raw
 
 
 def projected_svd(polys, zeta: SpherePoint):
-    jac = np.stack([f.gradient(zeta.coords) for f in polys])
+    jac = np.concatenate([at_rows(f, zeta.coords)[1] for f in polys])
     return np.linalg.svd(jac - np.outer(jac @ zeta.coords, zeta.coords), full_matrices=False)
 
 

@@ -2,8 +2,8 @@
 coordinate columns, with a plain full scan of the mesh for each row's nearest point:
 the reference that `CurveVariety` must match bit for bit.
 
-f and its gradient are evaluated separately, each from its own power table, and
-dot and cross products are taken over rows.
+f and its gradient are evaluated at rows (`cntr_reference.at_rows`), and dot and cross
+products are taken over rows.
 """
 
 import math
@@ -11,6 +11,8 @@ import math
 import numpy as np
 
 from spherecond import varieties
+
+from cntr_reference import at_rows
 
 # rows per pass of the refinement, and per block of the full scan, whose (rows, mesh)
 # |dot| buffer stays in cache
@@ -23,13 +25,13 @@ def row_dot(a, b):
 
 
 def tangential_grad(poly, pts):
-    g = poly.gradient(pts)
+    g = at_rows(poly, pts)[1]
     return g - pts * row_dot(g, pts)[:, None]
 
 
 def project(poly, pts, steps):
     for _ in range(steps):
-        f = poly(pts)
+        f = at_rows(poly, pts)[0]
         g = tangential_grad(poly, pts)
         gn = row_dot(g, g)
         gn = np.where(gn < 1e-30, 1.0, gn)
@@ -47,9 +49,9 @@ def build_mesh(poly):
     lattice = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     grad = tangential_grad(poly, lattice)
     slope = np.sqrt(row_dot(grad, grad))
-    near = np.abs(poly(lattice)) <= math.sqrt(2.0 * math.pi / size) * slope
+    near = np.abs(at_rows(poly, lattice)[0]) <= math.sqrt(2.0 * math.pi / size) * slope
     mesh = project(poly, lattice[near], steps=16)
-    return mesh[np.abs(poly(mesh)) < 1e-9]
+    return mesh[np.abs(at_rows(poly, mesh)[0]) < 1e-9]
 
 
 def nearest(curve, points):

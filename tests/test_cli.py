@@ -57,6 +57,11 @@ NAMED_FLAG_CASES = [
     (["tube"], "--variety"),
     (["logmean", "--n", "2"], "--problem"),
     (["tail", "--problem", "moore-penrose", "--l", "3"], "--m"),
+    # malformed specs: the error names the flag and the form it takes
+    (["tail", "--problem", "matrix-inversion", "--n", "2", "--t-grid", "log:2:1000"],
+     "--t-grid"),
+    (["tube", "--variety", "subsphere:3"], "--variety"),
+    (["tube", "--variety", "determinant:2", "--eps-grid", ""], "--eps-grid"),
 ]
 
 
@@ -487,14 +492,30 @@ class TestEstimateCommand:
         {"p": 2, "degree": 2},
         {"p": 2, "degree": 2, "monomials": [{"coeff": 1.0}]},
         {"p": 2, "degree": 2, "monomials": [{"alpha": [2, 0, 0]}]},
-    ], ids=["top-level-list", "no-degree", "no-monomials", "no-alpha", "no-coeff"])
+        # values that int() and float() would take: 2.7 -> 2, true -> 1, "1" -> 1.0
+        {**CONIC, "degree": 2.7},
+        {"p": 2, "degree": True, "monomials": [{"alpha": [1, 0, 0], "coeff": 1.0}]},
+        {**CONIC, "monomials": [{"alpha": [2.9, 0, 0], "coeff": 1.0},
+                                {"alpha": [0, 2, 0], "coeff": -1.0}]},
+        {**CONIC, "monomials": [{"alpha": [True, 1, 0], "coeff": 1.0}]},
+        {**CONIC, "monomials": [{"alpha": [2, 0, 0], "coeff": "1"},
+                                {"alpha": [0, 2, 0], "coeff": -1.0}]},
+        {**CONIC, "monomials": [{"alpha": [2, 0, 0], "coeff": math.inf},
+                                {"alpha": [0, 2, 0], "coeff": -1.0}]},
+        # the zero polynomial, whose "mesh" would be every lattice point
+        {**CONIC, "monomials": []},
+        {**CONIC, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
+                                {"alpha": [2, 0, 0], "coeff": -1.0}]},
+    ], ids=["top-level-list", "no-degree", "no-monomials", "no-alpha", "no-coeff",
+            "float-degree", "bool-degree", "float-alpha", "bool-alpha", "string-coeff",
+            "infinite-coeff", "no-terms", "cancelling-terms"])
     def test_malformed_curve_json_is_a_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "bad_curve.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "estimate", "tube", "--variety", f"curve:{path}",
                            "--samples", "100", "--out", str(tmp_path / "bad"))
         assert code == 2
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not (tmp_path / "bad.csv").exists()
 
     def test_tail_counts_are_tube_counts(self, tmp_path, capsys):
@@ -1122,7 +1143,9 @@ class TestLazyBindings:
             from spherecond import no_such_name  # noqa: F401
 
     def test_traced_cli_names_resolve_before_any_command(self):
-        # benchmark/tracing.py reads and patches these as cli attributes
+        # benchmark/tracing.py reads and patches every one of its targets: the cli names
+        # before any command has run, the others on their modules and classes, so a
+        # change that drops a traced name fails here
         probe = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -1130,7 +1153,14 @@ from tracing import _TARGETS
 from spherecond import cli
 names = [attr for owner, attr in _TARGETS if owner == "cli"]
 assert "np" not in vars(cli)
-print(sum(callable(getattr(cli, name)) for name in names), len(names))
+resolved = sum(callable(getattr(cli, name)) for name in names)
+from spherecond import sampling, varieties
+owners = {"cli": cli, "sampling": sampling, "varieties": varieties,
+          "CurveVariety": varieties.CurveVariety,
+          "DeterminantVariety": varieties.DeterminantVariety}
+resolved += sum(callable(getattr(owners[owner], attr, None))
+                for owner, attr in _TARGETS if owner != "cli")
+print(resolved, len(_TARGETS))
 """
         out = _run_probe(probe, str(Path(__file__).resolve().parents[1] / "benchmark"))
         resolved, total = map(int, out.split())

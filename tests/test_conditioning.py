@@ -29,7 +29,7 @@ from spherecond.conditioning import (
     planted_systems,
 )
 import cntr_reference
-from cntr_reference import expand, minus
+from cntr_reference import at_rows, expand, minus
 from weyl_rotation import expand_forms, random_system_with_zero, rotate_system, sample_rotation
 
 
@@ -307,7 +307,7 @@ def mixed_system_with_zero(degrees, gen):
     polys = []
     for d in degrees:
         f = random_poly(n, d, gen)
-        polys.append(minus(f, expand([zeta.coords] * d, n), f(zeta.coords)))
+        polys.append(minus(f, expand([zeta.coords] * d, n), at_rows(f, zeta.coords)[0][0]))
     return PolySystem(tuple(polys)), zeta
 
 
@@ -321,17 +321,12 @@ class TestWeylPolynomial:
         gen = np.random.default_rng(10 * n + d)
         f = random_poly(n, d, gen)
         x = gen.standard_normal((40, n + 1))
-        vals, grads = f(x), f.gradient(x)
+        vals, grads = at_rows(f, x)
         assert vals.shape == (40,) and grads.shape == (40, n + 1)
         # rows do not interact: any split into blocks gives the same bits
         for i in range(40):
-            assert vals[i] == f(x[i:i + 1])[0]
-            assert np.array_equal(grads[i], f.gradient(x[i:i + 1])[0])
-        # one point (Python floats) and a batch row take the same multiplications
-        for i in range(40):
-            assert f(x[i]) == vals[i]
-            assert np.array_equal(f.gradient(x[i]), grads[i])
-        assert isinstance(f(x[0]), float) and f.gradient(x[0]).shape == (n + 1,)
+            one_val, one_grad = at_rows(f, x[i:i + 1])
+            assert one_val[0] == vals[i] and np.array_equal(one_grad[0], grads[i])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("d", [1, 2, 4, 6])
@@ -343,8 +338,11 @@ class TestWeylPolynomial:
         x[:20] *= 1e-100
         vals, grads = f.value_and_gradient([x[:, j].copy() for j in range(n + 1)])
         assert len(grads) == n + 1
-        assert np.array_equal(vals, f(x))
-        assert np.array_equal(np.stack(grads, axis=1), f.gradient(x))
+        # one point in Python floats takes the multiplications of its row in the columns
+        for i in range(0, 500, 7):
+            table = f._table(x[i].tolist())
+            assert f._value(table, 0.0) == vals[i]
+            assert f._gradient(table, 0.0) == [g[i] for g in grads]
         one, one_grad = f.value_and_gradient([x[7:8, j].copy() for j in range(n + 1)])
         assert one[0] == vals[7] and [g[0] for g in one_grad] == [g[7] for g in grads]
 
@@ -359,7 +357,7 @@ class TestWeylPolynomial:
         absf = WeylPolynomial(n=n, degree=d,
                               coefficients={a: abs(c) for a, c in f.coefficients.items()})
         gamma = 1.01 * (d + len(f.coefficients)) * 2.0 ** -53
-        vals, grads = f(x), f.gradient(x)
+        vals, grads = at_rows(f, x)
         for row, val, grad in zip(x, vals, grads):
             q = [Fraction(v) for v in row]
 
@@ -368,11 +366,11 @@ class TestWeylPolynomial:
 
             assert abs(Fraction(val) - sum(exact(a, Fraction(c))
                                            for a, c in f.coefficients.items())) \
-                <= gamma * absf(np.abs(row))
+                <= gamma * at_rows(absf, np.abs(row))[0][0]
             for i in range(n + 1):
                 g_i = sum(exact(a[:i] + (a[i] - 1,) + a[i + 1:], Fraction(c) * a[i])
                           for a, c in f.coefficients.items() if a[i])
-                assert abs(Fraction(grad[i]) - g_i) <= gamma * absf.gradient(np.abs(row))[i]
+                assert abs(Fraction(grad[i]) - g_i) <= gamma * at_rows(absf, np.abs(row))[1][0, i]
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gradient_matches_central_differences(self, n):
@@ -380,14 +378,16 @@ class TestWeylPolynomial:
         f = random_poly(n, 4, gen)
         x = gen.standard_normal((20, n + 1))
         h = 1e-5
-        fd = np.stack([(f(x + h * e) - f(x - h * e)) / (2 * h) for e in np.eye(n + 1)], axis=1)
-        assert np.allclose(f.gradient(x), fd, rtol=1e-6, atol=1e-6)
+        fd = np.stack([(at_rows(f, x + h * e)[0] - at_rows(f, x - h * e)[0]) / (2 * h)
+                       for e in np.eye(n + 1)], axis=1)
+        assert np.allclose(at_rows(f, x)[1], fd, rtol=1e-6, atol=1e-6)
 
     def test_rejects_wrong_shape(self):
+        # one column too few or too many: zip would drop a coordinate without a word
         f = WeylPolynomial(n=1, degree=2, coefficients={(1, 1): 1.0})
-        for x in (np.ones(3), np.ones((4, 3)), np.ones((2, 2, 2))):
-            with pytest.raises(ValueError):
-                f(x)
+        for cols in ([np.ones(4)], [np.ones(4)] * 3):
+            with pytest.raises(ValueError, match="expected 2 coordinate columns"):
+                f.value_and_gradient(cols)
 
     def test_expand_is_the_product_of_forms(self):
         # both expansions: the reference's dicts and the rotation helper's table rows
@@ -395,9 +395,9 @@ class TestWeylPolynomial:
         forms = gen.standard_normal((3, 3))
         f = WeylPolynomial(n=2, degree=3, coefficients=expand(forms, 2))
         x = gen.standard_normal((10, 3))
-        assert np.allclose(f(x), np.prod(x @ forms.T, axis=1), rtol=1e-12, atol=0)
+        assert np.allclose(at_rows(f, x)[0], np.prod(x @ forms.T, axis=1), rtol=1e-12, atol=0)
         dense = PolySystem(degrees=(3, 3), coefficients=[expand_forms(forms, 2)] * 2)
-        assert np.allclose(dense(x)[:, 0], f(x), rtol=1e-12, atol=0)
+        assert np.allclose(dense(x)[:, 0], at_rows(f, x)[0], rtol=1e-12, atol=0)
 
     def test_expand_orders_monomials_as_combinations(self):
         # random_system_with_zero draws one coefficient per monomial, in this order
@@ -684,9 +684,10 @@ class TestDenseSystems:
         f = PolySystem(polys)
         assert f.shape == () and f.degrees == (3, 1) and f.n == 2
         x = gen.standard_normal((25, 3))
-        assert f(x) == pytest.approx(np.stack([p(x) for p in polys], axis=1), rel=1e-12)
+        assert f(x) == pytest.approx(np.stack([at_rows(p, x)[0] for p in polys], axis=1),
+                                     rel=1e-12)
         assert f.jacobian(x) == pytest.approx(
-            np.stack([p.gradient(x) for p in polys], axis=1), rel=1e-12)
+            np.stack([at_rows(p, x)[1] for p in polys], axis=1), rel=1e-12)
         assert weyl_norm(f) == pytest.approx(math.sqrt(cntr_reference.inner(polys, polys)),
                                              rel=1e-14)
 

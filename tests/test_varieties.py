@@ -36,7 +36,7 @@ from spherecond.varieties import (
     Variety,
     _kinematic_block,
     _col_cross,
-    _col_dot,
+    _dot,
     _merge_moments,
     _moments,
     empirical_bernstein,
@@ -45,6 +45,7 @@ from spherecond.varieties import (
     tube_cap_counts,
 )
 import curve_reference
+from cntr_reference import at_rows
 from sphere_sampling import sample_uniform_sphere
 from subsphere_tube import subsphere_tube_volume
 
@@ -680,7 +681,7 @@ class TestCurveVariety:
         c = CurveVariety(*curve)
         mesh = c._mesh
         assert np.max(np.abs(np.linalg.norm(mesh, axis=1) - 1.0)) < 1e-15
-        assert np.max(np.abs(c.poly(mesh))) < 1e-9
+        assert np.max(np.abs(at_rows(c.poly, mesh)[0])) < 1e-9
         # no point repeats, up to sign
         both = np.round(np.vstack([mesh, -mesh]), 9)
         assert np.unique(both, axis=0).shape[0] == 2 * mesh.shape[0]
@@ -704,12 +705,12 @@ class TestCurveVariety:
 
     @pytest.mark.parametrize("curve", [CONIC, QUARTIC], ids=["conic", "quartic"])
     def test_rows_do_not_interact_across_blocks(self, curve):
-        # splits that cut the nearest-point blocks (_BLOCK), the Newton chunks
-        # (_CHUNK_ROWS) and the cells' row groups anywhere give the same bits as one call
+        # splits that cut the blocks of _BLOCK rows and the cells' row groups anywhere
+        # give the same bits as one call
         c = CurveVariety(*curve)
         pts = sample_uniform_sphere(2, RngStream(4), size=20_011)
         whole = c.distances(pts)
-        for rows in (127, 128, 129, 4097):
+        for rows in (127, 128, 129, 4097, _BLOCK - 1, _BLOCK + 1):
             parts = [c.distances(pts[s:s + rows]) for s in range(0, 20_011, rows)]
             assert np.array_equal(np.concatenate(parts), whole)
         # one row per call costs ~1 ms, so only over rows that cross two block boundaries
@@ -1049,12 +1050,13 @@ class TestKinematicBlock:
 
 class TestRowDot:
     def test_same_bits_as_numpy_reductions(self):
-        # dot and cross products of points held as coordinate columns
+        # dot and cross products of points held as three coordinate columns: the curve
+        # kernel's dot is the one row-dot helper, `_dot`
         a, b = np.random.default_rng(53).standard_normal((2, 50_000, 3))
         a[:100] *= 1e-150
         cols_a, cols_b = list(a.T.copy()), list(b.T.copy())
-        assert np.array_equal(_col_dot(cols_a, cols_b), np.sum(a * b, axis=1))
-        assert np.array_equal(np.sqrt(_col_dot(cols_a, cols_a)), np.linalg.norm(a, axis=1))
+        assert np.array_equal(_dot(cols_a, cols_b), np.sum(a * b, axis=1))
+        assert np.array_equal(np.sqrt(_dot(cols_a, cols_a)), np.linalg.norm(a, axis=1))
         assert np.array_equal(np.stack(_col_cross(cols_a, cols_b), axis=1), np.cross(a, b))
 
 
