@@ -17,6 +17,7 @@ _LIBRARY names here; reading such a name as `cli.<name>` does the same.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -198,15 +199,25 @@ PROBLEM_VARIETIES = {
 
 def _resolve_variety(spec: str):
     kind, _, rest = spec.partition(":")
-    if kind == "curve":
-        return load_curve(rest)
     sizes = rest.split(",")
-    if all(map(str.isdecimal, sizes)):  # the strings int() reads, but for signs and spaces
-        if kind == "subsphere" and len(sizes) == 2:
-            return SubsphereVariety(*map(int, sizes))
-        if kind == "determinant" and len(sizes) == 1:
-            return DeterminantVariety(int(rest))
+    with _naming("--variety", spec):
+        if kind == "curve":
+            return load_curve(rest)
+        if all(map(str.isdecimal, sizes)):  # the strings int() reads, but for signs and spaces
+            if kind == "subsphere" and len(sizes) == 2:
+                return SubsphereVariety(*map(int, sizes))
+            if kind == "determinant" and len(sizes) == 1:
+                return DeterminantVariety(int(rest))
     raise ValueError(f"--variety takes {_VARIETY_FORMS}, got {spec!r}")
+
+
+@contextlib.contextmanager
+def _naming(flag: str, value):
+    """Ends the message of a ValueError raised in the block with the flag and its value."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{exc}, in {flag} {value!r}") from None
 
 
 def _write_outputs(args, header: list[str], rows: list[list], params: dict,
@@ -250,24 +261,27 @@ def cmd_estimate(args) -> int:
         if args.which != "tube":  # a bad problem size fails before numpy loads
             problem = ProblemDescriptor(args.problem, args.n, args.l, args.m)
         _library()
+        variety = (_resolve_variety(args.variety) if args.which == "tube"
+                   else PROBLEM_VARIETIES[args.problem](problem))
+        center = _resolve_center(args.center, variety.p, args.seed)
+        with _naming("--sigma", args.sigma):
+            cap = Cap(center=center, sigma=args.sigma)
         # each branch evaluates its bounds before sampling, so a bad grid fails at once
         if args.which == "tube":
-            variety = _resolve_variety(args.variety)
             grid = eps_grid = _parse_grid(args.eps_grid, "--eps-grid")
-            bounds = [tube_ratio_bound(variety.p, variety.degree, args.sigma, eps)
-                      for eps in grid]
+            with _naming("--eps-grid", args.eps_grid):
+                bounds = [tube_ratio_bound(variety.p, variety.degree, args.sigma, eps)
+                          for eps in grid]
             header = ["eps", "empirical_ratio", *columns]
-        else:
-            variety = PROBLEM_VARIETIES[args.problem](problem)
-            if args.which == "tail":
-                grid = _parse_grid(args.t_grid, "--t-grid")
-                eps_grid = [1.0 / t for t in grid]  # P{C >= t} is the tube ratio at eps = 1/t
+        elif args.which == "tail":
+            grid = _parse_grid(args.t_grid, "--t-grid")
+            eps_grid = [1.0 / t for t in grid]  # P{C >= t} is the tube ratio at eps = 1/t
+            with _naming("--t-grid", args.t_grid):
                 bounds = [tail_bound(variety.p, variety.degree, args.sigma, t) for t in grid]
-                header = ["t", "empirical", *columns]
-            else:
-                bound = application_bound(problem, args.sigma)
-                header = ["empirical_mean_ln", *columns]
-        cap = Cap(center=_resolve_center(args.center, variety.p, args.seed), sigma=args.sigma)
+            header = ["t", "empirical", *columns]
+        else:
+            bound = application_bound(problem, args.sigma)
+            header = ["empirical_mean_ln", *columns]
         if args.which == "logmean":
             n, mean, m2 = _merge_moments(run_blocks(
                 _cap_block, (variety, cap, _log_moments, args.seed), args.samples, args.workers))

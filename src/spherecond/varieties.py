@@ -3,8 +3,8 @@
 Varieties are symmetric subsets of S^p with an attached projective
 distance evaluator: great subspheres (exact), rank-deficient n x m matrices via the
 smallest singular value (exact: Gram-Schmidt for m <= 2; for m >= 3, one bidiagonal
-Laguerre kernel where n <= 32 and n m^2 <= 8192, which ends past s_min^2 only by
-round-off, and LAPACK's SVD beyond), and
+Laguerre kernel where n <= 32 and n m^2 <= 8192, whose steps are lowered by their
+rounding bound so that they never pass s_min^2, and LAPACK's SVD beyond), and
 plane curves on S^2 via a mesh of Newton-projected hemisphere lattice points with
 Newton refinement (upper bound on the true distance). The curve oracle finds each
 query's nearest mesh point among the candidates of its cube-map cell; its Newton
@@ -159,7 +159,8 @@ def _reflect(x: list, ys: list) -> np.ndarray:
 # Rows with mu_0 below _MU_FLOOR (s_min below about 1e-45) take LAPACK's SVD: above it
 # a positive pivot is at least about eps mu / 4, so 1 / t^2 and every sum of the
 # recurrence stay below about 1e216. A row open after _LAGUERRE_STEPS passes raises; test
-# rows took up to 8 without a cluster, 23 with one, and 68 with planted 16 x 16 clusters.
+# rows took up to 6 without a cluster, 5 with all values equal, 19 with a near-full
+# cluster, 27 with a near-double smallest pair, and 68 with planted 16 x 16 clusters.
 _MU_FLOOR = 2.0 ** -300
 _LAGUERRE_TOL = 2.0 * np.finfo(float).eps
 _LAGUERRE_STEPS = 100
@@ -167,12 +168,12 @@ _LAGUERRE_STEPS = 100
 
 def _laguerre(mu: np.ndarray, d2: list, e2: list, de2: list) -> tuple:
     """At mu: whether every pivot is positive (mu < lambda), Laguerre's step (0 where
-    not), its rounding bound, S_1 and S_2 (garbage where a pivot is <= 0). Round-off
-    k eps S_1^2 in m S_2 - S_1^2 = R^2 / (m - 1) moves the step by (m - 1) k eps
-    (step S_1)^2 / (2 m R); the bound puts 64 eps for (m - 1) k eps / 2, mid-way in the
-    range that measured safe (1 to 3e3 eps). As R moves by at most sqrt(d R^2), the step
-    moves by at most sqrt(128 eps) step^2 S_1 / m, the bound where R < 8.4e-8 S_1: flat rows
-    (R about 0, a cluster) keep a finite bound, which shrinks with the step."""
+    not) and its rounding bound. Round-off k eps S_1^2 in m S_2 - S_1^2 = R^2 / (m - 1)
+    moves the step by (m - 1) k eps (step S_1)^2 / (2 m R); the bound puts 64 eps for
+    (m - 1) k eps / 2, mid-way in the range that measured safe (1 to 3e3 eps). As R moves
+    by at most sqrt(d R^2), the step moves by at most sqrt(128 eps) step^2 S_1 / m, the
+    bound where R < 8.4e-8 S_1: flat rows (R about 0, a cluster) keep a finite bound,
+    which shrinks with the step."""
     m = len(d2)
     s, s1, s2, S1, S2, below = mu, 1.0, 0.0, 0.0, 0.0, True
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -192,34 +193,7 @@ def _laguerre(mu: np.ndarray, d2: list, e2: list, de2: list) -> tuple:
         step = m / np.where(below, S1 + root, np.inf)
         eps = np.finfo(float).eps
         err = step * step * S1 / m * np.minimum(64.0 * eps * S1 / root, np.sqrt(128.0 * eps))
-    return below, step, err, S1, S2
-
-
-def _bracketed_smin(lo: np.ndarray, hi: np.ndarray, mu: np.ndarray, d2: list, e2: list,
-                    de2: list):
-    """sqrt(mu) for a mu within _LAGUERRE_TOL mu below lambda, on rows with lo < lambda
-    < hi by the pivot signs, from mu if that is above lo, else the midpoint. Each pass
-    probes mu and moves lo or hi there. A row ends at hi - lo <= _LAGUERRE_TOL mu, or at
-    a probe below lambda with S_1 / S_2 <= that, as lambda - mu <= S_1 / S_2 (each term
-    of S_2 is at most S_1 / (lambda - mu)). The next probe is Laguerre's point, capped at
-    hi and lowered by its rounding bound (at least _LAGUERRE_TOL mu / 2), if that is above
-    lo, else the midpoint."""
-    out, idx = np.empty_like(lo), np.arange(len(lo))
-    mu = np.where(mu > lo, mu, 0.5 * (lo + hi))
-    for _ in range(_LAGUERRE_STEPS):
-        below, step, err, S1, S2 = _laguerre(mu, d2, e2, de2)
-        lo, hi = np.where(below, mu, lo), np.where(below, hi, mu)
-        tol = _LAGUERRE_TOL * mu
-        done = ~(hi - lo > tol) | (below & ~(S1 > tol * S2))
-        out[idx[done]] = np.sqrt(lo[done])
-        probe = np.minimum(mu + step, hi) - np.maximum(err, 0.5 * tol)
-        mu = np.where(below & (probe > lo), probe, 0.5 * (lo + hi))
-        keep = ~done
-        idx, mu, lo, hi = idx[keep], mu[keep], lo[keep], hi[keep]
-        if not idx.size:
-            return out
-        d2, e2, de2 = ([x[keep] for x in xs] for xs in (d2, e2, de2))
-    raise np.linalg.LinAlgError(f"Laguerre iteration did not converge in {_LAGUERRE_STEPS} steps")
+    return below, step, err
 
 
 def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
@@ -243,12 +217,12 @@ def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
     The start is mu_0 = 1 / |B^-1|_F^2, so mu_0 <= lambda <= m mu_0: row i of B^-1 has
     the squared norm c_i = (1 + e_i^2 c_{i+1}) / d_i^2, which cancels nothing. From the
     left of the smallest root, Laguerre's step m / (S_1 + sqrt((m - 1)(m S_2 - S_1^2)))
-    rises monotonically to it and is exact for a root of multiplicity m. A row stops when
-    its step is at most _LAGUERRE_TOL mu, or at a pivot <= 0, past lambda. There it ends
-    if round-off could not have moved its last step by more than _LAGUERRE_TOL mu; else
-    (m S_2 - S_1^2 cancelled, as on near-full clusters) `_bracketed_smin` finishes it
-    between that step's ends, from its end lowered by that bound. A finished row leaves
-    the arrays: its bits do not depend on the batch."""
+    rises monotonically to it and is exact for a root of multiplicity m. Each step is
+    taken lowered by its rounding bound, so round-off in m S_2 - S_1^2 (which cancels on
+    near-full clusters) cannot carry mu past lambda, and every pivot sign stays a true
+    Sturm count. A row ends at a step of at most _LAGUERRE_TOL mu, or at a pivot <= 0,
+    which only the recurrence's own round-off can give. A finished row leaves the
+    arrays: its bits do not depend on the batch."""
     a = [list(col) for col in _components(mats)]  # a[j][i] = A_ij
     n, m = len(a[0]), len(a)
     d2, e2 = [], []
@@ -273,20 +247,14 @@ def _bidiagonal_smin(mats: np.ndarray) -> np.ndarray:
     idx = np.flatnonzero(mu >= _MU_FLOOR)
     mu, d2, e2 = mu[idx], [x[idx] for x in d2], [x[idx] for x in e2]
     de2 = [d * e for d, e in zip(d2, e2)]
-    lo, slack = mu, np.zeros(len(mu))
     for _ in range(_LAGUERRE_STEPS):
-        below, step, err, _, _ = _laguerre(mu, d2, e2, de2)
-        prev, mu = mu, mu + step
+        below, step, err = _laguerre(mu, d2, e2, de2)
+        mu = mu + np.where(below, step - err, 0.0)
         done = ~(step > _LAGUERRE_TOL * mu)
-        out[idx[done]] = np.sqrt(mu[done])
-        past = (slack > _LAGUERRE_TOL * prev) & ~below
-        if past.any():
-            out[idx[past]] = _bracketed_smin(lo[past], prev[past], (prev - slack)[past],
-                                             *([x[past] for x in xs] for xs in (d2, e2, de2)))
-        lo, slack = prev, err
         if done.any():
+            out[idx[done]] = np.sqrt(mu[done])
             keep = ~done
-            idx, mu, lo, slack = idx[keep], mu[keep], lo[keep], slack[keep]
+            idx, mu = idx[keep], mu[keep]
             d2, e2, de2 = ([x[keep] for x in xs] for xs in (d2, e2, de2))
         if not idx.size:
             return out
@@ -301,12 +269,13 @@ class DeterminantVariety(Variety):
     per matrix, within 4.5e-16 of a 50-digit SVD on unit matrices up to 200 x 2.
 
     m >= 3, n <= 32 and n m^2 <= 8192: Householder bidiagonalization, then Laguerre's
-    iteration on the qd pivots of B^T B (`_bidiagonal_smin`), which ends past s_min^2
-    only by round-off. On 10492 unit matrices of the test families (3 x 3 to 16 x 16,
-    near-full clusters of singular values included) it was within 3.3e-16 of a 50-digit
-    SVD, and at most 2.2e-16 above it; LAPACK erred by up to 7.8e-15. Per 8192-matrix
-    block of cap samples on one BLAS thread it took 3.3 ms at 3 x 3 to 150 ms at
-    32 x 16, against LAPACK's 13 and 173.
+    iteration on the qd pivots of B^T B (`_bidiagonal_smin`), each step lowered by its
+    rounding bound. On 11880 unit matrices of the test families (3 x 3 to 16 x 16 and
+    32 x 4, near-full clusters of singular values included) it was within 3.3e-16 of a
+    50-digit SVD, and above it by 3.3e-16 on one 3 x 3 row and by at most 2.8e-16 on the
+    others; LAPACK erred by up to 5.4e-15. Per 8192-matrix block of cap samples on one
+    BLAS thread it took 3.3 ms at 3 x 3 to 150 ms at 32 x 16, against LAPACK's 13 and
+    173.
 
     Other m >= 3: LAPACK's SVD, which works in cache on one matrix at a time while the
     kernel makes about 4 n m^2 passes over length-N arrays: 200 x 3 (53 ms, LAPACK 39),
@@ -336,6 +305,9 @@ class DeterminantVariety(Variety):
 # over the exact ones, at 8192 caps around a crossing lost tube hits.
 _MESH_SIZE = 16384
 _NEWTON_STEPS = 2
+# on x^d - y^d (20000 points of S^2) the oracle's largest excess over the exact distance
+# was 0.0023 at d = 20, 0.031 at 32 and 0.47 at 100; the mesh build's memory grows with d
+_MAX_CURVE_DEGREE = 20
 # cells per side of a cube-map face, and |dot|s per matmul (256 kB); `distances` takes
 # _BLOCK rows at a time: these bound temporaries
 _CELLS = 6  # searched as fast as 8 (5 was slower) and built in about half the time
@@ -362,7 +334,8 @@ def _cell_geometry() -> tuple:
 
 
 class CurveVariety(Variety):
-    """Zero set on S^2 of the homogeneous polynomial `poly` in three variables.
+    """Zero set on S^2 of the homogeneous polynomial `poly` in three variables, of
+    degree at most _MAX_CURVE_DEGREE.
 
     The mesh is a Fibonacci lattice on the upper hemisphere, cut to the
     points within one lattice spacing of the curve and Newton-projected onto
@@ -389,6 +362,9 @@ class CurveVariety(Variety):
     def __init__(self, monomials, degree: int):
         self.p = 2
         self.degree = int(degree)
+        if self.degree > _MAX_CURVE_DEGREE:
+            raise ValueError(f"curve degree {self.degree} is above {_MAX_CURVE_DEGREE}, the "
+                             "largest whose branches the mesh resolves")
         self.distance_kind = "mesh-newton"
         coefficients: dict = {}
         for alpha, c in monomials:  # repeated exponent triples add up
@@ -441,7 +417,8 @@ class CurveVariety(Variety):
     def _build_mesh(self) -> np.ndarray:
         # f(-x) = +-f(x), so a Fibonacci lattice on the upper hemisphere sees every
         # component; lattice points within one spacing of the curve to first order
-        # are Newton-projected onto it, and those that converge are kept
+        # are Newton-projected onto it, and those that converge are kept: |f| / |grad|,
+        # the first-order distance, below 1e-9 (at high degree, |f| alone is tiny off it)
         k = np.arange(_MESH_SIZE) + 0.5
         z = k / _MESH_SIZE
         phi = k * (math.pi * (3.0 - math.sqrt(5.0)))
@@ -451,7 +428,8 @@ class CurveVariety(Variety):
         slope = np.sqrt(_dot(grad, grad))
         near = np.abs(f) <= math.sqrt(2.0 * math.pi / _MESH_SIZE) * slope
         mesh = self._project([xk[near] for xk in lattice], steps=16)
-        on = np.abs(self.poly.value_and_gradient(mesh)[0]) < 1e-9
+        f, grad = self._tangential_grad(mesh)
+        on = np.abs(f) < 1e-9 * np.sqrt(_dot(grad, grad))
         return np.stack([xk[on] for xk in mesh], axis=1)
 
     def _build_cells(self):

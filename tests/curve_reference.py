@@ -51,7 +51,8 @@ def build_mesh(poly):
     slope = np.sqrt(row_dot(grad, grad))
     near = np.abs(at_rows(poly, lattice)[0]) <= math.sqrt(2.0 * math.pi / size) * slope
     mesh = project(poly, lattice[near], steps=16)
-    return mesh[np.abs(at_rows(poly, mesh)[0]) < 1e-9]
+    grad = tangential_grad(poly, mesh)
+    return mesh[np.abs(at_rows(poly, mesh)[0]) < 1e-9 * np.sqrt(row_dot(grad, grad))]
 
 
 def nearest(curve, points):

@@ -62,6 +62,11 @@ NAMED_FLAG_CASES = [
      "--t-grid"),
     (["tube", "--variety", "subsphere:3"], "--variety"),
     (["tube", "--variety", "determinant:2", "--eps-grid", ""], "--eps-grid"),
+    # values out of range: the error names the flag and the value
+    (["tail", "--problem", "matrix-inversion", "--n", "2", "--t-grid", "10,nan"], "--t-grid"),
+    (["tube", "--variety", "determinant:2", "--eps-grid", "2"], "--eps-grid"),
+    (["tail", "--problem", "matrix-inversion", "--n", "2", "--sigma", "2"], "--sigma"),
+    (["tube", "--variety", "subsphere:2,5"], "--variety"),
 ]
 
 
@@ -506,9 +511,12 @@ class TestEstimateCommand:
         {**CONIC, "monomials": []},
         {**CONIC, "monomials": [{"alpha": [2, 0, 0], "coeff": 1.0},
                                 {"alpha": [2, 0, 0], "coeff": -1.0}]},
+        # a degree past the mesh's resolution
+        {"p": 2, "degree": 21, "monomials": [{"alpha": [21, 0, 0], "coeff": 1.0},
+                                             {"alpha": [0, 21, 0], "coeff": -1.0}]},
     ], ids=["top-level-list", "no-degree", "no-monomials", "no-alpha", "no-coeff",
             "float-degree", "bool-degree", "float-alpha", "bool-alpha", "string-coeff",
-            "infinite-coeff", "no-terms", "cancelling-terms"])
+            "infinite-coeff", "no-terms", "cancelling-terms", "degree-above-20"])
     def test_malformed_curve_json_is_a_usage_error(self, tmp_path, capsys, doc):
         path = tmp_path / "bad_curve.json"
         path.write_text(json.dumps(doc))
